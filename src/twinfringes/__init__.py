@@ -63,12 +63,9 @@ from .inverse import (
     reconstruct_joint_probability,
 )
 from .oracle import (
-    CountingRateSample,
     UnequalAmplitudes,
     ZeroRate,
-    counting_rate_full,
     counting_rate_reduced,
-    map_kb_to_theta_a,
     phase_a,
     sweep_visibility,
     visibility_scan,
@@ -100,87 +97,3 @@ from .state import (
     superpose_sources,
 )
 
-__all__ = [
-    "__version__",
-    # configuration
-    "ConfigError",
-    "CorrelationModel",
-    "ExperimentConfig",
-    "FringeConstants",
-    "ParaxialWarning",
-    "Violation",
-    "derive_constants",
-    "effective_curvature",
-    "validate_config",
-    # special functions
-    "ToleranceNotReached",
-    "erfc_complex",
-    "faddeeva",
-    "integrate_radial",
-    "parabolic_cylinder_Dm2",
-    # state construction
-    "GridMismatch",
-    "ModeGrid",
-    "SuperposedState",
-    "TwoPhotonState",
-    "ZeroMarginal",
-    "assemble_state",
-    "build_amplitudes",
-    "camera_grid",
-    "conditional_probability",
-    "conjugate_grid",
-    "dephasing_grid",
-    "joint_probability",
-    "line_grid",
-    "marginal_b",
-    "mutual_information_bits",
-    "shell_line_grid",
-    "superpose_sources",
-    # counting-rate oracle
-    "CountingRateSample",
-    "UnequalAmplitudes",
-    "ZeroRate",
-    "counting_rate_full",
-    "counting_rate_reduced",
-    "map_kb_to_theta_a",
-    "phase_a",
-    "sweep_visibility",
-    "visibility_scan",
-    # closed forms and rendering
-    "FringeImage",
-    "NoHalfPoint",
-    "RadialProfile",
-    "ZeroDistance",
-    "central_visibility",
-    "counting_rate_maxcorr",
-    "counting_rate_partial_quadrature",
-    "counting_rate_uncorrelated",
-    "fringe_radius",
-    "radial_profile",
-    "render_pattern",
-    "visibility_closed_form",
-    "visibility_hwhm",
-    # inverse estimation
-    "DegenerateVisibility",
-    "FringeObservation",
-    "InsufficientData",
-    "NegativeSlope",
-    "WavelengthEstimate",
-    "estimate_equivalent_wavelength",
-    "estimate_sigma_theta",
-    "estimate_sigma_theta_bisect",
-    "infer_lambda_a",
-    "pump_waist_to_sigma",
-    "reconstruct_joint_probability",
-    # file formats and manifest
-    "ParseError",
-    "RunManifest",
-    "UnknownKey",
-    "config_to_dict",
-    "parse_config",
-    "read_pgm",
-    "read_profile_csv",
-    "write_manifest",
-    "write_pgm",
-    "write_profile_csv",
-]

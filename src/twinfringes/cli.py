@@ -27,7 +27,8 @@ from .analytics import (
     visibility_closed_form,
     visibility_hwhm,
 )
-from .config import CorrelationModel, ExperimentConfig
+from . import __version__
+from .config import CorrelationModel, ExperimentConfig, validate_config
 from .fileio import (
     ParseError,
     RunManifest,
@@ -44,11 +45,9 @@ from .inverse import (
     estimate_sigma_theta_bisect,
     infer_lambda_a,
 )
-from .oracle import counting_rate_reduced, visibility_scan
+from .oracle import UnequalAmplitudes, counting_rate_reduced, visibility_scan
 from .special import ToleranceNotReached
 from .state import assemble_state
-
-TOOL_VERSION = "0.1.0"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -84,7 +83,7 @@ def _finish(command: str, cfg: ExperimentConfig, outputs, started_at: str, t0: f
         command=command,
         config=config_to_dict(cfg),
         outputs=tuple(str(p) for p in outputs),
-        version=TOOL_VERSION,
+        version=__version__,
         duration_s=time.perf_counter() - t0,
         started_at=started_at,
     )
@@ -144,7 +143,9 @@ def run_visibility_scan(
     ``sigma_theta,v0,hwhm_m`` rows, the HWHM column blank where the
     visibility never falls to half) and ``rho_list`` (camera radii in
     meters; emits ``rho_m,visibility`` rows) must be a non-empty
-    sequence. Nothing is written before the arguments validate.
+    sequence. Each scanned width is validated as a config, except 0, the
+    perfect-correlation limit, which is reported as v0 = 1 with a blank
+    HWHM. Nothing is written before the arguments validate.
     """
     if bool(sigma_list) == bool(rho_list):
         raise UsageError("provide exactly one non-empty scan list (sigma or rho)")
@@ -154,6 +155,8 @@ def run_visibility_scan(
         lines.append("sigma_theta,v0,hwhm_m")
         for sigma in sigma_list:
             scan_cfg = dataclasses.replace(cfg, sigma_theta=float(sigma))
+            if sigma != 0.0:
+                validate_config(scan_cfg)
             v0 = central_visibility(scan_cfg)
             try:
                 hwhm = f"{visibility_hwhm(scan_cfg):.11e}"
@@ -250,9 +253,7 @@ def _oracle_curves(cfg: ExperimentConfig, grid_points: int):
     """Grid-oracle and closed-form visibility/rate curves at sampled radii."""
     closed = radial_profile(cfg, 0.5 * cfg.f0 * cfg.sigma_b, 16, 0.0)
     state = assemble_state(cfg, closed.rho, n_modes=grid_points)
-    # 1024 phases push the parabolic-refinement bias (~n^-4) below the
-    # 1e-9 maximal-model tolerance; 64 would leave it at ~2e-6.
-    vis_grid = np.array([visibility_scan(state, float(r), 1024) for r in closed.rho])
+    vis_grid = np.array([visibility_scan(state, float(r)) for r in closed.rho])
     rate_grid = np.array(
         [counting_rate_reduced(state, j, 0.0) for j in range(state.base.grid_b.n_modes)]
     )
@@ -262,14 +263,22 @@ def _oracle_curves(cfg: ExperimentConfig, grid_points: int):
 def run_oracle_check(cfg: ExperimentConfig, grid_points: int, out, manifest_path=None) -> RunManifest:
     """Compare the brute-force mode-sum against the closed forms.
 
-    Sweeps 16 radii across the envelope, computes the visibility by
-    phase scanning the grid rate and the rate curve at phi_0 = 0, and
-    checks both against the analytic results for the configured model.
-    The JSON report is written even on failure; ToleranceExceeded is
-    raised afterwards so the discrepancies stay inspectable.
+    Samples 16 radii across the envelope, extracts the exact grid
+    visibility |S| / A from the grid rate A + Re(S e^{-i phi_0}) at four
+    scan phases, computes the grid rate curve at phi_0 = 0, and checks
+    both against the analytic results for the configured model. The
+    closed forms assume balanced sources, so UnequalAmplitudes is raised
+    unless |alpha1| = |alpha2|. The JSON report is written even on
+    failure; ToleranceExceeded is raised afterwards so the discrepancies
+    stay inspectable.
     """
     if grid_points < 128:
         raise UsageError("grid_points must be at least 128")
+    if abs(abs(cfg.alpha1_mag) - abs(cfg.alpha2_mag)) > 1e-12:
+        raise UnequalAmplitudes(
+            f"oracle check needs balanced sources; alpha1_mag = {cfg.alpha1_mag!r}, "
+            f"alpha2_mag = {cfg.alpha2_mag!r}"
+        )
     started, t0 = _utc_now(), time.perf_counter()
     radii, vis_grid, vis_closed, rate_grid, rate_closed = _oracle_curves(cfg, grid_points)
 

@@ -19,8 +19,8 @@ _SQRT_HALF = math.sqrt(0.5)
 # Normalization slack for |alpha1|^2 + |alpha2|^2.
 AMPLITUDE_NORM_TOL = 1e-12
 
-# sigma_b at or above this is still accepted but flagged as straining the
-# small-angle treatment.
+# Angles [rad] at or above this strain the small-angle treatment: sigma_b
+# is still accepted but flagged, phase_a warns, and mode grids reject them.
 PARAXIAL_LIMIT = 0.1
 
 
@@ -78,7 +78,8 @@ class ExperimentConfig:
         any derived constant involving the pump.
     sigma_theta : float, optional
         Angular width of the conditional momentum distribution [rad].
-        Required when ``correlation_model`` is ``GAUSSIAN_PARTIAL``.
+        Required when ``correlation_model`` is ``GAUSSIAN_PARTIAL``; must
+        be positive whenever given.
     n_a : float
         Refractive index seen by photon a between the sources.
     alpha1_mag, alpha2_mag : float
@@ -145,6 +146,10 @@ def validate_config(raw: ExperimentConfig) -> ExperimentConfig:
     """
     bad: list[Violation] = []
 
+    for name, value in vars(raw).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            bad.append(Violation("NonFiniteParameter", f"{name} must be finite, got {value!r}"))
+
     def positive(name: str, value: float | None, strict: bool = True) -> None:
         if value is None:
             return
@@ -157,6 +162,7 @@ def validate_config(raw: ExperimentConfig) -> ExperimentConfig:
     positive("lambda_p", raw.lambda_p)
     positive("f0", raw.f0)
     positive("sigma_b", raw.sigma_b)
+    positive("sigma_theta", raw.sigma_theta)
     positive("d_a", raw.d_a, strict=False)  # d_a = 0 is the balanced case
     if raw.n_a < 1.0:
         bad.append(Violation("NonPositiveParameter", f"n_a must be >= 1, got {raw.n_a!r}"))
@@ -174,12 +180,6 @@ def validate_config(raw: ExperimentConfig) -> ExperimentConfig:
         if raw.sigma_theta is None:
             bad.append(
                 Violation("MissingSigmaTheta", "gaussian_partial model requires sigma_theta")
-            )
-        elif raw.sigma_theta <= 0.0:
-            bad.append(
-                Violation(
-                    "NonPositiveParameter", f"sigma_theta must be > 0, got {raw.sigma_theta!r}"
-                )
             )
         if raw.lambda_p is None:
             bad.append(

@@ -10,36 +10,20 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .config import ExperimentConfig, ParaxialWarning
+from .config import PARAXIAL_LIMIT, ExperimentConfig, ParaxialWarning
 from .state import SuperposedState
-
-# Angles at or above this get a small-angle warning from phase_a.
-_PARAXIAL_THETA = 0.1
 
 
 class UnequalAmplitudes(ValueError):
-    """Reduced rate requested for sources that do not emit equally."""
+    """Oracle check requested for sources that do not emit equally."""
 
 
 class ZeroRate(ArithmeticError):
     """Visibility undefined: the rate vanished at every scan phase."""
-
-
-@dataclass(frozen=True)
-class CountingRateSample:
-    """One (radial position, relative rate) pair of a camera scan."""
-
-    rho: float
-    rate: float
-
-    def __post_init__(self):
-        if self.rate < 0.0:
-            raise ValueError(f"negative counting rate {self.rate!r}")
 
 
 def phase_a(theta_a, cfg: ExperimentConfig):
@@ -51,9 +35,9 @@ def phase_a(theta_a, cfg: ExperimentConfig):
     Accepts a scalar or an array; returns matching shape.
     """
     theta = np.asarray(theta_a, dtype=float)
-    if np.any(np.abs(theta) >= _PARAXIAL_THETA):
+    if np.any(np.abs(theta) >= PARAXIAL_LIMIT):
         warnings.warn(
-            f"phase_a called with |theta| >= {_PARAXIAL_THETA}; the quadratic "
+            f"phase_a called with |theta| >= {PARAXIAL_LIMIT}; the quadratic "
             "expansion is unreliable there",
             ParaxialWarning,
             stacklevel=2,
@@ -65,91 +49,48 @@ def phase_a(theta_a, cfg: ExperimentConfig):
     return out
 
 
-def map_kb_to_theta_a(rho: float, cfg: ExperimentConfig) -> float:
-    """Emission angle of the a partner of a b photon detected at radius rho.
-
-    Anti-correlated transverse momenta give
-    theta_a = (lambda_a / lambda_b) rho / f0.
-    """
-    if rho < 0.0:
-        raise ValueError("rho must be nonnegative")
-    return (cfg.lambda_a / cfg.lambda_b) * rho / cfg.f0
-
-
-def counting_rate_full(
-    state: SuperposedState, k_b: int, phi_0: float, cfg: ExperimentConfig
-) -> float:
-    """Counting rate at one b mode with both source amplitudes kept general.
-
-    sum_a |C|^2 { |a1|^2 + |a2|^2 + 2 |a1||a2| cos[dphi_a - phi_0 - static] }
-    where dphi_a is the a phase relative to the axis and ``static`` bundles
-    phi_b and the source phase difference, so phi_0 = 0 sits on the on-axis
-    bright fringe. Accumulated with compensated summation.
-    """
-    weights = np.abs(state.base.amplitudes[:, k_b]) ** 2
-    a1 = abs(state.alpha1)
-    a2 = abs(state.alpha2)
-    static = phase_a(0.0, cfg) + cfg.phi_b + cfg.phi2 - cfg.phi1
-    arg = state.phase_a - static - phi_0
-    terms = weights * ((a1 * a1 + a2 * a2) + 2.0 * a1 * a2 * np.cos(arg))
-    return math.fsum(terms)
-
-
 def counting_rate_reduced(state: SuperposedState, k_b: int, phi_0: float) -> float:
-    """Equal-emission counting rate sum_a |C|^2 {1 + cos[dphi_a - phi_0]}.
+    """Counting rate at one b mode, with both source amplitudes kept general.
 
-    The global factor |alpha|^2 is dropped; agrees with
-    counting_rate_full up to that fixed positive scale. Raises
-    UnequalAmplitudes unless the two sources emit at the same rate.
+    sum_a |C|^2 { |a1|^2 + |a2|^2 + 2 |a1||a2| cos[dphi_a - phi_0] }
+    where dphi_a is the a phase less the state's ``phase_offset``, so
+    phi_0 = 0 sits on the on-axis bright fringe. For balanced sources
+    this is sum_a |C|^2 {1 + cos[dphi_a - phi_0]}. Accumulated with
+    compensated summation.
     """
     a1 = abs(state.alpha1)
     a2 = abs(state.alpha2)
-    if abs(a1 - a2) > 1e-12:
-        raise UnequalAmplitudes(f"|alpha1| = {a1!r} differs from |alpha2| = {a2!r}")
     weights = np.abs(state.base.amplitudes[:, k_b]) ** 2
     arg = state.phase_a - state.phase_offset - phi_0
-    return math.fsum(weights * (1.0 + np.cos(arg)))
+    return math.fsum(weights * ((a1 * a1 + a2 * a2) + 2.0 * a1 * a2 * np.cos(arg)))
 
 
-def _refine_extremum(rates: np.ndarray, index: int) -> float:
-    """Parabolic vertex value through a sample and its wrapped neighbors.
+def sweep_visibility(rate_fn: Callable[[float], float]) -> float:
+    """Exact fringe visibility of a rate that is one sinusoid in phi_0.
 
-    Cuts the phase-grid bias of the discrete extremum from O(h^2) to
-    O(h^4) for cosine-like signals. Falls back to the raw sample when
-    the three points are collinear to rounding level (flat signal).
+    Every rate here has the form A + Re(S e^{-i phi_0}), whose visibility
+    (max - min) / (max + min) is |S| / A. Sampling at phi_0 = 0, pi/2,
+    pi, 3 pi/2 gives S = [(r0 - r2) + i (r1 - r3)] / 2 and A = mean(r),
+    hence V = 2 hypot(r0 - r2, r1 - r3) / (r0 + r1 + r2 + r3), clamped
+    into [0, 1]. The second harmonic r0 + r2 - r1 - r3 must vanish;
+    ValueError flags a ``rate_fn`` that is not a single sinusoid.
     """
-    n = rates.size
-    y0 = rates[(index - 1) % n]
-    y1 = rates[index]
-    y2 = rates[(index + 1) % n]
-    denom = y0 + y2 - 2.0 * y1
-    if abs(denom) <= 1e-12 * max(abs(y0), abs(y1), abs(y2), 1e-300):
-        return float(y1)
-    return float(y1 - 0.125 * (y2 - y0) ** 2 / denom)
-
-
-def sweep_visibility(rate_fn: Callable[[float], float], n_phases: int = 64) -> float:
-    """Fringe visibility (max - min) / (max + min) of a rate over phi_0.
-
-    Evaluates ``rate_fn`` on n_phases uniformly spaced phases in
-    [0, 2 pi), refines both extrema by local parabolic interpolation,
-    and clamps the result into [0, 1] (the refinement can overshoot a
-    true zero minimum by rounding-level amounts).
-    """
-    if n_phases < 16:
-        raise ValueError("n_phases must be at least 16")
-    phases = np.arange(n_phases) * (2.0 * math.pi / n_phases)
-    rates = np.array([rate_fn(p) for p in phases], dtype=float)
-    top = _refine_extremum(rates, int(np.argmax(rates)))
-    bottom = _refine_extremum(rates, int(np.argmin(rates)))
-    if top + bottom == 0.0:
+    r0, r1, r2, r3 = (rate_fn(k * 0.5 * math.pi) for k in range(4))
+    total = math.fsum((r0, r1, r2, r3))
+    if total == 0.0:
         raise ZeroRate("rate is zero at every scan phase")
-    visibility = (top - bottom) / (top + bottom)
+    harmonic = abs(r0 + r2 - r1 - r3)
+    if harmonic > 1e-9 * abs(total):
+        raise ValueError(
+            f"rate is not a single sinusoid in phi_0 (second harmonic {harmonic!r} "
+            f"against a summed rate of {total!r})"
+        )
+    visibility = 2.0 * math.hypot(r0 - r2, r1 - r3) / total
     return min(max(visibility, 0.0), 1.0)
 
 
-def visibility_scan(state: SuperposedState, rho: float, n_phases: int = 64) -> float:
-    """Brute-force visibility at camera radius rho via a phi_0 sweep.
+def visibility_scan(state: SuperposedState, rho: float) -> float:
+    """Brute-force visibility at camera radius rho from the grid rate.
 
     rho must coincide (within half the local grid pitch) with one of the
     camera radii represented in the state's b grid.
@@ -163,4 +104,4 @@ def visibility_scan(state: SuperposedState, rho: float, n_phases: int = 64) -> f
             f"rho = {rho!r} m is not represented on the camera grid "
             f"(nearest column at {radii[k_b]!r} m)"
         )
-    return sweep_visibility(lambda p: counting_rate_reduced(state, k_b, p), n_phases)
+    return sweep_visibility(lambda p: counting_rate_reduced(state, k_b, p))

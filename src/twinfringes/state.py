@@ -14,13 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import AMPLITUDE_NORM_TOL, CorrelationModel, ExperimentConfig
+from .config import AMPLITUDE_NORM_TOL, PARAXIAL_LIMIT, CorrelationModel, ExperimentConfig
 
 # Sum |C|^2 must match 1 this closely after every constructor.
 STATE_NORM_TOL = 1e-10
-
-# Polar angles at or above this break the small-angle expansions.
-_THETA_MAX = 0.1
 
 
 class GridMismatch(ValueError):
@@ -61,8 +58,8 @@ class ModeGrid:
             raise ValueError("azimuth_samples must be a non-empty 1D array")
         if np.any(np.diff(theta) <= 0.0):
             raise ValueError("theta_samples must be strictly increasing")
-        if theta[0] < 0.0 or theta[-1] >= _THETA_MAX:
-            raise ValueError(f"theta_samples must lie in [0, {_THETA_MAX})")
+        if theta[0] < 0.0 or theta[-1] >= PARAXIAL_LIMIT:
+            raise ValueError(f"theta_samples must lie in [0, {PARAXIAL_LIMIT})")
         if np.any(np.diff(azimuth) <= 0.0):
             raise ValueError("azimuth_samples must be strictly increasing")
         if azimuth[0] < 0.0 or azimuth[-1] >= 2.0 * math.pi:

@@ -112,12 +112,10 @@ def test_criterion_3_three_way_consistency():
     radii = np.linspace(0.0, 1.5e-3, 20)
 
     state = assemble_state(cfg, radii, n_modes=512)
-    v_grid = np.array([visibility_scan(state, float(r), 1024) for r in radii])
+    v_grid = np.array([visibility_scan(state, float(r)) for r in radii])
     v_quad = np.array(
         [
-            sweep_visibility(
-                lambda p, rr=float(r): counting_rate_partial_quadrature(rr, p, cfg), 64
-            )
+            sweep_visibility(lambda p, rr=float(r): counting_rate_partial_quadrature(rr, p, cfg))
             for r in radii
         ]
     )
@@ -144,7 +142,7 @@ def test_criterion_4_limiting_models():
     state = assemble_state(make_config(CorrelationModel.MAXIMAL), radii)
     supported = marginal_b(state.base) > 1e-6
     v_err = max(
-        abs(visibility_scan(state, float(r), 1024) - 1.0) for r in radii[supported]
+        abs(visibility_scan(state, float(r)) - 1.0) for r in radii[supported]
     )
 
     state = assemble_state(make_config(CorrelationModel.UNCORRELATED), radii, n_modes=512)
@@ -154,15 +152,15 @@ def test_criterion_4_limiting_models():
     for j in (0, 5, 11):
         rates = np.array([counting_rate_reduced(state, j, p) for p in phases])
         flatness = max(flatness, float(np.ptp(rates) / rates.mean()))
-        v_un = max(v_un, visibility_scan(state, float(radii[j]), 1024))
+        v_un = max(v_un, visibility_scan(state, float(radii[j])))
 
     elapsed = time.perf_counter() - t0
-    ok = v_err <= 1e-9 and flatness <= 1e-10 and v_un <= 1e-9 and elapsed < 5.0
+    ok = v_err <= 1e-14 and flatness <= 1e-10 and v_un <= 1e-9 and elapsed < 5.0
     _report(
         4,
         "maximal-correlation unit visibility and uncorrelated flat rate",
         ok,
-        f"max |V-1| {v_err:.1e} <= 1e-9 on modes with P > 1e-6, "
+        f"max |V-1| {v_err:.1e} <= 1e-14 on modes with P > 1e-6, "
         f"phase flatness {flatness:.1e} <= 1e-10 relative, "
         f"residual visibility {v_un:.1e} <= 1e-9, {elapsed:.2f} s < 5 s",
     )

@@ -95,10 +95,8 @@ def test_partial_rate_dc_level(partial_cfg):
 
 def test_partial_rate_phase_sweep_matches_closed_form(partial_cfg):
     for rho in (0.0, 0.6e-3, 1.276e-3):
-        v = sweep_visibility(
-            lambda p: counting_rate_partial_quadrature(rho, p, partial_cfg), n_phases=64
-        )
-        assert v == pytest.approx(visibility_closed_form(rho, partial_cfg), abs=2e-4)
+        v = sweep_visibility(lambda p: counting_rate_partial_quadrature(rho, p, partial_cfg))
+        assert v == pytest.approx(visibility_closed_form(rho, partial_cfg), abs=1e-9)
 
 
 def test_partial_rate_requires_sigma_theta():

@@ -6,8 +6,8 @@ import sys
 
 import pytest
 
-from twinfringes import fringe_radius
-from twinfringes.cli import main
+from twinfringes import UnequalAmplitudes, fringe_radius, parse_config
+from twinfringes.cli import main, run_oracle_check
 
 from conftest import make_config
 
@@ -123,6 +123,30 @@ def test_visibility_rho_scan(tmp_path, cfg_file):
     assert values[2] == pytest.approx(0.0718633085399, rel=1e-10)
 
 
+@pytest.mark.parametrize("sigma_list", ["-0.001", "nan", "9.37e-4,inf"])
+def test_visibility_rejects_invalid_scanned_width(tmp_path, cfg_file, sigma_list):
+    out = tmp_path / "scan"
+    code = main(
+        ["visibility", "--config", cfg_file, "--out", str(out), "--sigma-list", sigma_list]
+    )
+    assert code == 1
+    assert not (tmp_path / "scan.csv").exists()
+
+
+@pytest.mark.parametrize("old,new", [
+    ("sigma_b = 2.36e-2", "sigma_b = nan"),
+    ("d_a_mm = 11.7", "d_a_mm = inf"),
+])
+def test_non_finite_config_is_validation_error(capsys, tmp_path, old, new):
+    cfg = _cfg(tmp_path, PARTIAL.replace(old, new), "nonfinite.cfg")
+    out = tmp_path / "run"
+    code = main(["simulate", "--config", cfg, "--out", str(out), "--resolution", "64"])
+    assert code == 1
+    assert "NonFiniteParameter" in capsys.readouterr().err
+    assert not (tmp_path / "run.csv").exists()
+    assert not (tmp_path / "run.pgm").exists()
+
+
 def test_visibility_requires_exactly_one_list(tmp_path, cfg_file):
     out = str(tmp_path / "scan")
     assert main(["visibility", "--config", cfg_file, "--out", out]) == 1
@@ -221,6 +245,17 @@ def test_oracle_check_passes_per_model(tmp_path, text, name):
     assert report["passed"] is True
     assert report["max_abs_visibility_discrepancy"] <= report["visibility_tolerance"]
     assert report["max_peak_relative_rate_discrepancy"] <= report["rate_tolerance"]
+
+
+def test_oracle_requires_balanced_sources(tmp_path):
+    # the closed forms the oracle is checked against assume |alpha1| = |alpha2|
+    text = PARTIAL + "alpha1_mag = 0.8\nalpha2_mag = 0.6\n"
+    cfg = _cfg(tmp_path, text, "unbalanced.cfg")
+    out = tmp_path / "oracle"
+    with pytest.raises(UnequalAmplitudes):
+        run_oracle_check(parse_config(cfg), 512, out.with_suffix(".json"))
+    assert main(["oracle", "--config", cfg, "--out", str(out)]) == 1
+    assert not (tmp_path / "oracle.json").exists()
 
 
 def test_oracle_rejects_coarse_grid(tmp_path, cfg_file):

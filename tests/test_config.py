@@ -129,6 +129,27 @@ def test_nonpositive_sigma_theta_rejected():
     assert "NonPositiveParameter" in _kinds(excinfo)
 
 
+FLOAT_FIELDS = (
+    "lambda_a", "lambda_b", "lambda_p", "d_a", "f0", "sigma_b", "sigma_theta",
+    "n_a", "alpha1_mag", "alpha2_mag", "phi1", "phi2", "phi_b",
+)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameters_rejected(value):
+    with pytest.raises(ConfigError) as excinfo:
+        make_config(**dict.fromkeys(FLOAT_FIELDS, value))
+    violations = excinfo.value.violations
+    named = {v.message.split()[0] for v in violations if v.kind == "NonFiniteParameter"}
+    assert named == set(FLOAT_FIELDS)
+
+
+def test_sigma_theta_must_be_positive_in_every_model():
+    with pytest.raises(ConfigError) as excinfo:
+        make_config(CorrelationModel.MAXIMAL, sigma_theta=-1e-3)
+    assert "NonPositiveParameter" in _kinds(excinfo)
+
+
 def test_all_violations_collected_in_one_error():
     with pytest.raises(ConfigError) as excinfo:
         make_config(lambda_b=0.0, sigma_b=-1.0, alpha1_mag=1.0, alpha2_mag=1.0)

@@ -18,6 +18,7 @@ from .analytics import (
     ZeroDistance,
     central_visibility,
     counting_rate_maxcorr,
+    counting_rate_partial,
     counting_rate_partial_quadrature,
     counting_rate_uncorrelated,
     fringe_radius,
@@ -72,6 +73,7 @@ from .oracle import (
 )
 from .special import (
     ToleranceNotReached,
+    dm2_pair_scaled,
     erfc_complex,
     faddeeva,
     integrate_radial,

@@ -1,10 +1,12 @@
 """Closed-form counting rates, fringe geometry, visibility, rendering.
 
-The three correlation regimes each get an explicit radial rate; the
-partially correlated one additionally has the quadrature form (exact up
-to the integration tolerance) and the parabolic-cylinder closed form of
-its visibility. Images are rendered from a 1D radial profile, so the
-circular symmetry of the patterns is exact by construction.
+The three correlation regimes each get one explicit radial rate that
+takes a scalar or an array of radii; the partially correlated one is the
+parabolic-cylinder closed form, and its visibility is that form's
+modulus. The radial quadrature of the same rate is kept only as an
+independent reference route. Images are rendered from a 1D radial
+profile, so the circular symmetry of the patterns is exact by
+construction.
 """
 
 from __future__ import annotations
@@ -15,10 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ExperimentConfig, CorrelationModel, derive_constants, effective_curvature
-from .special import faddeeva, integrate_radial
-
-_SQRT_PI_OVER_2 = math.sqrt(math.pi / 2.0)
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+from .special import dm2_pair_scaled, integrate_radial
 
 # The shell Gaussian is integrated out to this many widths; the tail
 # beyond contributes < 1e-15 of the total.
@@ -81,21 +80,25 @@ class FringeImage:
             raise ValueError("normalization must equal the frame maximum")
 
 
-def _envelope(rho: float, cfg: ExperimentConfig):
+def _envelope(rho, cfg: ExperimentConfig):
     """b-photon marginal envelope exp(-2 rho^2 / (f0 sigma_b)^2)."""
     return np.exp(-2.0 * np.square(rho) / (cfg.f0 * cfg.sigma_b) ** 2)
 
 
-def counting_rate_maxcorr(rho: float, phi_0: float, cfg: ExperimentConfig) -> float:
+def _require_nonnegative(rho) -> None:
+    if np.any(rho < 0.0):
+        raise ValueError("rho must be nonnegative")
+
+
+def counting_rate_maxcorr(rho, phi_0: float, cfg: ExperimentConfig):
     """Perfect-correlation rate P(rho) {1 + cos[n_a A rho^2 - phi_0]}.
 
     phi_0 is referenced to the on-axis bright fringe, so phi_0 = 0 gives
-    a bright center.
+    a bright center. ``rho`` is a radius or an array of radii.
     """
-    if rho < 0.0:
-        raise ValueError("rho must be nonnegative")
+    _require_nonnegative(rho)
     arg = effective_curvature(cfg) * rho * rho - phi_0
-    return float(_envelope(rho, cfg)) * (1.0 + math.cos(arg))
+    return _envelope(rho, cfg) * (1.0 + np.cos(arg))
 
 
 def fringe_radius(N: int, cfg: ExperimentConfig) -> float:
@@ -112,15 +115,49 @@ def fringe_radius(N: int, cfg: ExperimentConfig) -> float:
     return math.sqrt(2.0 * math.pi * N / curvature)
 
 
-def counting_rate_uncorrelated(rho: float, cfg: ExperimentConfig) -> float:
+def counting_rate_uncorrelated(rho, cfg: ExperimentConfig):
     """Zero-correlation rate: the bare envelope, independent of any phase."""
-    if rho < 0.0:
-        raise ValueError("rho must be nonnegative")
-    return float(_envelope(rho, cfg))
+    _require_nonnegative(rho)
+    return _envelope(rho, cfg)
+
+
+def counting_rate_partial(rho, phi_0: float, cfg: ExperimentConfig):
+    """Partially correlated rate in closed form, for a radius or an array.
+
+    Returns (sigma^2 / 2) P(rho) {1 + Re[e^{i(C rho^2 - phi_0)} Br(rho g) / (2 - i kappa)]}
+    with C = n_a A, b = B sigma_theta, kappa = C b^2 and Br the scaled
+    D_{-2} pair of ``special.dm2_pair_scaled``; the scale is the one of
+    counting_rate_partial_quadrature, whose shell integral this is.
+
+    Derivation: with u = theta' / sigma_theta the shell integral is
+    1/2 + Re[e^{-i phi_0} I(rho)], where the two cosine lobes fold into
+    one integral over the whole line,
+
+        I(rho) = int |u| exp(-2u^2 + iC(bu - rho)^2) du
+               = e^{iC rho^2} int |u| exp(-p u^2 - q u) du,
+
+    p = 2 - i kappa, q = 2iCb rho. Substituting u = t / sqrt(2p) on each
+    half-line and using the integral representation of
+    U(3/2, z) = D_{-2}(z) (DLMF 12.5(i), valid since Re p > 0),
+
+        int_0^inf t exp(-t^2/2 - zt) dt = e^{z^2/4} D_{-2}(z),
+
+    gives I(rho) = e^{iC rho^2} Br(z) / (2p) with z = q / sqrt(2p) = rho g.
+    The erfc form of D_{-2} (DLMF 12.7) turns Br into Faddeeva functions.
+    The visibility is |Br(rho g)| / |p| = visibility_closed_form.
+    """
+    _require_nonnegative(rho)
+    if cfg.sigma_theta is None:
+        raise ValueError("partial-correlation rate requires sigma_theta")
+    constants = derive_constants(cfg)
+    phase = cfg.n_a * constants.A * rho * rho - phi_0
+    p = complex(2.0, -constants.kappa)
+    fringe = np.exp(1j * phase) * dm2_pair_scaled(rho * constants.g) / p
+    return 0.5 * cfg.sigma_theta**2 * _envelope(rho, cfg) * (1.0 + fringe.real)
 
 
 def counting_rate_partial_quadrature(rho: float, phi_0: float, cfg: ExperimentConfig) -> float:
-    """Partially correlated rate as the radial shell integral.
+    """Partially correlated rate as the radial shell integral (reference route).
 
     Integrates
     theta' exp(-2 theta'^2 / sigma^2) {2 + cos[nA (B theta' - rho)^2 - phi_0]
@@ -128,10 +165,10 @@ def counting_rate_partial_quadrature(rho: float, phi_0: float, cfg: ExperimentCo
     over the shell angle theta' (substituted u = theta' / sigma, truncated
     at QUADRATURE_SPAN widths), times the camera envelope. The radial
     delta of the shell model is resolved analytically beforehand; nothing
-    here approximates a delta numerically.
+    here approximates a delta numerically. No production path calls
+    this; it is the independent check on counting_rate_partial.
     """
-    if rho < 0.0:
-        raise ValueError("rho must be nonnegative")
+    _require_nonnegative(rho)
     if cfg.sigma_theta is None:
         raise ValueError("partial-correlation rate requires sigma_theta")
     constants = derive_constants(cfg)
@@ -147,27 +184,17 @@ def counting_rate_partial_quadrature(rho: float, phi_0: float, cfg: ExperimentCo
     return cfg.sigma_theta**2 * float(_envelope(rho, cfg)) * value
 
 
-def visibility_closed_form(rho: float, cfg: ExperimentConfig) -> float:
-    """Closed-form visibility (1/gamma) e^{-sigma^2 rho^2 / chi^2} |D_{-2}(rho g) + D_{-2}(-rho g)|.
+def visibility_closed_form(rho, cfg: ExperimentConfig):
+    """Closed-form visibility |Br(rho g)| / gamma, for a radius or an array.
 
-    The parabolic-cylinder pair is evaluated in the factored shape
-
-        D_{-2}(z) + D_{-2}(-z)
-            = e^{-z^2/4} [2 - z sqrt(pi/2) (w(iz/sqrt 2) - w(-iz/sqrt 2))],
-
-    whose exponential prefactor is folded into the envelope exponent, so
-    the two large counter-growing factors never meet and the expression
-    stays stable at radii where the plain sum would cancel
-    catastrophically. Depends only on |rho|; at rho = 0 it reduces
-    bit-exactly to central_visibility.
+    Br(z) = e^{z^2/4} [D_{-2}(z) + D_{-2}(-z)] (``special.dm2_pair_scaled``).
+    This is the textbook (1/gamma) e^{-sigma^2 rho^2 / chi^2}
+    |D_{-2}(rho g) + D_{-2}(-rho g)|, because |e^{-z^2/4}| is exactly
+    e^{sigma^2 rho^2 / chi^2} at z = rho g. Depends only on |rho|; at
+    rho = 0 it reduces bit-exactly to central_visibility.
     """
     constants = derive_constants(cfg)
-    sigma = cfg.sigma_theta if cfg.sigma_theta is not None else 0.0
-    z = abs(rho) * constants.g
-    zeta = 1j * z * _INV_SQRT2
-    bracket = 2.0 - z * _SQRT_PI_OVER_2 * (faddeeva(zeta) - faddeeva(-zeta))
-    exponent = -((sigma * rho) ** 2) / (constants.chi * constants.chi) - 0.25 * (z * z).real
-    return math.exp(exponent) * abs(bracket) / constants.gamma
+    return np.abs(dm2_pair_scaled(np.abs(rho) * constants.g)) / constants.gamma
 
 
 def central_visibility(cfg: ExperimentConfig) -> float:
@@ -178,33 +205,40 @@ def central_visibility(cfg: ExperimentConfig) -> float:
 def visibility_hwhm(cfg: ExperimentConfig) -> float:
     """Radius where the visibility falls to half its central value.
 
-    Brackets the crossing on a march out to 10x the envelope scale
+    Brackets the first crossing on a march out to 10x the envelope scale
     chi / sigma_theta, then bisects to an interval well below the 1e-9
-    accuracy of the reported value. Raises NoHalfPoint when the
-    visibility never reaches half (perfect-correlation limit).
+    accuracy of the reported value. The visibility is not monotone (it
+    revives past its first minimum); the march stops at the first grid
+    radius below half, so this is the innermost crossing. Raises
+    NoHalfPoint when the visibility never reaches half
+    (perfect-correlation limit).
     """
     constants = derive_constants(cfg)
-    v0 = central_visibility(cfg)
+    g, gamma = constants.g, constants.gamma
+    v0 = 2.0 / gamma
     if v0 <= 0.0:
         raise NoHalfPoint("central visibility is zero")
     target = 0.5 * v0
     sigma = cfg.sigma_theta if cfg.sigma_theta is not None else 0.0
-    if sigma == 0.0 or constants.g == 0.0:
+    if sigma == 0.0 or g == 0.0:
         raise NoHalfPoint("visibility stays at 1 for perfect correlation")
+
+    def visibility(r: float) -> float:
+        return abs(dm2_pair_scaled(r * g)) / gamma
+
     window = 10.0 * constants.chi / sigma
-    marches = np.linspace(0.0, window, 1025)
     lo = 0.0
     hi = None
-    for r in marches[1:]:
-        if visibility_closed_form(float(r), cfg) < target:
-            hi = float(r)
+    for r in np.linspace(0.0, window, 1025)[1:].tolist():
+        if visibility(r) < target:
+            hi = r
             break
-        lo = float(r)
+        lo = r
     if hi is None:
         raise NoHalfPoint(f"visibility stays above half out to {window} m")
     while hi - lo > 1e-13:
         mid = 0.5 * (lo + hi)
-        if visibility_closed_form(mid, cfg) < target:
+        if visibility(mid) < target:
             hi = mid
         else:
             lo = mid
@@ -215,11 +249,10 @@ def _rate_curve(rho: np.ndarray, phi_0: float, cfg: ExperimentConfig) -> np.ndar
     """Model-appropriate closed-form rate at each radius."""
     model = cfg.correlation_model
     if model is CorrelationModel.MAXIMAL:
-        arg = effective_curvature(cfg) * rho**2 - phi_0
-        return _envelope(rho, cfg) * (1.0 + np.cos(arg))
+        return counting_rate_maxcorr(rho, phi_0, cfg)
     if model is CorrelationModel.UNCORRELATED:
-        return np.asarray(_envelope(rho, cfg), dtype=float)
-    return np.array([counting_rate_partial_quadrature(float(r), phi_0, cfg) for r in rho])
+        return counting_rate_uncorrelated(rho, cfg)
+    return counting_rate_partial(rho, phi_0, cfg)
 
 
 def _visibility_curve(rho: np.ndarray, cfg: ExperimentConfig) -> np.ndarray:
@@ -228,7 +261,7 @@ def _visibility_curve(rho: np.ndarray, cfg: ExperimentConfig) -> np.ndarray:
         return np.ones_like(rho)
     if model is CorrelationModel.UNCORRELATED:
         return np.zeros_like(rho)
-    return np.clip([visibility_closed_form(float(r), cfg) for r in rho], 0.0, 1.0)
+    return np.clip(visibility_closed_form(rho, cfg), 0.0, 1.0)
 
 
 def radial_profile(

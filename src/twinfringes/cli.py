@@ -2,9 +2,10 @@
 
 Every command reads one flat key-value config file (``--config``) and
 derives its output paths from one base path (``--out``). Exit codes:
-0 success, 1 usage or validation error, 2 numerical tolerance failure,
-3 I/O error. Data files are byte-deterministic; the JSON manifest
-written next to them carries the only timestamp.
+0 success, 1 usage or validation error (numeric flags must be finite),
+2 oracle tolerance failure, 3 I/O error. Data files are
+byte-deterministic; the JSON manifest written next to them carries the
+only timestamp.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 from datetime import datetime, timezone
@@ -46,7 +48,6 @@ from .inverse import (
     infer_lambda_a,
 )
 from .oracle import UnequalAmplitudes, counting_rate_reduced, visibility_scan
-from .special import ToleranceNotReached
 from .state import assemble_state
 
 EXIT_OK = 0
@@ -316,11 +317,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _float_list(text: str) -> list[float]:
+def _finite_float(text: str) -> float:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        value = float(text)
     except ValueError:
-        raise UsageError(f"expected comma-separated numbers, got {text!r}") from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _float_list(text: str) -> list[float]:
+    return [_finite_float(tok) for tok in text.split(",") if tok.strip()]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -331,17 +339,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", parents=[common], help="render fringe image + profile")
-    p.add_argument("--screen-mm", type=float, default=3.0, help="screen edge length (mm)")
+    p.add_argument("--screen-mm", type=_finite_float, default=3.0, help="screen edge length (mm)")
     p.add_argument("--resolution", type=int, default=600, help="image size in pixels")
-    p.add_argument("--phi0", type=float, default=0.0, help="scan phase (rad)")
+    p.add_argument("--phi0", type=_finite_float, default=0.0, help="scan phase (rad)")
 
     p = sub.add_parser("visibility", parents=[common], help="scan V over sigma or radius")
     p.add_argument("--sigma-list", type=_float_list, help="comma-separated sigma_theta values")
     p.add_argument("--rho-mm-list", type=_float_list, help="comma-separated radii (mm)")
 
     p = sub.add_parser("invert", parents=[common], help="correlation width from visibility")
-    p.add_argument("--v0", type=float, required=True, help="measured central visibility")
-    p.add_argument("--rho1-mm", type=float, help="first bright-ring radius (mm)")
+    p.add_argument("--v0", type=_finite_float, required=True, help="measured central visibility")
+    p.add_argument("--rho1-mm", type=_finite_float, help="first bright-ring radius (mm)")
 
     p = sub.add_parser("eqwavelength", parents=[common], help="lambda_eq from ring-radius data")
     p.add_argument("--data", required=True, help="CSV of d_a_mm,rho1_mm rows")
@@ -401,7 +409,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         _dispatch(args)
-    except (ToleranceNotReached, ToleranceExceeded) as exc:
+    except ToleranceExceeded as exc:
         print(f"twinfringes: tolerance failure: {exc}", file=sys.stderr)
         return EXIT_TOLERANCE
     except ValueError as exc:  # UsageError, ParseError, ConfigError, estimator errors

@@ -118,9 +118,10 @@ class FringeConstants:
 
     A: float  # pi * d_a * lambda_a / (f0 * lambda_b)**2  [1/m^2]
     B: float  # f0 * lambda_b / lambda_p                  [m]
-    gamma: float  # sqrt(4 + sigma_theta^4 (n_a A)^2 B^4)
+    kappa: float  # sigma_theta^2 n_a A B^2, the shell-phase curvature
+    gamma: float  # sqrt(4 + kappa^2)
     chi: float  # gamma / (n_a A B)                       [m]
-    g: complex  # i sqrt(2) n_a A B sigma_theta / sqrt(2 - i sigma_theta^2 n_a A B^2)
+    g: complex  # i sqrt(2) n_a A B sigma_theta / sqrt(2 - i kappa)
     lambda_eq: float  # lambda_b**2 / lambda_a            [m]
     k0_prime: float  # 2 pi / lambda_p                    [1/m]
 
@@ -217,15 +218,15 @@ def derive_constants(cfg: ExperimentConfig) -> FringeConstants:
     b_coeff = cfg.f0 * cfg.lambda_b / cfg.lambda_p
     sigma = cfg.sigma_theta if cfg.sigma_theta is not None else 0.0
     a_eff = cfg.n_a * a_coeff
-    # sigma^2 * n_a A B^2 shows up squared in gamma and inside g's root.
-    curvature = sigma * sigma * a_eff * b_coeff * b_coeff
-    gamma = math.sqrt(4.0 + curvature * curvature)
+    kappa = sigma * sigma * a_eff * b_coeff * b_coeff
+    gamma = math.sqrt(4.0 + kappa * kappa)
     ab = a_eff * b_coeff
     chi = gamma / ab if ab != 0.0 else math.inf
-    g = 1j * math.sqrt(2.0) * ab * sigma / cmath.sqrt(complex(2.0, -curvature))
+    g = 1j * math.sqrt(2.0) * ab * sigma / cmath.sqrt(complex(2.0, -kappa))
     return FringeConstants(
         A=a_coeff,
         B=b_coeff,
+        kappa=kappa,
         gamma=gamma,
         chi=chi,
         g=g,

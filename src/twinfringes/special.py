@@ -4,7 +4,9 @@ and adaptive radial quadrature.
 Everything here is a stateless pure function; all of them are safe to
 call concurrently. The complex substrate is the Faddeeva function
 ``w(z) = exp(-z^2) erfc(-iz)``; erfc and D_{-2} are thin closed-form
-layers on top of it, so they share one accuracy budget.
+layers on top of it, so they share one accuracy budget. The quadrature
+is the independent reference route; scipy.integrate is imported only
+when it is first called.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import cmath
 import math
 from typing import Callable
 
-from scipy import integrate
 from scipy import special as _sp
 
 _SQRT_PI_OVER_2 = math.sqrt(math.pi / 2.0)
@@ -85,6 +86,21 @@ def parabolic_cylinder_Dm2(z: complex) -> complex:
     return out
 
 
+def dm2_pair_scaled(z):
+    """Br(z) = e^{z^2/4} [D_{-2}(z) + D_{-2}(-z)], for a scalar or an array.
+
+    Evaluated through the erfc form of D_{-2} as
+
+        Br(z) = 2 - z sqrt(pi/2) [w(iz/sqrt 2) - w(-iz/sqrt 2)],
+
+    so the counter-growing exponentials of the two D_{-2} terms never
+    meet. Even in z; Br(0) = 2. Non-finite input gives non-finite
+    output rather than an exception.
+    """
+    zeta = 1j * z * _INV_SQRT2
+    return 2.0 - z * _SQRT_PI_OVER_2 * (_sp.wofz(zeta) - _sp.wofz(-zeta))
+
+
 def integrate_radial(
     f: Callable[[float], float],
     lower: float,
@@ -116,6 +132,8 @@ def integrate_radial(
         raise ValueError(f"empty integration interval [{lower}, {upper}]")
     if abs_tol <= 0.0:
         raise ValueError("abs_tol must be positive")
+    from scipy import integrate
+
     out = integrate.quad(f, lower, upper, epsabs=abs_tol, epsrel=0.0, limit=_QUAD_LIMIT, full_output=1)
     value, estimate = out[0], out[1]
     if len(out) > 3:  # QUADPACK appended a warning message

@@ -1,8 +1,9 @@
 """Shared fixtures: one reference setup in all three correlation regimes."""
 
+import mpmath
 import pytest
 
-from twinfringes import CorrelationModel, ExperimentConfig, validate_config
+from twinfringes import CorrelationModel, ExperimentConfig, derive_constants, validate_config
 
 # Pass/fail lines queued by the acceptance tests; replayed after capture
 # ends so they always appear in the terminal report.
@@ -36,6 +37,24 @@ def make_config(model=CorrelationModel.GAUSSIAN_PARTIAL, **overrides):
         fields["sigma_theta"] = SIGMA_THETA
     fields.update(overrides)
     return validate_config(ExperimentConfig(**fields))
+
+
+def mp_partial(rho, phi_0, cfg):
+    """Partial-model (rate, visibility) from mpmath's D_{-2} at 30 digits.
+
+    Independent of the package's Faddeeva route: the scaled pair
+    e^{z^2/4} [D_{-2}(z) + D_{-2}(-z)] comes from mpmath.pcfd.
+    """
+    c = derive_constants(cfg)
+    with mpmath.workdps(30):
+        rho = mpmath.mpf(rho)
+        z = rho * mpmath.mpc(c.g)
+        pair = mpmath.exp(z * z / 4) * (mpmath.pcfd(-2, z) + mpmath.pcfd(-2, -z))
+        phase = cfg.n_a * c.A * rho**2 - phi_0
+        fringe = mpmath.expj(phase) * pair / mpmath.mpc(2.0, -c.kappa)
+        envelope = mpmath.exp(-2 * rho**2 / (mpmath.mpf(cfg.f0) * cfg.sigma_b) ** 2)
+        rate = cfg.sigma_theta**2 / 2 * envelope * (1 + fringe.real)
+        return float(rate), float(abs(pair) / c.gamma)
 
 
 @pytest.fixture

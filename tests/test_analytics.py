@@ -1,5 +1,6 @@
 """Closed-form rates, visibility curve, ring geometry and rendering."""
 
+import itertools
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from twinfringes import (
     ZeroDistance,
     central_visibility,
     counting_rate_maxcorr,
+    counting_rate_partial,
     counting_rate_partial_quadrature,
     counting_rate_uncorrelated,
     derive_constants,
@@ -25,7 +27,7 @@ from twinfringes import (
     visibility_hwhm,
 )
 
-from conftest import make_config
+from conftest import make_config, mp_partial
 
 # Frozen closed-form visibility for the reference setup (sigma_theta = 9.37e-4).
 V_REF = {
@@ -103,6 +105,71 @@ def test_partial_rate_requires_sigma_theta():
     cfg = make_config(CorrelationModel.MAXIMAL)
     with pytest.raises(ValueError):
         counting_rate_partial_quadrature(0.0, 0.0, cfg)
+    with pytest.raises(ValueError):
+        counting_rate_partial(0.0, 0.0, cfg)
+
+
+def test_partial_rate_rejects_negative_radius(partial_cfg):
+    with pytest.raises(ValueError):
+        counting_rate_partial(np.array([0.0, -1e-3]), 0.0, partial_cfg)
+
+
+@pytest.mark.parametrize("sigma", [1e-4, 3e-4, 9.37e-4, 3e-3])
+def test_partial_rate_matches_quadrature(sigma):
+    # closed form vs the independent quadrature route, peak-relative,
+    # across the revival region; the quadrature certifies 1e-10 absolute
+    # on an O(0.5) integral (measured worst 4e-14)
+    rho = np.linspace(0.0, 10e-3, 26)
+    worst = 0.0
+    grid = itertools.product((5e-3, 11.7e-3, 20e-3), (1.0, 1.5), (0.0, 0.7, 2.5, -1.0))
+    for d_a, n_a, phi_0 in grid:
+        cfg = make_config(sigma_theta=sigma, d_a=d_a, n_a=n_a)
+        quad = np.array([counting_rate_partial_quadrature(float(r), phi_0, cfg) for r in rho])
+        closed = counting_rate_partial(rho, phi_0, cfg)
+        worst = max(worst, float(np.max(np.abs(closed - quad)) / quad.max()))
+    assert worst <= 1e-9
+
+
+@pytest.mark.parametrize("sigma,d_a,n_a", [
+    (1e-4, 11.7e-3, 1.0),
+    (9.37e-4, 11.7e-3, 1.0),
+    (9.37e-4, 5e-3, 1.5),
+    (3e-3, 20e-3, 1.0),
+    (9.37e-4, 117.0, 1.0),
+])
+def test_partial_rate_and_visibility_match_mpmath(sigma, d_a, n_a):
+    # 0-10 mm includes the first visibility minimum and its revival
+    cfg = make_config(sigma_theta=sigma, d_a=d_a, n_a=n_a)
+    rho = np.linspace(0.0, 10e-3, 21)
+    ref = np.array([mp_partial(float(r), 0.7, cfg) for r in rho])
+    rate = counting_rate_partial(rho, 0.7, cfg)
+    assert np.max(np.abs(rate - ref[:, 0])) <= 1e-13 * ref[:, 0].max()
+    assert np.max(np.abs(visibility_closed_form(rho, cfg) - ref[:, 1])) <= 1e-13
+
+
+def test_partial_rate_phase_sweep_is_closed_form_visibility(partial_cfg):
+    for rho in (0.0, 0.6e-3, 1.276e-3, 1.5e-3, 3e-3, 8e-3):
+        v = sweep_visibility(lambda p: counting_rate_partial(rho, p, partial_cfg))
+        assert v == pytest.approx(visibility_closed_form(rho, partial_cfg), abs=1e-14)
+
+
+@pytest.mark.parametrize("cfg_name", ["partial_cfg", "maximal_cfg", "uncorrelated_cfg"])
+def test_rates_take_scalars_and_arrays(request, cfg_name):
+    cfg = request.getfixturevalue(cfg_name)
+    rho = np.linspace(0.0, 3e-3, 7)
+    rates = {
+        "maximal": lambda r: counting_rate_maxcorr(r, 0.4, cfg),
+        "uncorrelated": lambda r: counting_rate_uncorrelated(r, cfg),
+        "gaussian_partial": lambda r: counting_rate_partial(r, 0.4, cfg),
+    }
+    rate = rates[cfg.correlation_model.value]
+    curve = rate(rho)
+    assert curve.shape == rho.shape
+    for r, value in zip(rho, curve):
+        scalar = rate(float(r))
+        assert isinstance(scalar, float)
+        assert scalar == pytest.approx(value, rel=1e-15, abs=0.0)
+    assert np.allclose(radial_profile(cfg, 3e-3, 7, 0.4).rate, curve, rtol=1e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("rho,want", sorted(V_REF.items()))

@@ -4,12 +4,13 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from twinfringes import UnequalAmplitudes, fringe_radius, parse_config
+from twinfringes import UnequalAmplitudes, fringe_radius, parse_config, read_profile_csv
 from twinfringes.cli import main, run_oracle_check
 
-from conftest import make_config
+from conftest import make_config, mp_partial
 
 PARTIAL = """\
 lambda_a_nm = 1550
@@ -263,15 +264,66 @@ def test_oracle_rejects_coarse_grid(tmp_path, cfg_file):
     assert main(["oracle", "--config", cfg_file, "--out", out, "--grid-points", "64"]) == 1
 
 
-def test_unresolvable_quadrature_exits_tolerance(tmp_path):
-    # a 117 m source separation leaves ~1e3 fringe oscillations inside the
-    # shell integral support; the quadrature correctly refuses
+def test_simulate_at_extreme_separation_matches_mpmath(tmp_path):
+    # a 117 m source separation puts ~1e3 fringe oscillations inside the
+    # shell integral support, beyond what the reference quadrature can
+    # resolve; the closed form has no such limit
     text = PARTIAL.replace("d_a_mm = 11.7", "d_a_mm = 117000")
-    cfg = _cfg(tmp_path, text, "extreme.cfg")
-    code = main(
-        ["simulate", "--config", cfg, "--out", str(tmp_path / "x"), "--resolution", "64"]
+    cfg_path = _cfg(tmp_path, text, "extreme.cfg")
+    out = tmp_path / "x"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out), "--resolution", "64"]) == 0
+    cfg = parse_config(cfg_path)
+    prof = read_profile_csv(out.with_suffix(".csv"))
+    peak, _ = mp_partial(float(prof.rho[np.argmax(prof.rate)]), 0.0, cfg)
+    for i in (0, 9, 31, 63):
+        rate, vis = mp_partial(float(prof.rho[i]), 0.0, cfg)
+        # 12 significant digits in the CSV
+        assert prof.rate[i] == pytest.approx(rate / peak, abs=1e-12)
+        assert prof.visibility[i] == pytest.approx(vis, abs=1e-12)
+
+
+def test_oracle_gate_miss_exits_tolerance(tmp_path):
+    # at sigma_theta = 2e-4 the 512-mode grid misses the 0.01 rate gate
+    # (peak-relative discrepancy 1.18e-2); the report is still written
+    text = PARTIAL.replace("sigma_theta = 9.37e-4", "sigma_theta = 2e-4")
+    cfg = _cfg(tmp_path, text, "narrow.cfg")
+    out = tmp_path / "oracle"
+    assert main(["oracle", "--config", cfg, "--out", str(out), "--grid-points", "512"]) == 2
+    report = json.loads((tmp_path / "oracle.json").read_text())
+    assert report["passed"] is False
+    assert report["max_peak_relative_rate_discrepancy"] > report["rate_tolerance"]
+    assert not (tmp_path / "oracle.manifest.json").exists()
+
+
+@pytest.mark.parametrize("argv,written", [
+    (["simulate", "--screen-mm", "nan"], "x.csv"),
+    (["simulate", "--screen-mm", "inf"], "x.pgm"),
+    (["simulate", "--phi0=-inf"], "x.csv"),
+    (["invert", "--v0", "nan"], "x.txt"),
+    (["invert", "--v0", "0.9", "--rho1-mm", "inf"], "x.txt"),
+    (["visibility", "--rho-mm-list", "nan"], "x.csv"),
+    (["visibility", "--rho-mm-list=0.5,-inf"], "x.csv"),
+    (["visibility", "--sigma-list", "1e-3,nan"], "x.csv"),
+])
+def test_non_finite_flag_is_usage_error(capsys, tmp_path, cfg_file, argv, written):
+    out = tmp_path / "x"
+    code = main([argv[0], "--config", cfg_file, "--out", str(out), *argv[1:]])
+    assert code == 1
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / written).exists()
+
+
+def test_cli_import_leaves_quadrature_unloaded():
+    # the quadrature is a reference route only; no command needs scipy.integrate
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, twinfringes.cli; print('scipy.integrate' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=120,
     )
-    assert code == 2
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_module_entry_point_runs_in_subprocess(cfg_file):

@@ -8,6 +8,7 @@ import pytest
 
 from twinfringes import (
     ToleranceNotReached,
+    dm2_pair_scaled,
     erfc_complex,
     faddeeva,
     integrate_radial,
@@ -125,6 +126,30 @@ def test_dm2_even_real_part_growth():
 def test_dm2_overflow_raises():
     with pytest.raises(OverflowError):
         parabolic_cylinder_Dm2(-60.0)
+
+
+def test_dm2_pair_scaled_against_mpmath():
+    # Br(z) = e^{z^2/4} [D_{-2}(z) + D_{-2}(-z)] on the rays z = rho g the
+    # visibility uses (arg g in [pi/2, 3pi/4)), out past the revival region;
+    # errors are measured against the O(1) visibility scale |Br| / gamma
+    for kappa in (1e-3, 0.5, 2.0, 30.0):
+        root = complex(2.0, -kappa) ** 0.5
+        ray = 1j * math.sqrt(2.0) / root
+        gamma = math.hypot(2.0, kappa)
+        radii = np.linspace(0.0, 40.0, 41)
+        got = dm2_pair_scaled(radii * ray)
+        for r, value in zip(radii, got):
+            z = mpmath.mpf(r) * mpmath.mpc(ray)
+            want = mpmath.exp(z * z / 4) * (mpmath.pcfd(-2, z) + mpmath.pcfd(-2, -z))
+            assert abs(value - complex(want)) <= 1e-13 * gamma
+
+
+def test_dm2_pair_scaled_scalar_and_symmetry():
+    assert dm2_pair_scaled(0j) == 2.0
+    for z in (0.3 + 1.1j, -2.0 + 0.7j, 4.0j):
+        assert dm2_pair_scaled(-z) == pytest.approx(dm2_pair_scaled(z), rel=1e-15)
+        assert dm2_pair_scaled(z) == dm2_pair_scaled(np.array([z]))[0]
+    assert np.isnan(dm2_pair_scaled(complex(math.nan, 0.0)))
 
 
 def test_integrate_radial_polynomial():

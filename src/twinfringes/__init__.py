@@ -62,12 +62,12 @@ from .inverse import (
     infer_lambda_a,
     pump_waist_to_sigma,
     reconstruct_joint_probability,
+    ring_law_lambda_eq,
 )
 from .oracle import (
     UnequalAmplitudes,
     ZeroRate,
     counting_rate_reduced,
-    phase_a,
     sweep_visibility,
     visibility_scan,
 )
@@ -95,6 +95,7 @@ from .state import (
     line_grid,
     marginal_b,
     mutual_information_bits,
+    phase_a,
     shell_line_grid,
     superpose_sources,
 )

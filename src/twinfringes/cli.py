@@ -1,7 +1,10 @@
 """Command-line front end: simulate, visibility, invert, eqwavelength, oracle.
 
 Every command reads one flat key-value config file (``--config``) and
-derives its output paths from one base path (``--out``). Exit codes:
+derives its output paths from one base path (``--out``); ``invert`` and
+``eqwavelength`` print their report to stdout when ``--out`` is absent.
+Each ``run_*`` function only computes and writes its data, and
+``_dispatch`` names the files and writes the run manifest. Exit codes:
 0 success, 1 usage or validation error (numeric flags must be finite),
 2 oracle tolerance failure, 3 I/O error. Data files are
 byte-deterministic; the JSON manifest written next to them carries the
@@ -46,6 +49,7 @@ from .inverse import (
     estimate_sigma_theta,
     estimate_sigma_theta_bisect,
     infer_lambda_a,
+    ring_law_lambda_eq,
 )
 from .oracle import UnequalAmplitudes, counting_rate_reduced, visibility_scan
 from .state import assemble_state
@@ -73,26 +77,6 @@ class ToleranceExceeded(RuntimeError):
     """Oracle check found grid/closed-form discrepancies above tolerance."""
 
 
-def _utc_now() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
-
-
-def _finish(command: str, cfg: ExperimentConfig, outputs, started_at: str, t0: float,
-            manifest_path=None) -> RunManifest:
-    """Assemble the manifest and optionally write it to disk."""
-    manifest = RunManifest(
-        command=command,
-        config=config_to_dict(cfg),
-        outputs=tuple(str(p) for p in outputs),
-        version=__version__,
-        duration_s=time.perf_counter() - t0,
-        started_at=started_at,
-    )
-    if manifest_path is not None:
-        write_manifest(manifest, manifest_path)
-    return manifest
-
-
 def run_simulate(
     cfg: ExperimentConfig,
     screen_mm: float,
@@ -100,8 +84,7 @@ def run_simulate(
     phi_0: float,
     out_image,
     out_profile,
-    manifest_path=None,
-) -> RunManifest:
+) -> None:
     """Render the fringe image and its radial profile CSV.
 
     Parameters
@@ -116,28 +99,15 @@ def run_simulate(
         Scan phase in radians, measured from the on-axis bright fringe.
     out_image, out_profile : path-like
         Destination PGM and CSV paths.
-
-    Returns
-    -------
-    RunManifest
-        Record of the run; both output files exist on return.
     """
-    started, t0 = _utc_now(), time.perf_counter()
     screen = screen_mm * 1e-3
     image = render_pattern(cfg, screen, resolution, phi_0)
     profile = radial_profile(cfg, 0.5 * screen, resolution, phi_0)
     write_pgm(image, out_image)
     write_profile_csv(profile, out_profile)
-    return _finish("simulate", cfg, (out_image, out_profile), started, t0, manifest_path)
 
 
-def run_visibility_scan(
-    cfg: ExperimentConfig,
-    out_csv,
-    sigma_list=None,
-    rho_list=None,
-    manifest_path=None,
-) -> RunManifest:
+def run_visibility_scan(cfg: ExperimentConfig, out_csv, sigma_list=None, rho_list=None) -> None:
     """Scan visibility against correlation width or camera radius.
 
     Exactly one of ``sigma_list`` (dimensionless widths; emits
@@ -150,7 +120,6 @@ def run_visibility_scan(
     """
     if bool(sigma_list) == bool(rho_list):
         raise UsageError("provide exactly one non-empty scan list (sigma or rho)")
-    started, t0 = _utc_now(), time.perf_counter()
     lines = []
     if sigma_list:
         lines.append("sigma_theta,v0,hwhm_m")
@@ -169,25 +138,17 @@ def run_visibility_scan(
         for rho in rho_list:
             lines.append(f"{rho:.11e},{visibility_closed_form(float(rho), cfg):.11e}")
     Path(out_csv).write_text("\n".join(lines) + "\n", encoding="ascii")
-    return _finish("visibility", cfg, (out_csv,), started, t0, manifest_path)
 
 
-def run_invert(
-    cfg: ExperimentConfig,
-    v0: float,
-    out=None,
-    rho1: float | None = None,
-    manifest_path=None,
-) -> RunManifest:
+def run_invert(cfg: ExperimentConfig, v0: float, rho1: float | None = None) -> str:
     """Report the correlation width implied by a measured central visibility.
 
     Runs both the closed-form inverse and the independent bisection
     inverse and reports their relative difference as a cross-check.
     With a first-ring radius supplied, also reports the single-point
     equivalent wavelength and the inferred undetected wavelength.
-    Writes to ``out`` if given, else stdout.
+    Returns the text report.
     """
-    started, t0 = _utc_now(), time.perf_counter()
     sigma = estimate_sigma_theta(v0, cfg)
     lines = [f"v0 = {v0:.12g}", f"sigma_theta_rad = {sigma:.12e}"]
     if sigma == 0.0:
@@ -199,27 +160,20 @@ def run_invert(
     if rho1 is not None:
         if rho1 <= 0.0:
             raise UsageError("first-ring radius must be positive")
-        lambda_eq = rho1 * rho1 * cfg.n_a * cfg.d_a / (2.0 * cfg.f0 * cfg.f0)
+        lambda_eq = ring_law_lambda_eq(rho1 * rho1 * cfg.d_a, cfg)
         lines.append(f"lambda_eq_nm = {lambda_eq * 1e9:.6f}")
         lines.append(f"lambda_a_nm = {infer_lambda_a(lambda_eq, cfg.lambda_b) * 1e9:.6f}")
-    report = "\n".join(lines) + "\n"
-    if out is None:
-        sys.stdout.write(report)
-        outputs = ()
-    else:
-        Path(out).write_text(report, encoding="ascii")
-        outputs = (out,)
-    return _finish("invert", cfg, outputs, started, t0, manifest_path)
+    return "\n".join(lines) + "\n"
 
 
-def run_eqwavelength(cfg: ExperimentConfig, data_path, out=None, manifest_path=None) -> RunManifest:
+def run_eqwavelength(cfg: ExperimentConfig, data_path) -> str:
     """Regress first-ring radii over source separations to lambda_eq.
 
     ``data_path`` is a CSV with header ``d_a_mm,rho1_mm`` and one row
-    per separation. Writes the fitted equivalent wavelength, its
-    standard error, and the inferred undetected wavelength.
+    per separation; every value must be finite. Returns a text report
+    of the fitted equivalent wavelength, its standard error, and the
+    inferred undetected wavelength.
     """
-    started, t0 = _utc_now(), time.perf_counter()
     lines = Path(data_path).read_text(encoding="ascii").splitlines()
     if not lines or lines[0].strip() != "d_a_mm,rho1_mm":
         raise ParseError(f"{data_path}: expected header 'd_a_mm,rho1_mm'")
@@ -231,37 +185,21 @@ def run_eqwavelength(cfg: ExperimentConfig, data_path, out=None, manifest_path=N
             d_mm, rho_mm = (float(tok) for tok in line.split(","))
         except ValueError:
             raise ParseError(f"{data_path}:{lineno}: expected two numbers, got {line!r}") from None
+        if not (math.isfinite(d_mm) and math.isfinite(rho_mm)):
+            raise ParseError(f"{data_path}:{lineno}: expected two finite numbers, got {line!r}")
         observations.append(
             FringeObservation(d_a=d_mm * 1e-3, ring_radii=((1, rho_mm * 1e-3),), v0=1.0)
         )
     estimate = estimate_equivalent_wavelength(observations, cfg)
-    report = (
+    return (
         f"n_separations = {len(observations)}\n"
         f"lambda_eq_nm = {estimate.lambda_eq * 1e9:.6f}\n"
         f"lambda_eq_stderr_nm = {estimate.stderr * 1e9:.6f}\n"
         f"lambda_a_nm = {infer_lambda_a(estimate.lambda_eq, cfg.lambda_b) * 1e9:.6f}\n"
     )
-    if out is None:
-        sys.stdout.write(report)
-        outputs = ()
-    else:
-        Path(out).write_text(report, encoding="ascii")
-        outputs = (out,)
-    return _finish("eqwavelength", cfg, outputs, started, t0, manifest_path)
 
 
-def _oracle_curves(cfg: ExperimentConfig, grid_points: int):
-    """Grid-oracle and closed-form visibility/rate curves at sampled radii."""
-    closed = radial_profile(cfg, 0.5 * cfg.f0 * cfg.sigma_b, 16, 0.0)
-    state = assemble_state(cfg, closed.rho, n_modes=grid_points)
-    vis_grid = np.array([visibility_scan(state, float(r)) for r in closed.rho])
-    rate_grid = np.array(
-        [counting_rate_reduced(state, j, 0.0) for j in range(state.base.grid_b.n_modes)]
-    )
-    return closed.rho, vis_grid, closed.visibility, rate_grid, closed.rate
-
-
-def run_oracle_check(cfg: ExperimentConfig, grid_points: int, out, manifest_path=None) -> RunManifest:
+def run_oracle_check(cfg: ExperimentConfig, grid_points: int, out) -> None:
     """Compare the brute-force mode-sum against the closed forms.
 
     Samples 16 radii across the envelope, extracts the exact grid
@@ -280,21 +218,25 @@ def run_oracle_check(cfg: ExperimentConfig, grid_points: int, out, manifest_path
             f"oracle check needs balanced sources; alpha1_mag = {cfg.alpha1_mag!r}, "
             f"alpha2_mag = {cfg.alpha2_mag!r}"
         )
-    started, t0 = _utc_now(), time.perf_counter()
-    radii, vis_grid, vis_closed, rate_grid, rate_closed = _oracle_curves(cfg, grid_points)
+    closed = radial_profile(cfg, 0.5 * cfg.f0 * cfg.sigma_b, 16, 0.0)
+    state = assemble_state(cfg, closed.rho, n_modes=grid_points)
+    vis_grid = np.array([visibility_scan(state, float(r)) for r in closed.rho])
+    rate_grid = np.array(
+        [counting_rate_reduced(state, j, 0.0) for j in range(state.base.grid_b.n_modes)]
+    )
 
     vis_tol, rate_tol = _ORACLE_TOLS[cfg.correlation_model]
-    vis_err = float(np.max(np.abs(vis_grid - vis_closed)))
+    vis_err = float(np.max(np.abs(vis_grid - closed.visibility)))
     # Rates are compared peak-normalized; a pointwise relative error is
     # undefined at the dark-fringe zeros of the maximal model.
     rate_err = float(
-        np.max(np.abs(rate_grid / rate_grid.max() - rate_closed / rate_closed.max()))
+        np.max(np.abs(rate_grid / rate_grid.max() - closed.rate / closed.rate.max()))
     )
     passed = vis_err <= vis_tol and rate_err <= rate_tol
     report = {
         "model": cfg.correlation_model.value,
         "grid_points": int(grid_points),
-        "radii_m": [float(r) for r in radii],
+        "radii_m": [float(r) for r in closed.rho],
         "max_abs_visibility_discrepancy": vis_err,
         "visibility_tolerance": vis_tol,
         "max_peak_relative_rate_discrepancy": rate_err,
@@ -307,7 +249,6 @@ def run_oracle_check(cfg: ExperimentConfig, grid_points: int, out, manifest_path
             f"visibility discrepancy {vis_err:.3e} (tol {vis_tol:.1e}), "
             f"rate discrepancy {rate_err:.3e} (tol {rate_tol:.1e}); report at {out}"
         )
-    return _finish("oracle", cfg, (out,), started, t0, manifest_path)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -359,49 +300,58 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require_out(args) -> Path:
-    if args.out is None:
-        raise UsageError(f"{args.command} requires --out")
-    return Path(args.out)
+# Data-file suffixes of each command under the --out base. The text
+# commands print their report to stdout, and write no file, without --out.
+_SUFFIXES = {
+    "simulate": (".pgm", ".csv"),
+    "visibility": (".csv",),
+    "invert": (".txt",),
+    "eqwavelength": (".txt",),
+    "oracle": (".json",),
+}
+_TEXT_COMMANDS = ("invert", "eqwavelength")
 
 
 def _dispatch(args) -> None:
+    """Run one command and record it.
+
+    The only place that names a command's output files and writes its
+    run manifest; a command that raises leaves no manifest.
+    """
     cfg = parse_config(args.config)
+    started = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    t0 = time.perf_counter()
+    base = Path(args.out) if args.out else None
+    if base is None and args.command not in _TEXT_COMMANDS:
+        raise UsageError(f"{args.command} requires --out")
+    outputs = [base.with_suffix(suffix) for suffix in _SUFFIXES[args.command]] if base else []
+    report = None
     if args.command == "simulate":
-        base = _require_out(args)
-        run_simulate(
-            cfg,
-            args.screen_mm,
-            args.resolution,
-            args.phi0,
-            base.with_suffix(".pgm"),
-            base.with_suffix(".csv"),
-            base.with_suffix(".manifest.json"),
-        )
+        run_simulate(cfg, args.screen_mm, args.resolution, args.phi0, *outputs)
     elif args.command == "visibility":
-        base = _require_out(args)
         rho_list = [r * 1e-3 for r in args.rho_mm_list] if args.rho_mm_list else None
-        run_visibility_scan(
-            cfg,
-            base.with_suffix(".csv"),
-            sigma_list=args.sigma_list,
-            rho_list=rho_list,
-            manifest_path=base.with_suffix(".manifest.json"),
-        )
+        run_visibility_scan(cfg, *outputs, sigma_list=args.sigma_list, rho_list=rho_list)
     elif args.command == "invert":
-        out = Path(args.out).with_suffix(".txt") if args.out else None
-        manifest = Path(args.out).with_suffix(".manifest.json") if args.out else None
         rho1 = args.rho1_mm * 1e-3 if args.rho1_mm is not None else None
-        run_invert(cfg, args.v0, out, rho1, manifest)
+        report = run_invert(cfg, args.v0, rho1)
     elif args.command == "eqwavelength":
-        out = Path(args.out).with_suffix(".txt") if args.out else None
-        manifest = Path(args.out).with_suffix(".manifest.json") if args.out else None
-        run_eqwavelength(cfg, args.data, out, manifest)
+        report = run_eqwavelength(cfg, args.data)
     else:
-        base = _require_out(args)
-        run_oracle_check(
-            cfg, args.grid_points, base.with_suffix(".json"), base.with_suffix(".manifest.json")
-        )
+        run_oracle_check(cfg, args.grid_points, *outputs)
+    if report is not None:
+        if base is None:
+            sys.stdout.write(report)
+            return
+        outputs[0].write_text(report, encoding="ascii")
+    manifest = RunManifest(
+        command=args.command,
+        config=config_to_dict(cfg),
+        outputs=outputs,
+        version=__version__,
+        duration_s=time.perf_counter() - t0,
+        started_at=started,
+    )
+    write_manifest(manifest, base.with_suffix(".manifest.json"))
 
 
 def main(argv=None) -> int:

@@ -176,5 +176,4 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 def write_manifest(manifest: RunManifest, path) -> None:
     payload = dataclasses.asdict(manifest)
-    payload["outputs"] = list(manifest.outputs)
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")

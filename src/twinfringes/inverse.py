@@ -127,8 +127,8 @@ def estimate_equivalent_wavelength(
 ) -> WavelengthEstimate:
     """Equivalent wavelength from first-ring radii at several separations.
 
-    Fits rho_1^2 = slope / d_a through the origin by least squares; the
-    ring law gives slope = 2 lambda_eq f0^2 / n_a. The reported stderr
+    Fits rho_1^2 = slope / d_a through the origin by least squares and
+    maps the slope through ``ring_law_lambda_eq``. The reported stderr
     is the ordinary no-intercept slope standard error propagated through
     that relation (the error model is plain homoscedastic OLS).
     Needs at least three observations with distinct d_a, each carrying
@@ -154,10 +154,20 @@ def estimate_equivalent_wavelength(
     residual = y - slope * x
     dof = x.size - 1
     slope_var = float(residual @ residual) / dof / sxx
-    factor = cfg.n_a / (2.0 * cfg.f0 * cfg.f0)
     return WavelengthEstimate(
-        lambda_eq=slope * factor, stderr=math.sqrt(slope_var) * factor
+        lambda_eq=ring_law_lambda_eq(slope, cfg),
+        stderr=ring_law_lambda_eq(math.sqrt(slope_var), cfg),
     )
+
+
+def ring_law_lambda_eq(rho1_sq_d_a: float, cfg: ExperimentConfig) -> float:
+    """Equivalent wavelength from the first-ring law rho_1^2 d_a = 2 lambda_eq f0^2 / n_a.
+
+    ``rho1_sq_d_a`` is rho_1^2 d_a in m^3, one measured ring or a fitted
+    slope. The law is linear in it, so a slope's standard error maps
+    through it too.
+    """
+    return rho1_sq_d_a * (cfg.n_a / (2.0 * cfg.f0 * cfg.f0))
 
 
 def infer_lambda_a(lambda_eq: float, lambda_b: float) -> float:

@@ -9,12 +9,10 @@ arbitrary positive scale; comparisons downstream are ratio-based.
 from __future__ import annotations
 
 import math
-import warnings
 from typing import Callable
 
 import numpy as np
 
-from .config import PARAXIAL_LIMIT, ExperimentConfig, ParaxialWarning
 from .state import SuperposedState
 
 
@@ -24,29 +22,6 @@ class UnequalAmplitudes(ValueError):
 
 class ZeroRate(ArithmeticError):
     """Visibility undefined: the rate vanished at every scan phase."""
-
-
-def phase_a(theta_a, cfg: ExperimentConfig):
-    """Optical phase picked up by an a photon traveling between the sources.
-
-    Small-angle form (2 pi n_a d_a / lambda_a) (1 + theta^2 / 2),
-    written as constant + half-curvature * theta^2 so the difference
-    phase_a(theta) - phase_a(0) stays accurate for small theta.
-    Accepts a scalar or an array; returns matching shape.
-    """
-    theta = np.asarray(theta_a, dtype=float)
-    if np.any(np.abs(theta) >= PARAXIAL_LIMIT):
-        warnings.warn(
-            f"phase_a called with |theta| >= {PARAXIAL_LIMIT}; the quadratic "
-            "expansion is unreliable there",
-            ParaxialWarning,
-            stacklevel=2,
-        )
-    on_axis = 2.0 * math.pi * cfg.n_a * cfg.d_a / cfg.lambda_a
-    out = on_axis + (0.5 * on_axis) * theta**2
-    if np.ndim(theta_a) == 0:
-        return float(out)
-    return out
 
 
 def counting_rate_reduced(state: SuperposedState, k_b: int, phi_0: float) -> float:

@@ -10,11 +10,18 @@ truth the closed-form analytics are tested against.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import AMPLITUDE_NORM_TOL, PARAXIAL_LIMIT, CorrelationModel, ExperimentConfig
+from .config import (
+    AMPLITUDE_NORM_TOL,
+    PARAXIAL_LIMIT,
+    CorrelationModel,
+    ExperimentConfig,
+    ParaxialWarning,
+)
 
 # Sum |C|^2 must match 1 this closely after every constructor.
 STATE_NORM_TOL = 1e-10
@@ -292,6 +299,29 @@ def conditional_probability(state: TwoPhotonState, k_a: int, given_k_b: int) -> 
     return joint / marg
 
 
+def phase_a(theta_a, cfg: ExperimentConfig):
+    """Optical phase picked up by an a photon traveling between the sources.
+
+    Small-angle form (2 pi n_a d_a / lambda_a) (1 + theta^2 / 2),
+    written as constant + half-curvature * theta^2 so the difference
+    phase_a(theta) - phase_a(0) stays accurate for small theta.
+    Accepts a scalar or an array; returns matching shape.
+    """
+    theta = np.asarray(theta_a, dtype=float)
+    if np.any(np.abs(theta) >= PARAXIAL_LIMIT):
+        warnings.warn(
+            f"phase_a called with |theta| >= {PARAXIAL_LIMIT}; the quadratic "
+            "expansion is unreliable there",
+            ParaxialWarning,
+            stacklevel=2,
+        )
+    on_axis = 2.0 * math.pi * cfg.n_a * cfg.d_a / cfg.lambda_a
+    out = on_axis + (0.5 * on_axis) * theta**2
+    if np.ndim(theta_a) == 0:
+        return float(out)
+    return out
+
+
 def superpose_sources(state: TwoPhotonState, cfg: ExperimentConfig) -> SuperposedState:
     """Attach the source amplitudes and the a-path phase table.
 
@@ -299,8 +329,6 @@ def superpose_sources(state: TwoPhotonState, cfg: ExperimentConfig) -> Superpose
     source phase difference) is folded into ``phase_offset`` so that the
     scan phase phi_0 is measured from the on-axis bright fringe.
     """
-    from .oracle import phase_a  # deferred: oracle consumes this module's types
-
     table = phase_a(state.grid_a.mode_thetas(), cfg)
     offset = phase_a(0.0, cfg) + cfg.phi_b + cfg.phi2 - cfg.phi1
     return SuperposedState(

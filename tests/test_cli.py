@@ -3,11 +3,18 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from twinfringes import UnequalAmplitudes, fringe_radius, parse_config, read_profile_csv
+from twinfringes import (
+    UnequalAmplitudes,
+    __version__,
+    fringe_radius,
+    parse_config,
+    read_profile_csv,
+)
 from twinfringes.cli import main, run_oracle_check
 
 from conftest import make_config, mp_partial
@@ -231,6 +238,63 @@ def test_eqwavelength_rejects_bad_header(tmp_path, cfg_file):
     data = tmp_path / "rings.csv"
     data.write_text("separation,radius\n5,1.0\n")
     assert main(["eqwavelength", "--config", cfg_file, "--data", str(data)]) == 1
+
+
+@pytest.mark.parametrize("row", ["nan,1.2", "11.7,inf", "inf,1.2"])
+def test_eqwavelength_rejects_non_finite_row(capsys, tmp_path, cfg_file, row):
+    data = tmp_path / "rings.csv"
+    data.write_text(f"d_a_mm,rho1_mm\n5,1.95\n8,1.54\n{row}\n15,1.12\n")
+    out = tmp_path / "fit"
+    code = main(["eqwavelength", "--config", cfg_file, "--data", str(data), "--out", str(out)])
+    assert code == 1
+    assert f"{data}:4:" in capsys.readouterr().err
+    assert not (tmp_path / "fit.txt").exists()
+    assert not (tmp_path / "fit.manifest.json").exists()
+
+
+def _rings_csv(tmp_path):
+    rows = ["d_a_mm,rho1_mm"]
+    for d_mm in (5.0, 11.7, 20.0):
+        rows.append(f"{d_mm},{fringe_radius(1, make_config(d_a=d_mm * 1e-3)) * 1e3:.12e}")
+    data = tmp_path / "rings.csv"
+    data.write_text("\n".join(rows) + "\n")
+    return str(data)
+
+
+# Each command's extra flags and the data files it writes under --out.
+COMMANDS = [
+    ("simulate", ["--resolution", "64"], (".pgm", ".csv")),
+    ("visibility", ["--sigma-list", "9.37e-4"], (".csv",)),
+    ("invert", ["--v0", "0.9", "--rho1-mm", "1.27594659067"], (".txt",)),
+    ("eqwavelength", ["--data", None], (".txt",)),
+    ("oracle", [], (".json",)),
+]
+
+
+@pytest.mark.parametrize("command,flags,suffixes", COMMANDS, ids=[c[0] for c in COMMANDS])
+def test_manifest_records_each_command(tmp_path, cfg_file, command, flags, suffixes):
+    flags = [_rings_csv(tmp_path) if f is None else f for f in flags]
+    out = tmp_path / "run"
+    assert main([command, "--config", cfg_file, "--out", str(out), *flags]) == 0
+    manifest = json.loads((tmp_path / "run.manifest.json").read_text())
+    assert manifest["command"] == command
+    assert manifest["version"] == __version__
+    assert manifest["outputs"] == [str(out.with_suffix(s)) for s in suffixes]
+    assert all(Path(path).exists() for path in manifest["outputs"])
+    written = {p.name for p in tmp_path.iterdir()} - {"partial.cfg", "rings.csv"}
+    assert written == {f"run{s}" for s in suffixes} | {"run.manifest.json"}
+
+
+@pytest.mark.parametrize("command,flags,key", [
+    ("invert", ["--v0", "0.9"], "sigma_theta_rad"),
+    ("eqwavelength", ["--data", None], "lambda_eq_nm"),
+], ids=["invert", "eqwavelength"])
+def test_text_command_without_out_prints_only(capsys, tmp_path, cfg_file, command, flags, key):
+    flags = [_rings_csv(tmp_path) if f is None else f for f in flags]
+    before = set(tmp_path.iterdir())
+    assert main([command, "--config", cfg_file, *flags]) == 0
+    assert f"{key} = " in capsys.readouterr().out
+    assert set(tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize("text,name", [

@@ -23,6 +23,7 @@ from twinfringes import (
     infer_lambda_a,
     pump_waist_to_sigma,
     reconstruct_joint_probability,
+    ring_law_lambda_eq,
 )
 
 from conftest import SIGMA_THETA, make_config
@@ -220,3 +221,13 @@ def test_reconstruct_validates_widths(partial_cfg):
         reconstruct_joint_probability(-1e-4, 2.36e-2, (grid_a, grid_b))
     with pytest.raises(ValueError):
         reconstruct_joint_probability(SIGMA_THETA, 0.0, (grid_a, grid_b))
+
+
+@pytest.mark.parametrize("d_a", [5e-3, 11.7e-3, 20e-3])
+@pytest.mark.parametrize("n_a", [1.0, 1.5])
+def test_ring_law_inverts_fringe_radius(d_a, n_a):
+    # lambda_eq = lambda_b^2 / lambda_a for the 1550/810 nm pair
+    cfg = make_config(d_a=d_a, n_a=n_a)
+    rho1 = fringe_radius(1, cfg)
+    lambda_eq = ring_law_lambda_eq(rho1 * rho1 * d_a, cfg)
+    assert lambda_eq == pytest.approx(cfg.lambda_b**2 / cfg.lambda_a, rel=1e-12)

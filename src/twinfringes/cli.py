@@ -62,9 +62,13 @@ EXIT_IO = 3
 # Oracle-check tolerances per model: (max |V_grid - V_closed|, max
 # peak-relative rate discrepancy). The partial-model 0.01 bound is the
 # 512-mode Riemann-sum convergence level established by grid refinement.
+# The maximal and uncorrelated grids are exact up to rounding; their
+# gates sit at least 10x above the worst discrepancy over n_a 1-3, d_a
+# 1-50 mm and 128-4096 modes on the reference optics (maximal 3.8e-15,
+# 2.2e-11; uncorrelated 1.5e-12, 5.6e-16).
 _ORACLE_TOLS = {
-    CorrelationModel.MAXIMAL: (1e-9, 1e-9),
-    CorrelationModel.UNCORRELATED: (1e-9, 1e-10),
+    CorrelationModel.MAXIMAL: (1e-12, 5e-10),
+    CorrelationModel.UNCORRELATED: (2e-11, 1e-14),
     CorrelationModel.GAUSSIAN_PARTIAL: (0.01, 0.01),
 }
 
@@ -112,8 +116,8 @@ def run_visibility_scan(cfg: ExperimentConfig, out_csv, sigma_list=None, rho_lis
 
     Exactly one of ``sigma_list`` (dimensionless widths; emits
     ``sigma_theta,v0,hwhm_m`` rows, the HWHM column blank where the
-    visibility never falls to half) and ``rho_list`` (camera radii in
-    meters; emits ``rho_m,visibility`` rows) must be a non-empty
+    visibility never falls to half) and ``rho_list`` (nonnegative camera
+    radii in meters; emits ``rho_m,visibility`` rows) must be a non-empty
     sequence. Each scanned width is validated as a config, except 0, the
     perfect-correlation limit, which is reported as v0 = 1 with a blank
     HWHM. Nothing is written before the arguments validate.
@@ -134,6 +138,8 @@ def run_visibility_scan(cfg: ExperimentConfig, out_csv, sigma_list=None, rho_lis
                 hwhm = ""
             lines.append(f"{sigma:.11e},{v0:.11e},{hwhm}")
     else:
+        if min(rho_list) < 0.0:
+            raise UsageError("scanned radii must be nonnegative")
         lines.append("rho_m,visibility")
         for rho in rho_list:
             lines.append(f"{rho:.11e},{visibility_closed_form(float(rho), cfg):.11e}")

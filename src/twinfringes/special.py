@@ -4,9 +4,12 @@ and adaptive radial quadrature.
 Everything here is a stateless pure function; all of them are safe to
 call concurrently. The complex substrate is the Faddeeva function
 ``w(z) = exp(-z^2) erfc(-iz)``; erfc and D_{-2} are thin closed-form
-layers on top of it, so they share one accuracy budget. The quadrature
-is the independent reference route; scipy.integrate is imported only
-when it is first called.
+layers on top of it, so they share one accuracy budget. No scipy
+module is loaded at import: ``scipy.special.wofz`` is bound on the
+first Faddeeva evaluation, and scipy.integrate on the first call of
+the quadrature, the independent reference route. Importing the package
+and running the maximal and uncorrelated models therefore need no
+scipy at all.
 """
 
 from __future__ import annotations
@@ -15,14 +18,25 @@ import cmath
 import math
 from typing import Callable
 
-from scipy import special as _sp
-
 _SQRT_PI_OVER_2 = math.sqrt(math.pi / 2.0)
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 # Subdivision cap for the adaptive quadrature; exceeding it (or failing
 # the requested tolerance) raises ToleranceNotReached.
 _QUAD_LIMIT = 200
+
+
+def _wofz(z):
+    """scipy.special.wofz, bound on first use.
+
+    The first call imports the ufunc and rebinds this module-level name
+    to it, so every later lookup of ``_wofz`` reaches the ufunc directly
+    with no per-call import. Concurrent first calls bind the same ufunc.
+    """
+    global _wofz
+    from scipy.special import wofz as _wofz
+
+    return _wofz(z)
 
 
 class ToleranceNotReached(RuntimeError):
@@ -47,7 +61,7 @@ def faddeeva(z: complex) -> complex:
         When the exact value exceeds the representable range, which
         happens deep in the lower half-plane.
     """
-    out = complex(_sp.wofz(complex(z)))
+    out = complex(_wofz(complex(z)))
     if not (math.isfinite(out.real) and math.isfinite(out.imag)):
         raise OverflowError(f"faddeeva overflow at z = {z!r}")
     return out
@@ -98,7 +112,7 @@ def dm2_pair_scaled(z):
     output rather than an exception.
     """
     zeta = 1j * z * _INV_SQRT2
-    return 2.0 - z * _SQRT_PI_OVER_2 * (_sp.wofz(zeta) - _sp.wofz(-zeta))
+    return 2.0 - z * _SQRT_PI_OVER_2 * (_wofz(zeta) - _wofz(-zeta))
 
 
 def integrate_radial(

@@ -131,6 +131,18 @@ def test_visibility_rho_scan(tmp_path, cfg_file):
     assert values[2] == pytest.approx(0.0718633085399, rel=1e-10)
 
 
+@pytest.mark.parametrize("rho_list", ["-1,1", "0.5,-1e-9"])
+def test_visibility_rejects_negative_radius(capsys, tmp_path, cfg_file, rho_list):
+    out = tmp_path / "rho"
+    code = main(
+        ["visibility", "--config", cfg_file, "--out", str(out), f"--rho-mm-list={rho_list}"]
+    )
+    assert code == 1
+    assert "nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "rho.csv").exists()
+    assert not (tmp_path / "rho.manifest.json").exists()
+
+
 @pytest.mark.parametrize("sigma_list", ["-0.001", "nan", "9.37e-4,inf"])
 def test_visibility_rejects_invalid_scanned_width(tmp_path, cfg_file, sigma_list):
     out = tmp_path / "scan"
@@ -203,6 +215,16 @@ def test_invert_perfect_visibility_note(capsys, cfg_file):
 def test_invert_rejects_out_of_range_visibility(cfg_file):
     assert main(["invert", "--config", cfg_file, "--v0", "1.5"]) == 1
     assert main(["invert", "--config", cfg_file, "--v0", "0"]) == 1
+
+
+def test_invert_rejects_underflowing_visibility(capsys, tmp_path, cfg_file):
+    # 1e-200 squared underflows to 0; the error is one line, not a traceback
+    out = tmp_path / "width"
+    assert main(["invert", "--config", cfg_file, "--v0", "1e-200", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("twinfringes: error: ") and "underflows" in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "width.txt").exists()
 
 
 def test_invert_writes_file_when_out_given(tmp_path, cfg_file):
@@ -388,6 +410,55 @@ def test_cli_import_leaves_quadrature_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# Runs CLI commands in order in one fresh interpreter and prints, after
+# the import and after each step, which scipy modules are loaded.
+_IMPORT_GRAPH_RUNNER = """\
+import json, sys
+from twinfringes import cli
+
+def loaded():
+    return sorted(m for m in ("scipy", "scipy.special", "scipy.integrate") if m in sys.modules)
+
+steps = [[0, loaded()]]
+for argv in json.loads(sys.argv[1]):
+    steps.append([cli.main(argv), loaded()])
+print(json.dumps(steps))
+"""
+
+
+def test_cli_loads_scipy_special_only_for_the_partial_closed_form(tmp_path):
+    cfgs = {name: _cfg(tmp_path, text, f"{name}.cfg")
+            for name, text in (("partial", PARTIAL), ("maximal", MAXIMAL),
+                               ("uncorrelated", UNCORRELATED))}
+    data = tmp_path / "rings.csv"
+    data.write_text("d_a_mm,rho1_mm\n5,1.95\n11.7,1.27\n20,0.98\n")
+    out = str(tmp_path / "run")
+    argvs = [
+        ["invert", "--config", cfgs["partial"], "--v0", "0.9", "--out", out],
+        ["eqwavelength", "--config", cfgs["partial"], "--data", str(data), "--out", out],
+    ]
+    for model in ("maximal", "uncorrelated"):
+        argvs.append(["simulate", "--config", cfgs[model], "--out", out, "--resolution", "64"])
+        argvs.append(["oracle", "--config", cfgs[model], "--out", out, "--grid-points", "128"])
+    argvs.append(["simulate", "--config", cfgs["partial"], "--out", out, "--resolution", "64"])
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_GRAPH_RUNNER, json.dumps(argvs)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    labels = ["import twinfringes.cli"] + [" ".join(argv) for argv in argvs]
+    steps = dict(zip(labels, json.loads(proc.stdout)))
+    assert len(steps) == len(labels)
+    assert all(code == 0 for code, _ in steps.values()), steps
+    # no scipy at import, nor for the inverses and the two exact models
+    for label in labels[:-1]:
+        assert steps[label][1] == [], label
+    # the partial closed form binds scipy.special.wofz, and nothing else
+    assert steps[labels[-1]][1] == ["scipy", "scipy.special"]
 
 
 def test_module_entry_point_runs_in_subprocess(cfg_file):

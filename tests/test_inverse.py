@@ -65,6 +65,14 @@ def test_out_of_range_visibility_rejected(partial_cfg, bad):
         estimate_sigma_theta_bisect(bad, partial_cfg)
 
 
+@pytest.mark.parametrize("tiny", [1e-200, 5e-324])
+def test_underflowing_visibility_rejected(partial_cfg, tiny):
+    # v0^2 underflows to 0 in the closed-form inverse's 1 / v0^2
+    assert tiny * tiny == 0.0
+    with pytest.raises(DegenerateVisibility, match="underflows"):
+        estimate_sigma_theta(tiny, partial_cfg)
+
+
 def test_estimate_needs_pump_and_separation():
     no_pump = make_config(CorrelationModel.MAXIMAL, lambda_p=None)
     with pytest.raises(ValueError):

@@ -1,16 +1,23 @@
 """Property tests of the closed forms over the validated input domain."""
 
 import math
+import sys
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twinfringes import (
+    ConfigError,
     CorrelationModel,
+    central_visibility,
     counting_rate_maxcorr,
     counting_rate_partial,
     counting_rate_uncorrelated,
+    derive_constants,
+    estimate_sigma_theta,
+    parse_config,
     visibility_closed_form,
 )
 
@@ -47,3 +54,141 @@ def test_model_rates_are_nonnegative(sigma, d, n, r, phi):
     for rate in rates:
         assert math.isfinite(rate)
         assert rate >= 0.0
+
+
+@PROPERTY_SETTINGS
+@given(st.floats(1e-5, 3e-2), d_a, n_a)
+def test_sigma_theta_round_trips_through_central_visibility(sigma, d, n):
+    cfg = make_config(sigma_theta=sigma, d_a=d, n_a=n)
+    v0 = central_visibility(cfg)
+    err = abs(estimate_sigma_theta(v0, cfg) - sigma) / sigma
+    if v0 <= 0.999:
+        assert err <= 1e-12
+    else:
+        # Near v0 = 1 the inverse is ill-conditioned: v0 = 2 / sqrt(4 +
+        # kappa^2) carries about one ulp of rounding, and 1 / v0^2 - 1 =
+        # kappa^2 / 4 turns it into a relative error of order eps / kappa^2.
+        kappa = derive_constants(cfg).kappa
+        assert err <= 4.0 * sys.float_info.epsilon / kappa**2
+
+
+# Config keys in file units: key -> (config field, scale to SI units).
+FILE_KEYS = {
+    "lambda_a_nm": ("lambda_a", 1e-9),
+    "lambda_b_nm": ("lambda_b", 1e-9),
+    "lambda_p_nm": ("lambda_p", 1e-9),
+    "d_a_mm": ("d_a", 1e-3),
+    "f0_mm": ("f0", 1e-3),
+    "n_a": ("n_a", 1.0),
+    "sigma_b": ("sigma_b", 1.0),
+    "sigma_theta": ("sigma_theta", 1.0),
+    "alpha1_mag": ("alpha1_mag", 1.0),
+    "alpha2_mag": ("alpha2_mag", 1.0),
+    "phi1_rad": ("phi1", 1.0),
+    "phi2_rad": ("phi2", 1.0),
+    "phi_b_rad": ("phi_b", 1.0),
+}
+REQUIRED_KEYS = ("lambda_a_nm", "lambda_b_nm", "d_a_mm", "f0_mm", "sigma_b")
+
+# Values inside the validated domain, in file units. Positive lengths stay
+# far above the subnormal range, so the scaled value is never rounded to 0,
+# and sigma_b stays below the paraxial warning.
+POSITIVE = st.floats(1e-3, 1e6)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+VALID_VALUES = {
+    "lambda_a_nm": POSITIVE,
+    "lambda_b_nm": POSITIVE,
+    "lambda_p_nm": POSITIVE,
+    "d_a_mm": st.floats(0.0, 1e6),
+    "f0_mm": POSITIVE,
+    "n_a": st.floats(1.0, 10.0),
+    "sigma_b": st.floats(1e-6, 0.1, exclude_max=True),
+    "sigma_theta": st.floats(1e-9, 1.0),
+    "phi1_rad": FINITE,
+    "phi2_rad": FINITE,
+    "phi_b_rad": FINITE,
+}
+
+# Values outside it. An unbalanced alpha1_mag is written with alpha2_mag
+# left at its default sqrt(1/2).
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+NON_POSITIVE = st.floats(-1e6, 0.0) | NON_FINITE
+INVALID_VALUES = {
+    "lambda_a_nm": NON_POSITIVE,
+    "lambda_b_nm": NON_POSITIVE,
+    "lambda_p_nm": NON_POSITIVE,
+    "d_a_mm": st.floats(-1e6, -1e-6) | NON_FINITE,
+    "f0_mm": NON_POSITIVE,
+    "n_a": st.floats(-1e6, 1.0, exclude_max=True) | NON_FINITE,
+    "sigma_b": NON_POSITIVE,
+    "sigma_theta": NON_POSITIVE,
+    "alpha1_mag": st.floats(0.0, 2.0).filter(lambda a: abs(a * a - 0.5) > 1e-9) | NON_FINITE,
+    "phi1_rad": NON_FINITE,
+    "phi2_rad": NON_FINITE,
+    "phi_b_rad": NON_FINITE,
+}
+
+SPACE = st.sampled_from(["", " ", "  ", "\t"])
+SEPARATOR = st.sampled_from(["=", " = ", "\t=  ", "= ", " ", "   "])
+PRINTABLE = st.characters(min_codepoint=32, max_codepoint=126)
+COMMENT = st.just("") | st.text(PRINTABLE, max_size=12).map(lambda text: " # " + text)
+
+
+@st.composite
+def valid_entries(draw) -> dict[str, object]:
+    """Config entries, key -> value, that validate: a model token or a float."""
+    model = draw(st.sampled_from(list(CorrelationModel)))
+    keys = list(REQUIRED_KEYS)
+    optional = ["lambda_p_nm", "sigma_theta", "n_a", "phi1_rad", "phi2_rad", "phi_b_rad"]
+    keys += [key for key in optional if draw(st.booleans())]
+    if model is CorrelationModel.GAUSSIAN_PARTIAL:
+        keys += [key for key in ("lambda_p_nm", "sigma_theta") if key not in keys]
+    entries: dict[str, object] = {"model": model.value}
+    entries.update((key, draw(VALID_VALUES[key])) for key in keys)
+    if draw(st.booleans()):
+        angle = draw(st.floats(0.0, math.pi / 2))
+        entries["alpha1_mag"] = math.cos(angle)
+        entries["alpha2_mag"] = math.sin(angle)
+    return entries
+
+
+@st.composite
+def config_text(draw, entries: dict[str, object]) -> str:
+    """One ``key = repr(value)`` line per entry, shuffled, with random
+    spacing, trailing comments and comment-only lines."""
+    lines = []
+    for key, value in draw(st.permutations(list(entries.items()))):
+        lines += draw(st.lists(COMMENT.map(str.strip), max_size=1))
+        text = value if isinstance(value, str) else repr(value)
+        lines.append(f"{draw(SPACE)}{key}{draw(SEPARATOR)}{text}{draw(SPACE)}{draw(COMMENT)}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("properties") / "drawn.cfg"
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_parse_config_round_trips_file_values(config_path, data):
+    entries = data.draw(valid_entries())
+    config_path.write_text(data.draw(config_text(entries)))
+    cfg = parse_config(config_path)
+    assert cfg.correlation_model is CorrelationModel(entries.pop("model"))
+    for key, value in entries.items():
+        name, scale = FILE_KEYS[key]
+        assert getattr(cfg, name) == float(repr(value)) * scale
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_parse_config_rejects_values_outside_the_domain(config_path, data):
+    entries = data.draw(valid_entries())
+    key = data.draw(st.sampled_from(sorted(INVALID_VALUES)))
+    entries[key] = data.draw(INVALID_VALUES[key])
+    if key == "alpha1_mag":
+        entries.pop("alpha2_mag", None)
+    config_path.write_text(data.draw(config_text(entries)))
+    with pytest.raises(ConfigError):
+        parse_config(config_path)

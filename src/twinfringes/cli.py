@@ -141,8 +141,9 @@ def run_visibility_scan(cfg: ExperimentConfig, out_csv, sigma_list=None, rho_lis
         if min(rho_list) < 0.0:
             raise UsageError("scanned radii must be nonnegative")
         lines.append("rho_m,visibility")
-        for rho in rho_list:
-            lines.append(f"{rho:.11e},{visibility_closed_form(float(rho), cfg):.11e}")
+        radii = np.array(rho_list, dtype=float)
+        for rho, vis in zip(radii.tolist(), visibility_closed_form(radii, cfg).tolist()):
+            lines.append(f"{rho:.11e},{vis:.11e}")
     Path(out_csv).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 

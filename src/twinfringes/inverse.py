@@ -70,8 +70,8 @@ def estimate_sigma_theta(v0: float, cfg: ExperimentConfig) -> float:
     Inverts the closed-form central visibility:
     sigma_theta^2 = (8 pi / (n_a k0'^2 lambda_a d_a)) sqrt(1 / v0^2 - 1).
     v0 = 1 returns exactly 0 (perfect correlation); anything outside
-    (0, 1], or so small that v0^2 underflows to 0, raises
-    DegenerateVisibility.
+    (0, 1], or so small that v0^2 underflows to 0 or 1 / v0^2 overflows
+    (v0 below about 7.5e-155), raises DegenerateVisibility.
     """
     if not 0.0 < v0 <= 1.0:
         raise DegenerateVisibility(f"v0 = {v0!r} outside (0, 1]")
@@ -79,6 +79,8 @@ def estimate_sigma_theta(v0: float, cfg: ExperimentConfig) -> float:
         return 0.0
     if v0 * v0 == 0.0:
         raise DegenerateVisibility(f"v0 = {v0!r} too small: v0^2 underflows to 0")
+    if 1.0 / (v0 * v0) == math.inf:
+        raise DegenerateVisibility(f"v0 = {v0!r} too small: 1 / v0^2 overflows")
     if cfg.lambda_p is None:
         raise ValueError("estimate_sigma_theta requires lambda_p for the pump wavenumber")
     if cfg.d_a <= 0.0:

@@ -3,6 +3,7 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -201,6 +202,35 @@ def test_hwhm_reference_and_half_property(partial_cfg):
     assert r0 == pytest.approx(HWHM_REF, rel=1e-7)
     v0 = central_visibility(partial_cfg)
     assert visibility_closed_form(r0, partial_cfg) == pytest.approx(0.5 * v0, rel=1e-8)
+
+
+def test_hwhm_against_mpmath_root():
+    # the root of |Br(r g)| = 1 at 40 digits, with r g formed exactly.
+    # The bound is 1e-15 relative, plus the shift that 4 ulp of |Br| ~ 1
+    # cause where the crossing is shallow: a float64 |Br| pins its root
+    # no closer than that.
+    rng = np.random.default_rng(61)
+    eps = np.finfo(float).eps
+    for _ in range(40):
+        cfg = make_config(
+            sigma_theta=math.exp(rng.uniform(math.log(1e-4), math.log(2e-2))),
+            n_a=rng.uniform(1.0, 3.0),
+            d_a=rng.uniform(1e-3, 50e-3),
+        )
+        got = visibility_hwhm(cfg)
+        with mpmath.workdps(40):
+            g = mpmath.mpc(derive_constants(cfg).g)
+
+            def excess(r):
+                z = r * g
+                return abs(mpmath.exp(z * z / 4) * (mpmath.pcfd(-2, z) + mpmath.pcfd(-2, -z))) - 1
+
+            r0 = mpmath.mpf(got)
+            root = mpmath.findroot(excess, (r0 * (1 - mpmath.mpf(1e-9)), r0 * (1 + mpmath.mpf(1e-9))),
+                                   solver="secant")
+            slope = mpmath.diff(excess, root)
+            tol = 1e-15 * root + 4 * eps / abs(slope)
+            assert abs(got - root) <= tol, (cfg.sigma_theta, cfg.n_a, cfg.d_a)
 
 
 def test_hwhm_absent_for_perfect_correlation(maximal_cfg):

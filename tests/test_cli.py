@@ -14,6 +14,7 @@ from twinfringes import (
     fringe_radius,
     parse_config,
     read_profile_csv,
+    visibility_closed_form,
 )
 from twinfringes.cli import main, run_oracle_check
 
@@ -131,6 +132,20 @@ def test_visibility_rho_scan(tmp_path, cfg_file):
     assert values[2] == pytest.approx(0.0718633085399, rel=1e-10)
 
 
+def test_visibility_rho_scan_rows_match_scalar_evaluations(tmp_path, cfg_file):
+    # the whole list is one array call; every row is the scalar result
+    radii_mm = [0.0, 1e-9, 0.05, 0.3, 0.6, 0.777, 0.9, 1.276, 1.5, 2.0, 2.5, 3.0, 7.5, 20.0]
+    out = tmp_path / "rho"
+    code = main(["visibility", "--config", cfg_file, "--out", str(out),
+                 "--rho-mm-list", ",".join(map(repr, radii_mm))])
+    assert code == 0
+    cfg = parse_config(cfg_file)
+    want = ["rho_m,visibility"] + [
+        f"{r * 1e-3:.11e},{visibility_closed_form(r * 1e-3, cfg):.11e}" for r in radii_mm
+    ]
+    assert (tmp_path / "rho.csv").read_text().splitlines() == want
+
+
 @pytest.mark.parametrize("rho_list", ["-1,1", "0.5,-1e-9"])
 def test_visibility_rejects_negative_radius(capsys, tmp_path, cfg_file, rho_list):
     out = tmp_path / "rho"
@@ -223,6 +238,17 @@ def test_invert_rejects_underflowing_visibility(capsys, tmp_path, cfg_file):
     assert main(["invert", "--config", cfg_file, "--v0", "1e-200", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("twinfringes: error: ") and "underflows" in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "width.txt").exists()
+
+
+@pytest.mark.parametrize("v0", ["1e-160", "1e-155"])
+def test_invert_rejects_overflowing_visibility(capsys, tmp_path, cfg_file, v0):
+    # 1 / v0^2 overflows; the closed-form inverse says so in one line
+    out = tmp_path / "width"
+    assert main(["invert", "--config", cfg_file, "--v0", v0, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("twinfringes: error: ") and "overflows" in err
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "width.txt").exists()
 
@@ -413,13 +439,14 @@ def test_cli_import_leaves_quadrature_unloaded():
 
 
 # Runs CLI commands in order in one fresh interpreter and prints, after
-# the import and after each step, which scipy modules are loaded.
+# the import and after each step, the exit code and every loaded scipy
+# module.
 _IMPORT_GRAPH_RUNNER = """\
 import json, sys
 from twinfringes import cli
 
 def loaded():
-    return sorted(m for m in ("scipy", "scipy.special", "scipy.integrate") if m in sys.modules)
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 steps = [[0, loaded()]]
 for argv in json.loads(sys.argv[1]):
@@ -428,7 +455,7 @@ print(json.dumps(steps))
 """
 
 
-def test_cli_loads_scipy_special_only_for_the_partial_closed_form(tmp_path):
+def test_no_cli_command_loads_scipy(tmp_path):
     cfgs = {name: _cfg(tmp_path, text, f"{name}.cfg")
             for name, text in (("partial", PARTIAL), ("maximal", MAXIMAL),
                                ("uncorrelated", UNCORRELATED))}
@@ -438,11 +465,13 @@ def test_cli_loads_scipy_special_only_for_the_partial_closed_form(tmp_path):
     argvs = [
         ["invert", "--config", cfgs["partial"], "--v0", "0.9", "--out", out],
         ["eqwavelength", "--config", cfgs["partial"], "--data", str(data), "--out", out],
+        ["visibility", "--config", cfgs["partial"], "--out", out,
+         "--sigma-list", "0,9.37e-4,2e-3"],
+        ["visibility", "--config", cfgs["partial"], "--out", out, "--rho-mm-list", "0,0.6,1.5"],
     ]
-    for model in ("maximal", "uncorrelated"):
+    for model in ("partial", "maximal", "uncorrelated"):
         argvs.append(["simulate", "--config", cfgs[model], "--out", out, "--resolution", "64"])
-        argvs.append(["oracle", "--config", cfgs[model], "--out", out, "--grid-points", "128"])
-    argvs.append(["simulate", "--config", cfgs["partial"], "--out", out, "--resolution", "64"])
+        argvs.append(["oracle", "--config", cfgs[model], "--out", out])
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_GRAPH_RUNNER, json.dumps(argvs)],
         capture_output=True,
@@ -453,12 +482,9 @@ def test_cli_loads_scipy_special_only_for_the_partial_closed_form(tmp_path):
     labels = ["import twinfringes.cli"] + [" ".join(argv) for argv in argvs]
     steps = dict(zip(labels, json.loads(proc.stdout)))
     assert len(steps) == len(labels)
-    assert all(code == 0 for code, _ in steps.values()), steps
-    # no scipy at import, nor for the inverses and the two exact models
-    for label in labels[:-1]:
-        assert steps[label][1] == [], label
-    # the partial closed form binds scipy.special.wofz, and nothing else
-    assert steps[labels[-1]][1] == ["scipy", "scipy.special"]
+    for label, (code, scipy_modules) in steps.items():
+        assert code == 0, label
+        assert scipy_modules == [], label
 
 
 def test_module_entry_point_runs_in_subprocess(cfg_file):

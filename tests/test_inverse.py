@@ -73,6 +73,14 @@ def test_underflowing_visibility_rejected(partial_cfg, tiny):
         estimate_sigma_theta(tiny, partial_cfg)
 
 
+@pytest.mark.parametrize("tiny", [1e-160, 1e-155])
+def test_overflowing_visibility_rejected(partial_cfg, tiny):
+    # v0^2 is a normal number here, but 1 / v0^2 overflows to inf
+    assert tiny * tiny > 0.0 and 1.0 / (tiny * tiny) == math.inf
+    with pytest.raises(DegenerateVisibility, match="overflows"):
+        estimate_sigma_theta(tiny, partial_cfg)
+
+
 def test_estimate_needs_pump_and_separation():
     no_pump = make_config(CorrelationModel.MAXIMAL, lambda_p=None)
     with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from twinfringes import (
     ConfigError,
     CorrelationModel,
+    NoHalfPoint,
     central_visibility,
     counting_rate_maxcorr,
     counting_rate_partial,
@@ -19,6 +20,7 @@ from twinfringes import (
     estimate_sigma_theta,
     parse_config,
     visibility_closed_form,
+    visibility_hwhm,
 )
 
 from conftest import make_config
@@ -70,6 +72,24 @@ def test_sigma_theta_round_trips_through_central_visibility(sigma, d, n):
         # kappa^2 / 4 turns it into a relative error of order eps / kappa^2.
         kappa = derive_constants(cfg).kappa
         assert err <= 4.0 * sys.float_info.epsilon / kappa**2
+
+
+@PROPERTY_SETTINGS
+@given(sigma_theta, d_a, n_a)
+def test_hwhm_is_the_innermost_crossing(sigma, d, n):
+    # the march grid: 1024 radii out to 10 chi / sigma_theta. Every grid
+    # radius before the HWHM keeps V >= v0 / 2, and the next one is below
+    cfg = make_config(sigma_theta=sigma, d_a=d, n_a=n)
+    half = 0.5 * central_visibility(cfg)
+    grid = np.arange(1, 1025) * (10.0 * derive_constants(cfg).chi / sigma / 1024)
+    try:
+        hwhm = visibility_hwhm(cfg)
+    except NoHalfPoint:
+        assert np.all(visibility_closed_form(grid, cfg) >= half)
+        return
+    inner = grid[grid < hwhm]
+    assert np.all(visibility_closed_form(inner, cfg) >= half)
+    assert visibility_closed_form(grid[len(inner)], cfg) < half
 
 
 # Config keys in file units: key -> (config field, scale to SI units).

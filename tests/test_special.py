@@ -14,6 +14,7 @@ from twinfringes import (
     integrate_radial,
     parabolic_cylinder_Dm2,
 )
+from twinfringes.special import dm2_pair_slope, two_product
 
 # Frozen from an independent 50-digit evaluation.
 W_REF = {
@@ -63,6 +64,48 @@ def test_faddeeva_at_origin():
 def test_faddeeva_overflow_in_lower_half_plane():
     with pytest.raises(OverflowError):
         faddeeva(-40j)
+
+
+def _mp_faddeeva(z):
+    with mpmath.workdps(40):
+        z = mpmath.mpc(z)
+        return mpmath.exp(-z * z) * mpmath.erfc(-1j * z)
+
+
+def test_faddeeva_against_mpmath_in_both_half_planes():
+    # uniform in the disc |z| <= 30; deep in the lower half-plane the
+    # value leaves the float range, and faddeeva must say so
+    rng = np.random.default_rng(31)
+    radius = 30.0 * np.sqrt(rng.uniform(size=600))
+    angle = rng.uniform(-math.pi, math.pi, size=600)
+    overflowed = 0
+    for z in radius * np.exp(1j * angle):
+        want = complex(_mp_faddeeva(z))
+        if not (math.isfinite(want.real) and math.isfinite(want.imag)):
+            overflowed += 1
+            with pytest.raises(OverflowError):
+                faddeeva(z)
+            continue
+        assert abs(faddeeva(z) - want) <= 1e-13 * abs(want), z
+    assert 0 < overflowed < 200
+
+
+def test_faddeeva_against_mpmath_far_out_in_the_first_quadrant():
+    rng = np.random.default_rng(37)
+    radius = 10.0 ** rng.uniform(0.0, 4.0, size=300)
+    angle = rng.uniform(0.0, math.pi / 2, size=300)
+    for z in radius * np.exp(1j * angle):
+        want = complex(_mp_faddeeva(z))
+        assert abs(faddeeva(z) - want) <= 1e-13 * abs(want), z
+
+
+def test_faddeeva_matches_scipy_wofz():
+    # scipy is a test-only dependency: its wofz is a second reference
+    special = pytest.importorskip("scipy.special")
+    rng = np.random.default_rng(41)
+    for z in rng.uniform(-8.0, 8.0, size=(300, 2)) @ np.array([1.0, 1j]):
+        want = complex(special.wofz(z))
+        assert abs(faddeeva(z) - want) <= 1e-13 * abs(want), z
 
 
 @pytest.mark.parametrize("z,want", sorted(ERFC_REF.items(), key=lambda kv: str(kv[0])))
@@ -150,6 +193,52 @@ def test_dm2_pair_scaled_scalar_and_symmetry():
         assert dm2_pair_scaled(-z) == pytest.approx(dm2_pair_scaled(z), rel=1e-15)
         assert dm2_pair_scaled(z) == dm2_pair_scaled(np.array([z]))[0]
     assert np.isnan(dm2_pair_scaled(complex(math.nan, 0.0)))
+
+
+def test_dm2_pair_scaled_bits_do_not_depend_on_array_length():
+    # a radius gives the same number in a rendered profile, a rho list
+    # and a scalar call
+    rng = np.random.default_rng(43)
+    z = rng.uniform(-6.0, 6.0, size=700) + 1j * rng.uniform(-6.0, 6.0, size=700)
+    whole = dm2_pair_scaled(z)
+    assert all(dm2_pair_scaled(v) == w for v, w in zip(z.tolist(), whole))
+    assert np.array_equal(dm2_pair_scaled(z[3:50]), whole[3:50])
+    assert np.array_equal(dm2_pair_scaled(z.reshape(7, 100)), whole.reshape(7, 100))
+
+
+def test_dm2_pair_scaled_low_part_extends_the_argument():
+    # z + tail as one double-double argument: the exact product r g
+    rng = np.random.default_rng(47)
+    for _ in range(100):
+        r = rng.uniform(0.5, 60.0)
+        g = complex(-rng.uniform(0.0, 1.0), 1.0)
+        got = dm2_pair_scaled(*two_product(r, g))
+        with mpmath.workdps(40):
+            z = mpmath.mpf(r) * mpmath.mpc(g)
+            want = complex(mpmath.exp(z * z / 4) * (mpmath.pcfd(-2, z) + mpmath.pcfd(-2, -z)))
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+
+def test_dm2_pair_slope_against_central_difference():
+    # Br'(z) = z Br(z) + (Br(z) - 2) / z, against a fourth-order central
+    # difference of dm2_pair_scaled itself
+    rng = np.random.default_rng(53)
+    h = 1e-3
+    for _ in range(100):
+        z = complex(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0))
+        slope = dm2_pair_slope(z, dm2_pair_scaled(z))
+        br = [dm2_pair_scaled(z + k * h) for k in (-2, -1, 1, 2)]
+        numeric = (br[0] - 8.0 * br[1] + 8.0 * br[2] - br[3]) / (12.0 * h)
+        assert abs(slope - numeric) <= 1e-9 * max(1.0, abs(slope)), z
+
+
+def test_two_product_is_exact():
+    rng = np.random.default_rng(59)
+    for a, b, c in rng.uniform(-1e3, 1e3, size=(200, 3)).tolist():
+        p, err = two_product(a, complex(b, c))
+        assert p == a * complex(b, c)
+        with mpmath.workdps(60):
+            assert mpmath.mpc(p) + mpmath.mpc(err) == mpmath.mpf(a) * mpmath.mpc(b, c)
 
 
 def test_integrate_radial_polynomial():

@@ -341,6 +341,15 @@ def render_pattern(
     the pixel pitch and mapped to pixels by their center radius, which
     keeps the pattern exactly circular and costs a fraction of a
     per-pixel evaluation.
+
+    Pixel i (row or column) of N has its center at
+    c_i = (i - (N - 1) / 2) * pitch. The offset i - (N - 1) / 2 is an
+    exact half-integer, so each center is one rounding of the exact
+    value and c_{N-1-i} = -c_i holds bit for bit; for odd N the middle
+    center is exactly 0. The radii and rates are therefore computed only
+    on the ceil(N/2) x ceil(N/2) quadrant i, j >= N // 2, and the other
+    three quadrants are its mirror images. The image is exactly
+    symmetric under both flips and under transposition.
     """
     if resolution < 64:
         raise ValueError("resolution must be at least 64 pixels")
@@ -351,13 +360,17 @@ def render_pattern(
     n_prof = 4 * resolution + 2
     r_prof = np.linspace(0.0, r_corner + pitch, n_prof)
     rates = _rate_curve(r_prof, phi_0, cfg)
-    centers = (np.arange(resolution) + 0.5) * pitch - 0.5 * screen_size
-    radius = np.hypot(centers[:, None], centers[None, :])
-    values = np.interp(radius, r_prof, rates)
+    half = resolution // 2
+    centers = (np.arange(half, resolution) - 0.5 * (resolution - 1)) * pitch
+    quadrant = np.interp(np.hypot(centers[:, None], centers[None, :]), r_prof, rates)
+    values = np.empty((resolution, resolution))
+    values[half:, half:] = quadrant
+    values[half:, :half] = quadrant[:, ::-1][:, :half]
+    values[:half] = values[half:][::-1][:half]
     return FringeImage(
         width=resolution,
         height=resolution,
         pixel_pitch=pitch,
         values=values,
-        normalization=float(values.max()),
+        normalization=float(quadrant.max()),
     )

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -26,10 +27,10 @@ import numpy as np
 
 from .analytics import (
     NoHalfPoint,
+    _visibility_curve,
     central_visibility,
     radial_profile,
     render_pattern,
-    visibility_closed_form,
     visibility_hwhm,
 )
 from . import __version__
@@ -118,9 +119,13 @@ def run_visibility_scan(cfg: ExperimentConfig, out_csv, sigma_list=None, rho_lis
     ``sigma_theta,v0,hwhm_m`` rows, the HWHM column blank where the
     visibility never falls to half) and ``rho_list`` (nonnegative camera
     radii in meters; emits ``rho_m,visibility`` rows) must be a non-empty
-    sequence. Each scanned width is validated as a config, except 0, the
-    perfect-correlation limit, which is reported as v0 = 1 with a blank
-    HWHM. Nothing is written before the arguments validate.
+    sequence. The sigma list always tabulates the gaussian_partial model
+    at each listed width, whatever the configured model. Each scanned
+    width is validated as a config, except 0, the perfect-correlation
+    limit, which is reported as v0 = 1 with a blank HWHM. The rho list
+    follows the configured model: its rows are the visibility column
+    that ``simulate`` writes at the same radii. Nothing is written
+    before the arguments validate.
     """
     if bool(sigma_list) == bool(rho_list):
         raise UsageError("provide exactly one non-empty scan list (sigma or rho)")
@@ -142,7 +147,7 @@ def run_visibility_scan(cfg: ExperimentConfig, out_csv, sigma_list=None, rho_lis
             raise UsageError("scanned radii must be nonnegative")
         lines.append("rho_m,visibility")
         radii = np.array(rho_list, dtype=float)
-        for rho, vis in zip(radii.tolist(), visibility_closed_form(radii, cfg).tolist()):
+        for rho, vis in zip(radii.tolist(), _visibility_curve(radii, cfg).tolist()):
             lines.append(f"{rho:.11e},{vis:.11e}")
     Path(out_csv).write_text("\n".join(lines) + "\n", encoding="ascii")
 
@@ -279,7 +284,13 @@ def _float_list(text: str) -> list[float]:
     return [_finite_float(tok) for tok in text.split(",") if tok.strip()]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    Each ``parse_args`` call fills a fresh namespace from the parser's
+    fixed defaults, so one parser serves every ``main`` call.
+    """
     parser = _Parser(prog="twinfringes", description=__doc__.splitlines()[0])
     common = _Parser(add_help=False)
     common.add_argument("--config", required=True, help="key=value config file")
@@ -292,7 +303,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi0", type=_finite_float, default=0.0, help="scan phase (rad)")
 
     p = sub.add_parser("visibility", parents=[common], help="scan V over sigma or radius")
-    p.add_argument("--sigma-list", type=_float_list, help="comma-separated sigma_theta values")
+    p.add_argument(
+        "--sigma-list",
+        type=_float_list,
+        help="comma-separated sigma_theta values; always tabulates the gaussian_partial model",
+    )
     p.add_argument("--rho-mm-list", type=_float_list, help="comma-separated radii (mm)")
 
     p = sub.add_parser("invert", parents=[common], help="correlation width from visibility")

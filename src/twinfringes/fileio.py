@@ -109,11 +109,15 @@ def write_pgm(image: FringeImage, path) -> None:
     in a comment line so the image is invertible to absolute units.
     """
     scale = PGM_MAXVAL / image.normalization if image.normalization > 0.0 else 0.0
-    samples = np.rint(image.values * scale).clip(0, PGM_MAXVAL).astype(">u2")
+    samples = np.multiply(image.values, scale)
+    np.rint(samples, out=samples)
+    np.clip(samples, 0, PGM_MAXVAL, out=samples)
     header = (
         f"P5\n# rate_max {image.normalization:.12e}\n{image.width} {image.height}\n{PGM_MAXVAL}\n"
     )
-    Path(path).write_bytes(header.encode("ascii") + samples.tobytes())
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii"))
+        fh.write(samples.astype(">u2"))
 
 
 def read_pgm(path) -> tuple[np.ndarray, float]:
@@ -134,10 +138,13 @@ def write_profile_csv(profile: RadialProfile, path) -> None:
     """Write (rho, normalized rate, visibility) rows at 12 significant digits."""
     peak = float(profile.rate.max())
     scale = 1.0 / peak if peak > 0.0 else 0.0
-    lines = [PROFILE_HEADER]
-    for rho, rate, vis in zip(profile.rho, profile.rate, profile.visibility):
-        lines.append(f"{rho:.11e},{rate * scale:.11e},{vis:.11e}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    rows = map(
+        "{:.11e},{:.11e},{:.11e}".format,
+        profile.rho.tolist(),
+        (profile.rate * scale).tolist(),
+        profile.visibility.tolist(),
+    )
+    Path(path).write_text("\n".join([PROFILE_HEADER, *rows]) + "\n", encoding="ascii")
 
 
 def read_profile_csv(path) -> RadialProfile:

@@ -27,6 +27,7 @@ from twinfringes import (
     visibility_closed_form,
     visibility_hwhm,
 )
+from twinfringes.analytics import _rate_curve
 
 from conftest import make_config, mp_partial
 
@@ -265,16 +266,33 @@ def test_radial_profile_validates_arrays():
 
 
 def test_render_pattern_geometry(maximal_cfg):
-    image = render_pattern(maximal_cfg, 3e-3, 64, 0.0)
-    assert image.values.shape == (64, 64)
-    assert image.pixel_pitch == pytest.approx(3e-3 / 64)
-    assert image.normalization == image.values.max()
-    # radial pattern on a centered square grid: bit-identical under
-    # transpose, symmetric to rounding under flips (pixel centers mirror
-    # only up to one ulp)
-    assert np.array_equal(image.values, image.values.T)
-    assert np.allclose(image.values, image.values[::-1, :], rtol=0.0, atol=1e-12)
-    assert np.allclose(image.values, image.values[:, ::-1], rtol=0.0, atol=1e-12)
+    for resolution in (64, 65):
+        image = render_pattern(maximal_cfg, 3e-3, resolution, 0.0)
+        assert image.values.shape == (resolution, resolution)
+        assert image.pixel_pitch == pytest.approx(3e-3 / resolution)
+        assert image.normalization == image.values.max()
+        # radial pattern on a centered square grid: bit-identical under
+        # transpose and under both flips
+        assert np.array_equal(image.values, image.values.T)
+        assert np.array_equal(image.values, image.values[::-1, :])
+        assert np.array_equal(image.values, image.values[:, ::-1])
+
+
+@pytest.mark.parametrize("model", list(CorrelationModel))
+@pytest.mark.parametrize("resolution", [64, 65, 255, 256, 1023])
+def test_render_pattern_equals_direct_per_pixel_evaluation(model, resolution):
+    # the quadrant-and-mirror image is bit-equal to interpolating every
+    # pixel's own radius, with centers c_i = (i - (N - 1) / 2) * pitch
+    cfg = make_config(model, sigma_theta=9.37e-4)
+    screen, phi_0 = 2.5e-3, 0.7
+    image = render_pattern(cfg, screen, resolution, phi_0)
+    pitch = screen / resolution
+    centers = (np.arange(resolution) - 0.5 * (resolution - 1)) * pitch
+    r_prof = np.linspace(0.0, 0.5 * screen * math.sqrt(2.0) + pitch, 4 * resolution + 2)
+    rates = _rate_curve(r_prof, phi_0, cfg)
+    direct = np.interp(np.hypot(centers[:, None], centers[None, :]), r_prof, rates)
+    assert np.array_equal(image.values, direct)
+    assert image.normalization == direct.max()
 
 
 def test_render_pattern_reproduces_ring_structure(maximal_cfg):

@@ -13,10 +13,11 @@ from twinfringes import (
     __version__,
     fringe_radius,
     parse_config,
+    read_pgm,
     read_profile_csv,
     visibility_closed_form,
 )
-from twinfringes.cli import main, run_oracle_check
+from twinfringes.cli import build_parser, main, run_invert, run_oracle_check, run_simulate
 
 from conftest import make_config, mp_partial
 
@@ -144,6 +145,53 @@ def test_visibility_rho_scan_rows_match_scalar_evaluations(tmp_path, cfg_file):
         f"{r * 1e-3:.11e},{visibility_closed_form(r * 1e-3, cfg):.11e}" for r in radii_mm
     ]
     assert (tmp_path / "rho.csv").read_text().splitlines() == want
+
+
+@pytest.mark.parametrize("text,name", [
+    (PARTIAL, "partial.cfg"),
+    (MAXIMAL + "sigma_theta = 9.37e-4\n", "maximal.cfg"),
+    (UNCORRELATED + "sigma_theta = 9.37e-4\n", "uncorrelated.cfg"),
+], ids=["partial", "maximal", "uncorrelated"])
+def test_visibility_rho_scan_matches_simulate_column(tmp_path, text, name):
+    # the rho-list rows are the visibility column simulate writes, under
+    # every model, even where the config also sets sigma_theta
+    cfg = _cfg(tmp_path, text, name)
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--config", cfg, "--out", str(sim),
+                 "--screen-mm", "6", "--resolution", "64"]) == 0
+    rows = [line.split(",") for line in (tmp_path / "sim.csv").read_text().splitlines()[1:]]
+    radii_mm = [float(rho) * 1e3 for rho, _, _ in rows]
+    out = tmp_path / "rho"
+    assert main(["visibility", "--config", cfg, "--out", str(out),
+                 "--rho-mm-list", ",".join(map(repr, radii_mm))]) == 0
+    scan = [line.split(",") for line in (tmp_path / "rho.csv").read_text().splitlines()[1:]]
+    assert len(scan) == len(rows)
+    for (_, _, want), (_, got) in zip(rows, scan):
+        # a radius read back from 12 printed digits may move the last digit
+        assert float(got) == pytest.approx(float(want), rel=0.0, abs=1e-11)
+    if name != "partial.cfg":
+        assert [got for _, got in scan] == [want for _, _, want in rows]
+
+
+def test_consecutive_main_calls_share_no_state(capsys, tmp_path, cfg_file):
+    # the parser is built once per process; each call starts from its defaults
+    first, second, third = tmp_path / "first", tmp_path / "second", tmp_path / "third"
+    assert main(["simulate", "--config", cfg_file, "--out", str(first), "--resolution", "64",
+                 "--screen-mm", "1.5", "--phi0", "0.4"]) == 0
+    assert main(["simulate", "--config", cfg_file, "--out", str(second)]) == 0
+    assert main(["invert", "--config", cfg_file, "--out", str(third),
+                 "--v0", "0.9", "--rho1-mm", "nan"]) == 1
+    capsys.readouterr()
+    assert main(["invert", "--config", cfg_file, "--v0", "0.9"]) == 0
+    cfg = parse_config(cfg_file)
+    assert capsys.readouterr().out == run_invert(cfg, 0.9)
+    assert read_pgm(tmp_path / "first.pgm")[0].shape == (64, 64)
+    assert read_pgm(tmp_path / "second.pgm")[0].shape == (600, 600)
+    run_simulate(cfg, 3.0, 600, 0.0, tmp_path / "ref.pgm", tmp_path / "ref.csv")
+    assert (tmp_path / "second.pgm").read_bytes() == (tmp_path / "ref.pgm").read_bytes()
+    assert (tmp_path / "second.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert not list(tmp_path.glob("third*"))
+    assert build_parser() is build_parser()
 
 
 @pytest.mark.parametrize("rho_list", ["-1,1", "0.5,-1e-9"])

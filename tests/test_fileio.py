@@ -8,7 +8,9 @@ import pytest
 from twinfringes import (
     ConfigError,
     CorrelationModel,
+    FringeImage,
     ParseError,
+    RadialProfile,
     RunManifest,
     UnknownKey,
     config_to_dict,
@@ -163,6 +165,64 @@ def test_profile_csv_round_trip(tmp_path, partial_cfg):
     assert np.allclose(back.rho, profile.rho, rtol=1e-11)
     assert np.allclose(back.visibility, profile.visibility, rtol=1e-10, atol=1e-12)
     assert back.rate.max() == pytest.approx(1.0, rel=1e-11)
+
+
+def _reference_pgm_bytes(image):
+    """The one-line PGM writer the in-place quantisation replaced."""
+    scale = 65535 / image.normalization if image.normalization > 0.0 else 0.0
+    samples = np.rint(image.values * scale).clip(0, 65535).astype(">u2")
+    header = f"P5\n# rate_max {image.normalization:.12e}\n{image.width} {image.height}\n65535\n"
+    return header.encode("ascii") + samples.tobytes()
+
+
+def _reference_profile_text(profile):
+    """The per-row f-string CSV writer the formatted map replaced."""
+    peak = float(profile.rate.max())
+    scale = 1.0 / peak if peak > 0.0 else 0.0
+    lines = ["rho_m,rate_norm,visibility"]
+    for rho, rate, vis in zip(profile.rho, profile.rate, profile.visibility):
+        lines.append(f"{rho:.11e},{rate * scale:.11e},{vis:.11e}")
+    return "\n".join(lines) + "\n"
+
+
+def _fringe_image(values):
+    values = np.asarray(values, dtype=float)
+    return FringeImage(values.shape[1], values.shape[0], 1e-5, values, float(values.max()))
+
+
+def _pgm_cases(cfgs):
+    rng = np.random.default_rng(7)
+    images = [render_pattern(cfg, 3e-3, n, 0.4) for cfg in cfgs for n in (64, 257)]
+    images.append(_fringe_image(rng.random((70, 90)) * 3.7e-9))
+    # samples on exact half granules, where rint rounds half to even
+    images.append(_fringe_image(np.arange(0.0, 65535.5, 0.5).reshape(1, -1)))
+    images.append(_fringe_image(np.zeros((64, 64))))
+    return images
+
+
+def test_write_pgm_matches_reference_bytes(tmp_path, partial_cfg, maximal_cfg, uncorrelated_cfg):
+    path = tmp_path / "image.pgm"
+    for image in _pgm_cases([partial_cfg, maximal_cfg, uncorrelated_cfg]):
+        write_pgm(image, path)
+        assert path.read_bytes() == _reference_pgm_bytes(image)
+
+
+def test_write_profile_csv_matches_reference_text(
+    tmp_path, partial_cfg, maximal_cfg, uncorrelated_cfg
+):
+    rng = np.random.default_rng(11)
+    profiles = [
+        radial_profile(cfg, 1.5e-3, n, phi)
+        for cfg in (partial_cfg, maximal_cfg, uncorrelated_cfg)
+        for n, phi in ((2, 0.0), (301, 0.4), (1024, 5.9))
+    ]
+    rho = np.cumsum(rng.random(50) * 1e-4)
+    profiles.append(RadialProfile(rho, rng.random(50) * 1e-300, rng.random(50)))
+    profiles.append(RadialProfile(rho, np.zeros(50), np.zeros(50)))
+    path = tmp_path / "profile.csv"
+    for profile in profiles:
+        write_profile_csv(profile, path)
+        assert path.read_bytes() == _reference_profile_text(profile).encode("ascii")
 
 
 def test_manifest_requires_existing_outputs(tmp_path):

@@ -1,0 +1,129 @@
+"""Check that two source trees write the same CLI outputs, byte for byte.
+
+Usage: python3 tools/byte_identity.py PARENT_SRC CHANGE_SRC
+
+PARENT_SRC and CHANGE_SRC are directories that hold the ``twinfringes``
+package (the ``src`` directory of two checkouts). One fixed command list
+runs against each: 27 configs (3 models x d_a 5/11.7/20 mm x sigma_theta
+5e-4/9.37e-4/2e-3), each through simulate at 256 px with phi0 0.4, at
+600 px and at an odd resolution, visibility with a sigma list and with a
+rho list, invert, eqwavelength and oracle at 512 modes. Every command is
+``python -m twinfringes.cli`` in a fresh interpreter with PYTHONPATH set
+to the tree. Exit codes and every output file are compared; manifests
+are compared without ``started_at``, ``duration_s`` and output paths.
+Prints each difference and exits 1 if there is any, else exits 0.
+Standard library only.
+"""
+
+import itertools
+import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+MODELS = ("gaussian_partial", "maximal", "uncorrelated")
+D_A_MM = (5.0, 11.7, 20.0)
+SIGMA_THETA = (5e-4, 9.37e-4, 2e-3)
+OPTICS = "lambda_a_nm = 1550\nlambda_b_nm = 810\nlambda_p_nm = 532\nf0_mm = 150\nsigma_b = 2.36e-2\n"
+
+# First bright-ring radii at several separations from the ring law
+# rho_1 = sqrt(2 lambda_eq f0^2 / d_a), lambda_eq = 423 nm, f0 = 150 mm,
+# with a fixed 1% perturbation pattern.
+RINGS = "d_a_mm,rho1_mm\n" + "".join(
+    f"{d!r},{math.sqrt(2 * 423e-9 * 0.15**2 / (d * 1e-3)) * 1e3 * (1 + e):.9f}\n"
+    for d, e in [(5.0, 0.01), (8.0, -0.004), (11.7, 0.0), (15.0, 0.007), (20.0, -0.01)]
+)
+
+COMMANDS = {
+    "sim256": ["simulate", "--resolution", "256", "--phi0", "0.4"],
+    "sim600": ["simulate", "--resolution", "600"],
+    "sim301": ["simulate", "--resolution", "301", "--screen-mm", "2.5", "--phi0", "2.1"],
+    "vsigma": ["visibility", "--sigma-list", "3e-4,5e-4,9.37e-4,2e-3,5e-3"],
+    "vrho": ["visibility", "--rho-mm-list", "0,0.25,0.5,0.777,1,1.5,3"],
+    "invert": ["invert", "--v0", "0.9", "--rho1-mm", "1.3"],
+    "eqwl": ["eqwavelength", "--data", "RINGS"],
+    "oracle": ["oracle", "--grid-points", "512"],
+}
+
+VOLATILE = ("started_at", "duration_s")
+
+
+def _configs() -> dict[str, str]:
+    out = {}
+    for model, d_a, sigma in itertools.product(MODELS, D_A_MM, SIGMA_THETA):
+        # no dots: the CLI derives output names with Path.with_suffix
+        name = f"{model}_d{d_a:g}_s{sigma:g}".replace(".", "p")
+        out[name] = OPTICS + f"d_a_mm = {d_a!r}\nsigma_theta = {sigma!r}\nmodel = {model}\n"
+    return out
+
+
+def run_tree(src: Path, work: Path) -> dict[str, int]:
+    """Run every command against one tree; return exit codes by run name."""
+    work.mkdir(parents=True)
+    rings = work / "rings.csv"
+    rings.write_text(RINGS, encoding="ascii")
+    env = dict(os.environ, PYTHONPATH=str(src.resolve()))
+    codes = {}
+    for cfg_name, text in _configs().items():
+        cfg = work / f"{cfg_name}.cfg"
+        cfg.write_text(text, encoding="ascii")
+        for cmd_name, args in COMMANDS.items():
+            run = f"{cfg_name}_{cmd_name}"
+            argv = [str(rings) if a == "RINGS" else a for a in args]
+            argv[1:1] = ["--config", str(cfg), "--out", str(work / run)]
+            proc = subprocess.run(
+                [sys.executable, "-m", "twinfringes.cli", *argv],
+                env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            )
+            codes[run] = proc.returncode
+    return codes
+
+
+def _manifest_view(blob: bytes) -> dict:
+    payload = json.loads(blob)
+    for key in VOLATILE:
+        payload.pop(key, None)
+    payload["outputs"] = [Path(p).name for p in payload.get("outputs", [])]
+    return payload
+
+
+def compare(parent: Path, change: Path, codes: tuple[dict, dict]) -> list[str]:
+    diffs = [
+        f"{run}: exit code {codes[0][run]} -> {codes[1][run]}"
+        for run in codes[0] if codes[0][run] != codes[1][run]
+    ]
+    names = sorted({p.name for p in parent.iterdir()} | {p.name for p in change.iterdir()})
+    for name in names:
+        a, b = parent / name, change / name
+        if not (a.exists() and b.exists()):
+            diffs.append(f"{name}: only in {'parent' if a.exists() else 'change'}")
+            continue
+        blob_a, blob_b = a.read_bytes(), b.read_bytes()
+        if name.endswith(".manifest.json"):
+            if _manifest_view(blob_a) != _manifest_view(blob_b):
+                diffs.append(f"{name}: manifest differs")
+        elif blob_a != blob_b:
+            diffs.append(f"{name}: bytes differ ({len(blob_a)} vs {len(blob_b)} bytes)")
+    return diffs
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.splitlines()[2], file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory(prefix="byte_identity_") as tmp:
+        parent, change = Path(tmp, "parent"), Path(tmp, "change")
+        codes = (run_tree(Path(argv[0]), parent), run_tree(Path(argv[1]), change))
+        diffs = compare(parent, change, codes)
+        n_files = len(list(parent.iterdir()))
+    for line in diffs:
+        print(line)
+    print(f"{len(codes[0])} runs, {n_files} files per tree, {len(diffs)} differences")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -232,10 +232,8 @@ def run_oracle_check(cfg: ExperimentConfig, grid_points: int, out) -> None:
         )
     closed = radial_profile(cfg, 0.5 * cfg.f0 * cfg.sigma_b, 16, 0.0)
     state = assemble_state(cfg, closed.rho, n_modes=grid_points)
-    vis_grid = np.array([visibility_scan(state, float(r)) for r in closed.rho])
-    rate_grid = np.array(
-        [counting_rate_reduced(state, j, 0.0) for j in range(state.base.grid_b.n_modes)]
-    )
+    vis_grid = visibility_scan(state, closed.rho)
+    rate_grid = counting_rate_reduced(state, np.arange(state.base.grid_b.n_modes), 0.0)
 
     vis_tol, rate_tol = _ORACLE_TOLS[cfg.correlation_model]
     vis_err = float(np.max(np.abs(vis_grid - closed.visibility)))
@@ -346,7 +344,10 @@ def _dispatch(args) -> None:
     base = Path(args.out) if args.out else None
     if base is None and args.command not in _TEXT_COMMANDS:
         raise UsageError(f"{args.command} requires --out")
-    outputs = [base.with_suffix(suffix) for suffix in _SUFFIXES[args.command]] if base else []
+    # Each suffix goes after the whole base name, dots included:
+    # runs/s0.0005_vrho writes runs/s0.0005_vrho.csv.
+    suffixes = _SUFFIXES[args.command] if base else ()
+    outputs = [base.with_name(base.name + suffix) for suffix in suffixes]
     report = None
     if args.command == "simulate":
         run_simulate(cfg, args.screen_mm, args.resolution, args.phi0, *outputs)
@@ -373,7 +374,7 @@ def _dispatch(args) -> None:
         duration_s=time.perf_counter() - t0,
         started_at=started,
     )
-    write_manifest(manifest, base.with_suffix(".manifest.json"))
+    write_manifest(manifest, base.with_name(base.name + ".manifest.json"))
 
 
 def main(argv=None) -> int:

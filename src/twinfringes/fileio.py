@@ -174,13 +174,24 @@ class RunManifest:
             raise ValueError(f"manifest lists outputs that do not exist: {missing}")
 
 
+def _fields_dict(obj) -> dict:
+    """Field name -> value of a dataclass, without the deep copy of asdict.
+
+    Config and manifest fields are numbers, strings, None, the model
+    enum (which config_to_dict replaces by its token), a flat dict of
+    those and a tuple of strings, so they serialize to the same JSON as
+    the asdict copy.
+    """
+    return {field.name: getattr(obj, field.name) for field in dataclasses.fields(obj)}
+
+
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """JSON-ready view of a config (SI units, enum collapsed to its token)."""
-    out = dataclasses.asdict(cfg)
+    out = _fields_dict(cfg)
     out["correlation_model"] = cfg.correlation_model.value
     return out
 
 
 def write_manifest(manifest: RunManifest, path) -> None:
-    payload = dataclasses.asdict(manifest)
+    payload = _fields_dict(manifest)
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -4,6 +4,12 @@ Rates here are computed mode by mode from the amplitude table with no
 closed-form shortcuts, which makes this module the independent reference
 for everything in :mod:`twinfringes.analytics`. All outputs share one
 arbitrary positive scale; comparisons downstream are ratio-based.
+
+Each function takes one camera column (or radius) or an array of them
+and answers in kind: a float for a scalar, one value per entry for an
+array. A scalar goes through the same array path, and every column's
+rate is its own exact ``math.fsum``, so a column's value does not
+depend on which other columns are asked for with it.
 """
 
 from __future__ import annotations
@@ -24,23 +30,27 @@ class ZeroRate(ArithmeticError):
     """Visibility undefined: the rate vanished at every scan phase."""
 
 
-def counting_rate_reduced(state: SuperposedState, k_b: int, phi_0: float) -> float:
-    """Counting rate at one b mode, with both source amplitudes kept general.
+def counting_rate_reduced(state: SuperposedState, k_b, phi_0: float):
+    """Counting rate at b mode ``k_b`` (an int or an index array).
 
     sum_a |C|^2 { |a1|^2 + |a2|^2 + 2 |a1||a2| cos[dphi_a - phi_0] }
     where dphi_a is the a phase less the state's ``phase_offset``, so
     phi_0 = 0 sits on the on-axis bright fringe. For balanced sources
-    this is sum_a |C|^2 {1 + cos[dphi_a - phi_0]}. Accumulated with
-    compensated summation.
+    this is sum_a |C|^2 {1 + cos[dphi_a - phi_0]}. The fringe factor and
+    |C|^2 of the requested columns are formed once; each column's rate
+    is the exact ``math.fsum`` of its elementwise products. Returns a
+    float for an int ``k_b``, else one rate per column.
     """
     a1 = abs(state.alpha1)
     a2 = abs(state.alpha2)
-    weights = np.abs(state.base.amplitudes[:, k_b]) ** 2
+    weights = np.abs(state.base.amplitudes.T[np.atleast_1d(k_b)]) ** 2
     arg = state.phase_a - state.phase_offset - phi_0
-    return math.fsum(weights * ((a1 * a1 + a2 * a2) + 2.0 * a1 * a2 * np.cos(arg)))
+    terms = weights * ((a1 * a1 + a2 * a2) + 2.0 * a1 * a2 * np.cos(arg))
+    rates = [math.fsum(row.tolist()) for row in terms]
+    return rates[0] if np.ndim(k_b) == 0 else np.array(rates)
 
 
-def sweep_visibility(rate_fn: Callable[[float], float]) -> float:
+def sweep_visibility(rate_fn: Callable[[float], object]):
     """Exact fringe visibility of a rate that is one sinusoid in phi_0.
 
     Every rate here has the form A + Re(S e^{-i phi_0}), whose visibility
@@ -49,34 +59,49 @@ def sweep_visibility(rate_fn: Callable[[float], float]) -> float:
     hence V = 2 hypot(r0 - r2, r1 - r3) / (r0 + r1 + r2 + r3), clamped
     into [0, 1]. The second harmonic r0 + r2 - r1 - r3 must vanish;
     ValueError flags a ``rate_fn`` that is not a single sinusoid.
+
+    ``rate_fn`` returns a float or a 1-D array of rates (one per column);
+    the formula is applied column by column with ``math.fsum`` and
+    ``math.hypot``, and the result is a float or one visibility per
+    column accordingly.
     """
-    r0, r1, r2, r3 = (rate_fn(k * 0.5 * math.pi) for k in range(4))
-    total = math.fsum((r0, r1, r2, r3))
-    if total == 0.0:
-        raise ZeroRate("rate is zero at every scan phase")
-    harmonic = abs(r0 + r2 - r1 - r3)
-    if harmonic > 1e-9 * abs(total):
-        raise ValueError(
-            f"rate is not a single sinusoid in phi_0 (second harmonic {harmonic!r} "
-            f"against a summed rate of {total!r})"
-        )
-    visibility = 2.0 * math.hypot(r0 - r2, r1 - r3) / total
-    return min(max(visibility, 0.0), 1.0)
+    samples = [rate_fn(k * 0.5 * math.pi) for k in range(4)]
+    visibilities = []
+    for r0, r1, r2, r3 in zip(*(np.atleast_1d(r).tolist() for r in samples)):
+        total = math.fsum((r0, r1, r2, r3))
+        if total == 0.0:
+            raise ZeroRate("rate is zero at every scan phase")
+        harmonic = abs(r0 + r2 - r1 - r3)
+        if harmonic > 1e-9 * abs(total):
+            raise ValueError(
+                f"rate is not a single sinusoid in phi_0 (second harmonic {harmonic!r} "
+                f"against a summed rate of {total!r})"
+            )
+        visibility = 2.0 * math.hypot(r0 - r2, r1 - r3) / total
+        visibilities.append(min(max(visibility, 0.0), 1.0))
+    return visibilities[0] if np.ndim(samples[0]) == 0 else np.array(visibilities)
 
 
-def visibility_scan(state: SuperposedState, rho: float) -> float:
-    """Brute-force visibility at camera radius rho from the grid rate.
+def visibility_scan(state: SuperposedState, rho):
+    """Brute-force visibility at camera radius rho (a scalar or an array).
 
-    rho must coincide (within half the local grid pitch) with one of the
-    camera radii represented in the state's b grid.
+    Every radius must coincide (within half the local grid pitch) with
+    one of the camera radii represented in the state's b grid; one
+    off-grid radius raises ValueError. All radii are mapped to columns
+    at once and go through one ``sweep_visibility``. Returns a float for
+    a scalar rho, else one visibility per radius.
     """
     radii = state.base.grid_b.mode_thetas() * state.config.f0
-    k_b = int(np.argmin(np.abs(radii - rho)))
+    wanted = np.atleast_1d(np.asarray(rho, dtype=float))
+    k_b = np.argmin(np.abs(radii - wanted[:, np.newaxis]), axis=1)
     unique = np.unique(radii)
     pitch = float(np.min(np.diff(unique))) if unique.size > 1 else math.inf
-    if abs(radii[k_b] - rho) > max(0.5 * pitch, 1e-12):
+    off_grid = np.abs(radii[k_b] - wanted) > max(0.5 * pitch, 1e-12)
+    if off_grid.any():
+        j = int(np.argmax(off_grid))
         raise ValueError(
-            f"rho = {rho!r} m is not represented on the camera grid "
-            f"(nearest column at {radii[k_b]!r} m)"
+            f"rho = {float(wanted[j])!r} m is not represented on the camera grid "
+            f"(nearest column at {float(radii[k_b[j]])!r} m)"
         )
-    return sweep_visibility(lambda p: counting_rate_reduced(state, k_b, p))
+    visibility = sweep_visibility(lambda p: counting_rate_reduced(state, k_b, p))
+    return float(visibility[0]) if np.ndim(rho) == 0 else visibility

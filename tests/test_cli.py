@@ -381,6 +381,23 @@ def test_manifest_records_each_command(tmp_path, cfg_file, command, flags, suffi
     assert written == {f"run{s}" for s in suffixes} | {"run.manifest.json"}
 
 
+def test_dotted_out_base_keeps_its_whole_name(tmp_path, cfg_file):
+    # two bases that differ only after their first dot write separate files
+    for base, rho_list in (("s0.0005_vrho", "0,0.5"), ("s0.002_vrho", "0,1,1.5")):
+        out = tmp_path / base
+        argv = ["visibility", "--config", cfg_file, "--out", str(out), "--rho-mm-list", rho_list]
+        assert main(argv) == 0
+        manifest = json.loads((tmp_path / f"{base}.manifest.json").read_text())
+        assert manifest["outputs"] == [str(tmp_path / f"{base}.csv")]
+    written = {p.name for p in tmp_path.iterdir()} - {"partial.cfg"}
+    assert written == {
+        "s0.0005_vrho.csv", "s0.0005_vrho.manifest.json",
+        "s0.002_vrho.csv", "s0.002_vrho.manifest.json",
+    }
+    assert len((tmp_path / "s0.0005_vrho.csv").read_text().splitlines()) == 3
+    assert len((tmp_path / "s0.002_vrho.csv").read_text().splitlines()) == 4
+
+
 @pytest.mark.parametrize("command,flags,key", [
     ("invert", ["--v0", "0.9"], "sigma_theta_rad"),
     ("eqwavelength", ["--data", None], "lambda_eq_nm"),

@@ -1,5 +1,6 @@
 """Config parsing, PGM/CSV round trips and the run manifest."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -272,3 +273,25 @@ def test_config_to_dict_round_trips_model(partial_cfg):
     assert d["correlation_model"] == "gaussian_partial"
     assert d["lambda_a"] == partial_cfg.lambda_a
     assert d["sigma_theta"] == partial_cfg.sigma_theta
+
+
+def test_manifest_dicts_match_asdict(tmp_path, partial_cfg, maximal_cfg):
+    # the shallow field dicts serialize exactly as dataclasses.asdict did
+    target = tmp_path / "out.csv"
+    target.write_text("data\n")
+    for cfg in (partial_cfg, maximal_cfg):
+        deep = dataclasses.asdict(cfg)
+        deep["correlation_model"] = cfg.correlation_model.value
+        assert config_to_dict(cfg) == deep
+        manifest = RunManifest(
+            command="simulate",
+            config=config_to_dict(cfg),
+            outputs=(target, str(target)),
+            version="0.1.0",
+            duration_s=0.125,
+            started_at="2026-08-23T00:00:00+00:00",
+        )
+        path = tmp_path / "run.manifest.json"
+        write_manifest(manifest, path)
+        expected = json.dumps(dataclasses.asdict(manifest), indent=2, sort_keys=True) + "\n"
+        assert path.read_bytes() == expected.encode("utf-8")

@@ -177,3 +177,75 @@ def test_partial_oracle_converges_in_grid_size(partial_cfg):
     order = -np.polyfit(np.log(sizes), np.log(errors), 1)[0]
     assert order >= 1.5
     assert errors[-1] <= 2e-5
+
+
+def _reference_rate(state, k_b, phi_0):
+    """The one-column sum the batched counting_rate_reduced replaced."""
+    a1 = abs(state.alpha1)
+    a2 = abs(state.alpha2)
+    weights = np.abs(state.base.amplitudes[:, k_b]) ** 2
+    arg = state.phase_a - state.phase_offset - phi_0
+    return math.fsum(weights * ((a1 * a1 + a2 * a2) + 2.0 * a1 * a2 * np.cos(arg)))
+
+
+def _reference_visibility(state, k_b):
+    """The scalar four-phase visibility the column-wise sweep replaced."""
+    r0, r1, r2, r3 = (_reference_rate(state, k_b, k * 0.5 * math.pi) for k in range(4))
+    visibility = 2.0 * math.hypot(r0 - r2, r1 - r3) / math.fsum((r0, r1, r2, r3))
+    return min(max(visibility, 0.0), 1.0)
+
+
+@pytest.mark.parametrize("model", list(CorrelationModel), ids=lambda m: m.value)
+@pytest.mark.parametrize("n_modes", (128, 512, 1024))
+@pytest.mark.parametrize("amplitudes", [{}, {"alpha1_mag": 0.8, "alpha2_mag": 0.6}],
+                         ids=["balanced", "unbalanced"])
+def test_batched_oracle_is_bit_identical_to_per_column_sums(model, n_modes, amplitudes):
+    cfg = make_config(model, **amplitudes)
+    radii = np.linspace(0.0, 0.5 * cfg.f0 * cfg.sigma_b, 16)
+    state = assemble_state(cfg, radii, n_modes=n_modes)
+    columns = np.arange(state.base.grid_b.n_modes)
+    # a repeated and reordered subset gives each column the same bits
+    subset = np.array([15, 3, 3, 0, 9])
+    for phi_0 in (0.0, 0.4, 0.5 * math.pi, 2.1, math.pi, 1.5 * math.pi, -3.0):
+        reference = np.array([_reference_rate(state, k, phi_0) for k in columns.tolist()])
+        assert np.array_equal(counting_rate_reduced(state, columns, phi_0), reference)
+        assert np.array_equal(counting_rate_reduced(state, subset, phi_0), reference[subset])
+    reference = np.array([_reference_visibility(state, k) for k in columns.tolist()])
+    assert np.array_equal(visibility_scan(state, radii), reference)
+    assert np.array_equal(visibility_scan(state, radii[::-1]), reference[::-1])
+
+
+def test_scalar_column_and_radius_return_python_floats(partial_cfg):
+    state = assemble_state(partial_cfg, RHO, n_modes=128)
+    for k_b in (4, np.int64(4)):
+        rate = counting_rate_reduced(state, k_b, 0.3)
+        assert type(rate) is float
+        assert rate == counting_rate_reduced(state, np.array([4]), 0.3)[0]
+    for rho in (float(RHO[4]), np.float64(RHO[4])):
+        vis = visibility_scan(state, rho)
+        assert type(vis) is float
+        assert vis == visibility_scan(state, RHO[4:5])[0]
+    assert type(sweep_visibility(lambda p: 1.0 + 0.5 * math.cos(p))) is float
+
+
+def test_visibility_scan_rejects_one_off_grid_radius_in_an_array(partial_cfg):
+    state = assemble_state(partial_cfg, RHO, n_modes=64)
+    radii = RHO.copy()
+    radii[7] = 0.5 * (RHO[3] + RHO[4])
+    with pytest.raises(ValueError, match="not represented on the camera grid"):
+        visibility_scan(state, radii)
+
+
+def test_sweep_visibility_applies_the_formula_per_column():
+    def rates(p):
+        return np.array([1.0 + math.cos(p), 3.0 + math.cos(p - 1.0), 2.0])
+
+    got = sweep_visibility(rates)
+    assert got.shape == (3,)
+    assert got[0] == pytest.approx(1.0, abs=1e-15)
+    assert got[1] == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert got[2] == 0.0
+    with pytest.raises(ZeroRate):
+        sweep_visibility(lambda p: np.array([1.0 + math.cos(p), 0.0]))
+    with pytest.raises(ValueError, match="second harmonic"):
+        sweep_visibility(lambda p: np.array([2.0, 1.0 + math.cos(2.0 * p)]))

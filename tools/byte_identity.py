@@ -7,10 +7,12 @@ package (the ``src`` directory of two checkouts). One fixed command list
 runs against each: 27 configs (3 models x d_a 5/11.7/20 mm x sigma_theta
 5e-4/9.37e-4/2e-3), each through simulate at 256 px with phi0 0.4, at
 600 px and at an odd resolution, visibility with a sigma list and with a
-rho list, invert, eqwavelength and oracle at 512 modes. Every command is
-``python -m twinfringes.cli`` in a fresh interpreter with PYTHONPATH set
-to the tree. Exit codes and every output file are compared; manifests
-are compared without ``started_at``, ``duration_s`` and output paths.
+rho list, invert, eqwavelength and oracle at 128, 512 and 1024 modes
+(a partial check that misses its gate at 128 modes exits 2 and still
+writes its report). Every command is ``python -m twinfringes.cli`` in a
+fresh interpreter with PYTHONPATH set to the tree. Exit codes and every
+output file are compared; manifests are compared without ``started_at``,
+``duration_s`` and output paths.
 Prints each difference and exits 1 if there is any, else exits 0.
 Standard library only.
 """
@@ -46,6 +48,8 @@ COMMANDS = {
     "invert": ["invert", "--v0", "0.9", "--rho1-mm", "1.3"],
     "eqwl": ["eqwavelength", "--data", "RINGS"],
     "oracle": ["oracle", "--grid-points", "512"],
+    "oracle128": ["oracle", "--grid-points", "128"],
+    "oracle1024": ["oracle", "--grid-points", "1024"],
 }
 
 VOLATILE = ("started_at", "duration_s")
@@ -54,7 +58,8 @@ VOLATILE = ("started_at", "duration_s")
 def _configs() -> dict[str, str]:
     out = {}
     for model, d_a, sigma in itertools.product(MODELS, D_A_MM, SIGMA_THETA):
-        # no dots: the CLI derives output names with Path.with_suffix
+        # No dots in run names: older trees cut an --out base at its last
+        # dot (Path.with_suffix), and the comparison must run against them.
         name = f"{model}_d{d_a:g}_s{sigma:g}".replace(".", "p")
         out[name] = OPTICS + f"d_a_mm = {d_a!r}\nsigma_theta = {sigma!r}\nmodel = {model}\n"
     return out

@@ -7,6 +7,15 @@ modulus. The radial quadrature of the same rate is kept only as an
 independent reference route. Images are rendered from a 1D radial
 profile, so the circular symmetry of the patterns is exact by
 construction.
+
+A square image of N pixels is centred with c_{N-1-i} = -c_i bit for
+bit, so it is fixed by both flips and by transposition. A
+``FringeImage`` therefore stores only its lower-right quadrant, the
+ceil(N/2) x ceil(N/2) block of nonnegative centres, and ``values``
+mirrors it out to the full frame on each access. ``render_pattern``
+evaluates that quadrant on one octant, its upper triangle, and fills
+the lower triangle by transposition; the PGM writer quantises the
+quadrant and mirrors the 16-bit samples.
 """
 
 from __future__ import annotations
@@ -59,25 +68,53 @@ class RadialProfile:
             raise ValueError("visibility must lie in [0, 1]")
 
 
+def mirror_quadrant(quadrant: np.ndarray, height: int, width: int) -> np.ndarray:
+    """The (height, width) image whose lower-right quadrant is ``quadrant``.
+
+    ``quadrant`` holds rows i >= height // 2 and columns j >= width // 2;
+    row i and column j of the image are copies of rows and columns
+    height - 1 - i and width - 1 - j. The result has the quadrant's dtype.
+    """
+    top, left = height // 2, width // 2
+    image = np.empty((height, width), dtype=quadrant.dtype)
+    image[top:, left:] = quadrant
+    image[top:, :left] = quadrant[:, ::-1][:, :left]
+    image[:top] = image[top:][::-1][:top]
+    return image
+
+
 @dataclass(frozen=True, eq=False)
 class FringeImage:
-    """Rendered counting-rate field with its normalization metadata."""
+    """Rendered counting-rate field with its normalization metadata.
+
+    The field is symmetric under both flips, so only its lower-right
+    quadrant, of shape (ceil(height / 2), ceil(width / 2)), is stored;
+    ``values`` builds the full (height, width) array on each access.
+    """
 
     width: int
     height: int
     pixel_pitch: float
-    values: np.ndarray
+    quadrant: np.ndarray
     normalization: float
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        if values.shape != (self.height, self.width):
-            raise ValueError(f"values shape {values.shape} != (height, width)")
-        if np.any(values < 0.0):
+        quadrant = np.asarray(self.quadrant, dtype=float)
+        object.__setattr__(self, "quadrant", quadrant)
+        expected = ((self.height + 1) // 2, (self.width + 1) // 2)
+        if quadrant.shape != expected:
+            raise ValueError(
+                f"quadrant shape {quadrant.shape} != (ceil(height/2), ceil(width/2)) = {expected}"
+            )
+        if np.any(quadrant < 0.0):
             raise ValueError("rate field must be nonnegative")
-        if values.size and self.normalization != float(values.max()):
+        if quadrant.size and self.normalization != float(quadrant.max()):
             raise ValueError("normalization must equal the frame maximum")
+
+    @property
+    def values(self) -> np.ndarray:
+        """The full (height, width) rate field, mirrored from the quadrant."""
+        return mirror_quadrant(self.quadrant, self.height, self.width)
 
 
 def _envelope(rho, cfg: ExperimentConfig):
@@ -332,6 +369,11 @@ def radial_profile(
     return RadialProfile(rho, _rate_curve(rho, phi_0, cfg), _visibility_curve(rho, cfg))
 
 
+# render_pattern evaluates the upper triangle of its quadrant in this
+# many row strips; fewer strips evaluate more of the lower triangle.
+_RENDER_STRIPS = 8
+
+
 def render_pattern(
     cfg: ExperimentConfig, screen_size: float, resolution: int, phi_0: float
 ) -> FringeImage:
@@ -346,10 +388,13 @@ def render_pattern(
     c_i = (i - (N - 1) / 2) * pitch. The offset i - (N - 1) / 2 is an
     exact half-integer, so each center is one rounding of the exact
     value and c_{N-1-i} = -c_i holds bit for bit; for odd N the middle
-    center is exactly 0. The radii and rates are therefore computed only
-    on the ceil(N/2) x ceil(N/2) quadrant i, j >= N // 2, and the other
-    three quadrants are its mirror images. The image is exactly
-    symmetric under both flips and under transposition.
+    center is exactly 0. The image is therefore exactly symmetric under
+    both flips and is stored as its ceil(N/2) x ceil(N/2) quadrant
+    i, j >= N // 2. The quadrant is symmetric too, since hypot(x, y) is
+    hypot(y, x), so only its upper triangle is evaluated, in
+    _RENDER_STRIPS row strips (rows a0:a1, columns a0:), and each strip
+    is also written transposed into columns a0:a1. Every pixel is the
+    interpolated rate at its own center radius.
     """
     if resolution < 64:
         raise ValueError("resolution must be at least 64 pixels")
@@ -360,17 +405,18 @@ def render_pattern(
     n_prof = 4 * resolution + 2
     r_prof = np.linspace(0.0, r_corner + pitch, n_prof)
     rates = _rate_curve(r_prof, phi_0, cfg)
-    half = resolution // 2
-    centers = (np.arange(half, resolution) - 0.5 * (resolution - 1)) * pitch
-    quadrant = np.interp(np.hypot(centers[:, None], centers[None, :]), r_prof, rates)
-    values = np.empty((resolution, resolution))
-    values[half:, half:] = quadrant
-    values[half:, :half] = quadrant[:, ::-1][:, :half]
-    values[:half] = values[half:][::-1][:half]
+    centers = (np.arange(resolution // 2, resolution) - 0.5 * (resolution - 1)) * pitch
+    n = centers.size
+    quadrant = np.empty((n, n))
+    edges = [n * k // _RENDER_STRIPS for k in range(_RENDER_STRIPS + 1)]
+    for a0, a1 in zip(edges[:-1], edges[1:]):
+        strip = np.interp(np.hypot(centers[a0:a1, None], centers[None, a0:]), r_prof, rates)
+        quadrant[a0:a1, a0:] = strip
+        quadrant[a0:, a0:a1] = strip.T
     return FringeImage(
         width=resolution,
         height=resolution,
         pixel_pitch=pitch,
-        values=values,
+        quadrant=quadrant,
         normalization=float(quadrant.max()),
     )

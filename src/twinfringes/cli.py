@@ -52,7 +52,7 @@ from .inverse import (
     infer_lambda_a,
     ring_law_lambda_eq,
 )
-from .oracle import UnequalAmplitudes, counting_rate_reduced, visibility_scan
+from .oracle import UnequalAmplitudes, visibility_scan
 from .state import assemble_state
 
 EXIT_OK = 0
@@ -216,12 +216,12 @@ def run_oracle_check(cfg: ExperimentConfig, grid_points: int, out) -> None:
 
     Samples 16 radii across the envelope, extracts the exact grid
     visibility |S| / A from the grid rate A + Re(S e^{-i phi_0}) at four
-    scan phases, computes the grid rate curve at phi_0 = 0, and checks
-    both against the analytic results for the configured model. The
-    closed forms assume balanced sources, so UnequalAmplitudes is raised
-    unless |alpha1| = |alpha2|. The JSON report is written even on
-    failure; ToleranceExceeded is raised afterwards so the discrepancies
-    stay inspectable.
+    scan phases, takes the grid rate curve from the phi_0 = 0 phase of
+    that scan, and checks both against the analytic results for the
+    configured model. The closed forms assume balanced sources, so
+    UnequalAmplitudes is raised unless |alpha1| = |alpha2|. The JSON
+    report is written even on failure; ToleranceExceeded is raised
+    afterwards so the discrepancies stay inspectable.
     """
     if grid_points < 128:
         raise UsageError("grid_points must be at least 128")
@@ -232,8 +232,9 @@ def run_oracle_check(cfg: ExperimentConfig, grid_points: int, out) -> None:
         )
     closed = radial_profile(cfg, 0.5 * cfg.f0 * cfg.sigma_b, 16, 0.0)
     state = assemble_state(cfg, closed.rho, n_modes=grid_points)
-    vis_grid = visibility_scan(state, closed.rho)
-    rate_grid = counting_rate_reduced(state, np.arange(state.base.grid_b.n_modes), 0.0)
+    # the b grid's columns are exactly these radii, so the sweep's
+    # phi_0 = 0 sample is the rate curve at every column
+    vis_grid, rate_grid = visibility_scan(state, closed.rho, return_rate=True)
 
     vis_tol, rate_tol = _ORACLE_TOLS[cfg.correlation_model]
     vis_err = float(np.max(np.abs(vis_grid - closed.visibility)))

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analytics import FringeImage, RadialProfile
+from .analytics import FringeImage, RadialProfile, mirror_quadrant
 from .config import CorrelationModel, ExperimentConfig, validate_config
 
 PGM_MAXVAL = 65535
@@ -107,17 +107,20 @@ def write_pgm(image: FringeImage, path) -> None:
 
     The physical rate corresponding to the full-scale sample is recorded
     in a comment line so the image is invertible to absolute units.
+    Only the stored quadrant is scaled and rounded; its 16-bit samples
+    are mirrored out to the full frame.
     """
     scale = PGM_MAXVAL / image.normalization if image.normalization > 0.0 else 0.0
-    samples = np.multiply(image.values, scale)
+    samples = np.multiply(image.quadrant, scale)
     np.rint(samples, out=samples)
     np.clip(samples, 0, PGM_MAXVAL, out=samples)
+    samples = samples.astype(">u2")
     header = (
         f"P5\n# rate_max {image.normalization:.12e}\n{image.width} {image.height}\n{PGM_MAXVAL}\n"
     )
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(samples.astype(">u2"))
+        fh.write(mirror_quadrant(samples, image.height, image.width))
 
 
 def read_pgm(path) -> tuple[np.ndarray, float]:

@@ -315,9 +315,12 @@ def test_render_pattern_validates_arguments(maximal_cfg):
 
 
 def test_fringe_image_invariants():
+    # the image stores its (ceil(h/2), ceil(w/2)) lower-right quadrant
     with pytest.raises(ValueError, match="shape"):
         FringeImage(4, 4, 1e-5, np.zeros((3, 4)), 0.0)
+    with pytest.raises(ValueError, match="shape"):
+        FringeImage(4, 4, 1e-5, np.zeros((4, 4)), 0.0)
     with pytest.raises(ValueError, match="nonnegative"):
-        FringeImage(2, 2, 1e-5, np.array([[1.0, -0.1], [0.0, 0.5]]), 1.0)
+        FringeImage(4, 4, 1e-5, np.array([[1.0, -0.1], [0.0, 0.5]]), 1.0)
     with pytest.raises(ValueError, match="normalization"):
-        FringeImage(2, 2, 1e-5, np.ones((2, 2)), 0.5)
+        FringeImage(4, 4, 1e-5, np.ones((2, 2)), 0.5)

@@ -3,12 +3,14 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from twinfringes import (
+    CorrelationModel,
     UnequalAmplitudes,
     __version__,
     fringe_radius,
@@ -75,6 +77,22 @@ def test_simulate_is_deterministic(tmp_path, cfg_file):
     assert main(args + ["--out", str(tmp_path / "b")]) == 0
     assert (tmp_path / "a.pgm").read_bytes() == (tmp_path / "b.pgm").read_bytes()
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+@pytest.mark.parametrize("model", list(CorrelationModel), ids=lambda m: m.value)
+def test_simulate_peaks_below_one_full_float_image(tmp_path, model):
+    # the frame is rendered, stored and quantised as one quadrant; only
+    # the 16-bit samples are ever mirrored out to the full frame
+    cfg, resolution = make_config(model), 1024
+    outputs = (tmp_path / "image.pgm", tmp_path / "profile.csv")
+    run_simulate(cfg, 3.0, resolution, 0.4, *outputs)
+    tracemalloc.start()
+    try:
+        run_simulate(cfg, 3.0, resolution, 0.4, *outputs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < resolution * resolution * np.dtype(float).itemsize
 
 
 def test_simulate_requires_out(cfg_file):

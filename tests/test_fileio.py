@@ -186,18 +186,20 @@ def _reference_profile_text(profile):
     return "\n".join(lines) + "\n"
 
 
-def _fringe_image(values):
-    values = np.asarray(values, dtype=float)
-    return FringeImage(values.shape[1], values.shape[0], 1e-5, values, float(values.max()))
+def _fringe_image(quadrant, height, width):
+    quadrant = np.asarray(quadrant, dtype=float)
+    return FringeImage(width, height, 1e-5, quadrant, float(quadrant.max()))
 
 
 def _pgm_cases(cfgs):
     rng = np.random.default_rng(7)
     images = [render_pattern(cfg, 3e-3, n, 0.4) for cfg in cfgs for n in (64, 257)]
-    images.append(_fringe_image(rng.random((70, 90)) * 3.7e-9))
-    # samples on exact half granules, where rint rounds half to even
-    images.append(_fringe_image(np.arange(0.0, 65535.5, 0.5).reshape(1, -1)))
-    images.append(_fringe_image(np.zeros((64, 64))))
+    images.append(_fringe_image(rng.random((35, 45)) * 3.7e-9, 70, 90))
+    # samples on exact half granules, where rint rounds half to even;
+    # the quadrant of an odd-width image keeps every one of them
+    half_granules = np.arange(0.0, 65535.5, 0.5).reshape(1, -1)
+    images.append(_fringe_image(half_granules, 1, 2 * half_granules.size - 1))
+    images.append(_fringe_image(np.zeros((32, 32)), 64, 64))
     return images
 
 

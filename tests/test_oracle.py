@@ -215,6 +215,22 @@ def test_batched_oracle_is_bit_identical_to_per_column_sums(model, n_modes, ampl
     assert np.array_equal(visibility_scan(state, radii[::-1]), reference[::-1])
 
 
+@pytest.mark.parametrize("model", list(CorrelationModel), ids=lambda m: m.value)
+@pytest.mark.parametrize("n_modes", (128, 1024))
+def test_scan_rate_is_the_phi0_zero_rate_of_every_column(model, n_modes):
+    # run_oracle_check takes its rate curve from the sweep's first phase
+    cfg = make_config(model)
+    radii = np.linspace(0.0, 0.5 * cfg.f0 * cfg.sigma_b, 16)
+    state = assemble_state(cfg, radii, n_modes=n_modes)
+    vis, rate = visibility_scan(state, radii, return_rate=True)
+    columns = np.arange(state.base.grid_b.n_modes)
+    assert np.array_equal(rate, counting_rate_reduced(state, columns, 0.0))
+    assert np.array_equal(vis, visibility_scan(state, radii))
+    vis4, rate4 = visibility_scan(state, float(radii[4]), return_rate=True)
+    assert type(vis4) is float and type(rate4) is float
+    assert (vis4, rate4) == (vis[4], rate[4])
+
+
 def test_scalar_column_and_radius_return_python_floats(partial_cfg):
     state = assemble_state(partial_cfg, RHO, n_modes=128)
     for k_b in (4, np.int64(4)):

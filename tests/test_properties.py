@@ -19,11 +19,15 @@ from twinfringes import (
     derive_constants,
     estimate_sigma_theta,
     parse_config,
+    render_pattern,
     visibility_closed_form,
     visibility_hwhm,
+    write_pgm,
 )
+from twinfringes.analytics import _rate_curve
 
 from conftest import make_config
+from test_fileio import _reference_pgm_bytes
 
 # Deterministic draws keep the tier-1 run reproducible.
 PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
@@ -90,6 +94,35 @@ def test_hwhm_is_the_innermost_crossing(sigma, d, n):
     inner = grid[grid < hwhm]
     assert np.all(visibility_closed_form(inner, cfg) >= half)
     assert visibility_closed_form(grid[len(inner)], cfg) < half
+
+
+# Every image size of the render workload (256-1024 px) and beyond, odd
+# and even; each example renders one image and evaluates it per pixel.
+RENDER_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
+
+
+@RENDER_SETTINGS
+@given(
+    st.integers(64, 1100),
+    st.floats(5e-4, 6e-3),
+    st.floats(-10.0, 10.0),
+    st.sampled_from(list(CorrelationModel)),
+)
+def test_octant_render_and_quadrant_pgm_match_full_frame_references(
+    tmp_path_factory, resolution, screen, phi, model
+):
+    cfg = make_config(model)
+    image = render_pattern(cfg, screen, resolution, phi)
+    pitch = screen / resolution
+    centers = (np.arange(resolution) - 0.5 * (resolution - 1)) * pitch
+    r_prof = np.linspace(0.0, 0.5 * screen * math.sqrt(2.0) + pitch, 4 * resolution + 2)
+    direct = np.interp(
+        np.hypot(centers[:, None], centers[None, :]), r_prof, _rate_curve(r_prof, phi, cfg)
+    )
+    assert np.array_equal(image.values, direct)
+    path = tmp_path_factory.mktemp("render") / "image.pgm"
+    write_pgm(image, path)
+    assert path.read_bytes() == _reference_pgm_bytes(image)
 
 
 # Config keys in file units: key -> (config field, scale to SI units).

@@ -6,7 +6,9 @@ PARENT_SRC and CHANGE_SRC are directories that hold the ``twinfringes``
 package (the ``src`` directory of two checkouts). One fixed command list
 runs against each: 27 configs (3 models x d_a 5/11.7/20 mm x sigma_theta
 5e-4/9.37e-4/2e-3), each through simulate at 256 px with phi0 0.4, at
-600 px and at an odd resolution, visibility with a sigma list and with a
+600 px, at an odd resolution and at 1021 px (odd, at the top of the
+render workload's range, with 511 quadrant rows that the 8 render
+strips do not divide evenly), visibility with a sigma list and with a
 rho list, invert, eqwavelength and oracle at 128, 512 and 1024 modes
 (a partial check that misses its gate at 128 modes exits 2 and still
 writes its report). Every command is ``python -m twinfringes.cli`` in a
@@ -43,6 +45,7 @@ COMMANDS = {
     "sim256": ["simulate", "--resolution", "256", "--phi0", "0.4"],
     "sim600": ["simulate", "--resolution", "600"],
     "sim301": ["simulate", "--resolution", "301", "--screen-mm", "2.5", "--phi0", "2.1"],
+    "sim1021": ["simulate", "--resolution", "1021", "--screen-mm", "3.7", "--phi0", "5.3"],
     "vsigma": ["visibility", "--sigma-list", "3e-4,5e-4,9.37e-4,2e-3,5e-3"],
     "vrho": ["visibility", "--rho-mm-list", "0,0.25,0.5,0.777,1,1.5,3"],
     "invert": ["invert", "--v0", "0.9", "--rho1-mm", "1.3"],

@@ -26,6 +26,7 @@ from .analytics import (
     render_pattern,
     visibility_closed_form,
     visibility_hwhm,
+    visibility_hwhms,
 )
 from .config import (
     ConfigError,

@@ -25,16 +25,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .analytics import (
-    NoHalfPoint,
-    _visibility_curve,
-    central_visibility,
-    radial_profile,
-    render_pattern,
-    visibility_hwhm,
-)
+from .analytics import _visibility_curve, radial_profile, render_pattern, visibility_hwhms
 from . import __version__
-from .config import CorrelationModel, ExperimentConfig, validate_config
+from .config import CorrelationModel, ExperimentConfig, derive_constants, validate_config
 from .fileio import (
     ParseError,
     RunManifest,
@@ -132,16 +125,17 @@ def run_visibility_scan(cfg: ExperimentConfig, out_csv, sigma_list=None, rho_lis
     lines = []
     if sigma_list:
         lines.append("sigma_theta,v0,hwhm_m")
-        for sigma in sigma_list:
-            scan_cfg = dataclasses.replace(cfg, sigma_theta=float(sigma))
+        sigmas = [float(sigma) for sigma in sigma_list]
+        constants = []
+        for sigma in sigmas:
+            scan_cfg = dataclasses.replace(cfg, sigma_theta=sigma)
             if sigma != 0.0:
                 validate_config(scan_cfg)
-            v0 = central_visibility(scan_cfg)
-            try:
-                hwhm = f"{visibility_hwhm(scan_cfg):.11e}"
-            except NoHalfPoint:
-                hwhm = ""
-            lines.append(f"{sigma:.11e},{v0:.11e},{hwhm}")
+            constants.append(derive_constants(scan_cfg))
+        for sigma, c, hwhm in zip(sigmas, constants, visibility_hwhms(sigmas, constants)):
+            # 2 / gamma is central_visibility(scan_cfg)
+            hwhm_text = "" if hwhm is None else f"{hwhm:.11e}"
+            lines.append(f"{sigma:.11e},{2.0 / c.gamma:.11e},{hwhm_text}")
     else:
         if min(rho_list) < 0.0:
             raise UsageError("scanned radii must be nonnegative")

@@ -203,6 +203,17 @@ def validate_config(raw: ExperimentConfig) -> ExperimentConfig:
     return raw
 
 
+def shell_gamma(sigma: float, a_eff: float, b_coeff: float) -> tuple[float, float]:
+    """(kappa, gamma) at width sigma: kappa = sigma^2 n_a A B^2, gamma = sqrt(4 + kappa^2).
+
+    ``a_eff`` is n_a A and ``b_coeff`` is B. ``derive_constants`` and
+    the width bisection both go through this, so a width's gamma has
+    the same bits on either path.
+    """
+    kappa = sigma * sigma * a_eff * b_coeff * b_coeff
+    return kappa, math.sqrt(4.0 + kappa * kappa)
+
+
 def derive_constants(cfg: ExperimentConfig) -> FringeConstants:
     """Compute all closed-form constants from a validated config.
 
@@ -218,8 +229,7 @@ def derive_constants(cfg: ExperimentConfig) -> FringeConstants:
     b_coeff = cfg.f0 * cfg.lambda_b / cfg.lambda_p
     sigma = cfg.sigma_theta if cfg.sigma_theta is not None else 0.0
     a_eff = cfg.n_a * a_coeff
-    kappa = sigma * sigma * a_eff * b_coeff * b_coeff
-    gamma = math.sqrt(4.0 + kappa * kappa)
+    kappa, gamma = shell_gamma(sigma, a_eff, b_coeff)
     ab = a_eff * b_coeff
     chi = gamma / ab if ab != 0.0 else math.inf
     g = 1j * math.sqrt(2.0) * ab * sigma / cmath.sqrt(complex(2.0, -kappa))

@@ -10,12 +10,11 @@ coincidence data enters anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import central_visibility
-from .config import CorrelationModel, ExperimentConfig
+from .config import CorrelationModel, ExperimentConfig, derive_constants, shell_gamma
 from .state import ModeGrid, TwoPhotonState, build_amplitudes
 
 
@@ -102,16 +101,23 @@ def estimate_sigma_theta_bisect(
 
     Shares no algebra with estimate_sigma_theta; the two must agree,
     which guards the constant derivations on both sides. The forward
-    model central_visibility is strictly decreasing in sigma_theta, so
+    model is central_visibility, 2 / gamma, with the factors of gamma
+    that do not depend on sigma_theta derived once: each step is
+    ``shell_gamma``, the same float operations as
+    central_visibility(replace(cfg, sigma_theta=sigma)), so the same
+    comparisons are made and the same float is returned. The forward
+    model is non-increasing in sigma_theta, in float arithmetic too, so
     plain bisection on [0, hi] converges unconditionally.
     """
     if not 0.0 < v0 <= 1.0:
         raise DegenerateVisibility(f"v0 = {v0!r} outside (0, 1]")
     if v0 == 1.0:
         return 0.0
+    constants = derive_constants(cfg)
+    a_eff = cfg.n_a * constants.A
 
     def forward(sigma: float) -> float:
-        return central_visibility(replace(cfg, sigma_theta=sigma))
+        return 2.0 / shell_gamma(sigma, a_eff, constants.B)[1]
 
     if forward(hi) > v0:
         raise ValueError(f"v0 = {v0!r} not reachable within sigma_theta <= {hi}")

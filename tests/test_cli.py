@@ -19,6 +19,7 @@ from twinfringes import (
     read_profile_csv,
     visibility_closed_form,
 )
+from twinfringes import analytics
 from twinfringes.cli import build_parser, main, run_invert, run_oracle_check, run_simulate
 
 from conftest import make_config, mp_partial
@@ -135,6 +136,22 @@ def test_visibility_sigma_scan(tmp_path, cfg_file):
     # both columns shrink as the correlation weakens
     assert float(rows[2][1]) < float(rows[1][1])
     assert float(rows[2][2]) < float(rows[1][2])
+
+
+def test_visibility_sigma_scan_evaluates_all_widths_together(tmp_path, cfg_file, monkeypatch):
+    # every crossing lies in the first march block: one march call and
+    # at most two Newton rounds for the whole list, not two calls per width
+    calls = []
+    dm2 = analytics.dm2_pair_scaled
+    monkeypatch.setattr(
+        analytics, "dm2_pair_scaled", lambda *a: calls.append(np.shape(a[0])) or dm2(*a)
+    )
+    widths = "3e-4,5e-4,7e-4,9.37e-4,1.2e-3,1.5e-3,2e-3,2.5e-3,3e-3,0"
+    out = tmp_path / "scan"
+    argv = ["visibility", "--config", cfg_file, "--out", str(out), "--sigma-list", widths]
+    assert main(argv) == 0
+    assert calls[0] == (9, 65)
+    assert len(calls) <= 3
 
 
 def test_visibility_rho_scan(tmp_path, cfg_file):

@@ -1,13 +1,17 @@
 """Parameter estimation: width inversion, ring regression, reconstruction."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import twinfringes.inverse
+
 from twinfringes import (
     CorrelationModel,
     DegenerateVisibility,
+    ExperimentConfig,
     FringeObservation,
     InsufficientData,
     ModeGrid,
@@ -101,6 +105,56 @@ def test_bisect_agrees_with_closed_inverse(partial_cfg):
 def test_bisect_rejects_unreachable_visibility(partial_cfg):
     with pytest.raises(ValueError, match="not reachable"):
         estimate_sigma_theta_bisect(1e-3, partial_cfg)
+
+
+def _reference_bisect(v0, cfg, hi=5e-2):
+    """The width bisection with a config copy per step, for bit comparison."""
+
+    def forward(sigma):
+        return central_visibility(dataclasses.replace(cfg, sigma_theta=sigma))
+
+    if forward(hi) > v0:
+        raise ValueError("not reachable")
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if forward(mid) > v0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_bisect_matches_config_copy_bisection_bit_for_bit():
+    rng = np.random.default_rng(1009)
+    v0s = [0.1, 0.5, 0.9, 0.98, 0.999999, 1.0 - 1e-12, 1.0 - 2.0**-52, 1.0 - 2.0**-53]
+    for _ in range(30):
+        cfg = make_config(n_a=rng.uniform(1.0, 3.0), d_a=rng.uniform(1e-3, 50e-3))
+        for v0 in v0s + rng.uniform(0.0, 1.0, size=4).tolist():
+            try:
+                expected = _reference_bisect(v0, cfg)
+            except ValueError:
+                with pytest.raises(ValueError, match="not reachable"):
+                    estimate_sigma_theta_bisect(v0, cfg)
+                continue
+            got = estimate_sigma_theta_bisect(v0, cfg)
+            assert got.hex() == expected.hex(), (v0, cfg.n_a, cfg.d_a)
+
+
+def test_bisect_builds_no_config_per_step(partial_cfg, monkeypatch):
+    derived, built = [], []
+    derive, init = twinfringes.inverse.derive_constants, ExperimentConfig.__init__
+    monkeypatch.setattr(
+        twinfringes.inverse, "derive_constants", lambda cfg: derived.append(cfg) or derive(cfg)
+    )
+    monkeypatch.setattr(
+        ExperimentConfig, "__init__", lambda self, *a, **k: built.append(k) or init(self, *a, **k)
+    )
+    estimate_sigma_theta_bisect(0.9, partial_cfg)
+    assert derived == [partial_cfg]
+    assert built == []
 
 
 def _observations(cfg, separations):

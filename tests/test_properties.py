@@ -1,5 +1,6 @@
 """Property tests of the closed forms over the validated input domain."""
 
+import dataclasses
 import math
 import sys
 
@@ -22,6 +23,7 @@ from twinfringes import (
     render_pattern,
     visibility_closed_form,
     visibility_hwhm,
+    visibility_hwhms,
     write_pgm,
 )
 from twinfringes.analytics import _rate_curve
@@ -94,6 +96,28 @@ def test_hwhm_is_the_innermost_crossing(sigma, d, n):
     inner = grid[grid < hwhm]
     assert np.all(visibility_closed_form(inner, cfg) >= half)
     assert visibility_closed_form(grid[len(inner)], cfg) < half
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.lists(st.one_of(st.just(0.0), st.floats(1e-5, 3e-2)), min_size=1, max_size=8),
+    st.data(),
+    st.floats(1e-3, 50e-3),
+    st.floats(1.0, 3.0),
+)
+def test_batched_hwhms_equal_one_width_hwhm_bit_for_bit(widths, data, d, n):
+    # unsorted as drawn, with 0 and a repeated width in the batch
+    repeat = data.draw(st.sampled_from(widths))
+    sigmas = widths + [repeat, 0.0]
+    cfg = make_config(d_a=d, n_a=n)
+    scanned = [dataclasses.replace(cfg, sigma_theta=s) for s in sigmas]
+    batch = visibility_hwhms(sigmas, [derive_constants(c) for c in scanned])
+    for sigma, c, got in zip(sigmas, scanned, batch):
+        try:
+            expected = visibility_hwhm(c).hex()
+        except NoHalfPoint:
+            expected = None
+        assert (got.hex() if got is not None else None) == expected, sigma
 
 
 # Every image size of the render workload (256-1024 px) and beyond, odd

@@ -8,10 +8,11 @@ runs against each: 27 configs (3 models x d_a 5/11.7/20 mm x sigma_theta
 5e-4/9.37e-4/2e-3), each through simulate at 256 px with phi0 0.4, at
 600 px, at an odd resolution and at 1021 px (odd, at the top of the
 render workload's range, with 511 quadrant rows that the 8 render
-strips do not divide evenly), visibility with a sigma list and with a
-rho list, invert, eqwavelength and oracle at 128, 512 and 1024 modes
-(a partial check that misses its gate at 128 modes exits 2 and still
-writes its report). Every command is ``python -m twinfringes.cli`` in a
+strips do not divide evenly), visibility with a rho list and with two
+sigma lists (one holding 0, a repeated width and an unsorted order),
+invert at v0 0.9, 0.1 and 0.98, eqwavelength and oracle at 128, 512
+and 1024 modes (a partial check that misses its gate at 128 modes
+exits 2 and still writes its report). Every command is ``python -m twinfringes.cli`` in a
 fresh interpreter with PYTHONPATH set to the tree. Exit codes and every
 output file are compared; manifests are compared without ``started_at``,
 ``duration_s`` and output paths.
@@ -47,8 +48,11 @@ COMMANDS = {
     "sim301": ["simulate", "--resolution", "301", "--screen-mm", "2.5", "--phi0", "2.1"],
     "sim1021": ["simulate", "--resolution", "1021", "--screen-mm", "3.7", "--phi0", "5.3"],
     "vsigma": ["visibility", "--sigma-list", "3e-4,5e-4,9.37e-4,2e-3,5e-3"],
+    "vsigma_mixed": ["visibility", "--sigma-list", "2e-3,0,5e-4,2e-3,1e-5"],
     "vrho": ["visibility", "--rho-mm-list", "0,0.25,0.5,0.777,1,1.5,3"],
     "invert": ["invert", "--v0", "0.9", "--rho1-mm", "1.3"],
+    "invert0p1": ["invert", "--v0", "0.1"],
+    "invert0p98": ["invert", "--v0", "0.98"],
     "eqwl": ["eqwavelength", "--data", "RINGS"],
     "oracle": ["oracle", "--grid-points", "512"],
     "oracle128": ["oracle", "--grid-points", "128"],

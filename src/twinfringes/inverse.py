@@ -68,9 +68,11 @@ def estimate_sigma_theta(v0: float, cfg: ExperimentConfig) -> float:
 
     Inverts the closed-form central visibility:
     sigma_theta^2 = (8 pi / (n_a k0'^2 lambda_a d_a)) sqrt(1 / v0^2 - 1).
-    v0 = 1 returns exactly 0 (perfect correlation); anything outside
-    (0, 1], or so small that v0^2 underflows to 0 or 1 / v0^2 overflows
-    (v0 below about 7.5e-155), raises DegenerateVisibility.
+    1 / v0^2 - 1 is formed as (1 - v0)(1 + v0) / v0^2, where 1 - v0 is
+    exact for v0 >= 1/2 (Sterbenz), so no cancellation is left near
+    v0 = 1. v0 = 1 returns exactly 0 (perfect correlation); anything
+    outside (0, 1], or so small that v0^2 underflows to 0 or 1 / v0^2
+    overflows (v0 below about 7.5e-155), raises DegenerateVisibility.
     """
     if not 0.0 < v0 <= 1.0:
         raise DegenerateVisibility(f"v0 = {v0!r} outside (0, 1]")
@@ -89,7 +91,7 @@ def estimate_sigma_theta(v0: float, cfg: ExperimentConfig) -> float:
         8.0
         * math.pi
         / (cfg.n_a * k0p * k0p * cfg.lambda_a * cfg.d_a)
-        * math.sqrt(1.0 / (v0 * v0) - 1.0)
+        * math.sqrt((1.0 - v0) * (1.0 + v0) / (v0 * v0))
     )
     return math.sqrt(sigma_sq)
 

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -83,6 +84,29 @@ def test_overflowing_visibility_rejected(partial_cfg, tiny):
     assert tiny * tiny > 0.0 and 1.0 / (tiny * tiny) == math.inf
     with pytest.raises(DegenerateVisibility, match="overflows"):
         estimate_sigma_theta(tiny, partial_cfg)
+
+
+def _mp_sigma_theta(v0, cfg):
+    """sigma_theta from v0 at 40 digits, with the config's floats as exact inputs."""
+    with mpmath.workdps(40):
+        v0 = mpmath.mpf(v0)
+        k0p = 2 * mpmath.pi / mpmath.mpf(cfg.lambda_p)
+        scale = 8 * mpmath.pi / (mpmath.mpf(cfg.n_a) * k0p**2 * cfg.lambda_a * mpmath.mpf(cfg.d_a))
+        return mpmath.sqrt(scale * mpmath.sqrt(1 / v0**2 - 1))
+
+
+def test_estimate_matches_mpmath_up_to_v0_near_one():
+    # 1 / v0^2 - 1 cancels near v0 = 1 unless it is formed from the
+    # exact 1 - v0; at 1 - 1e-9 the cancelling form was off by 3.8e-10
+    rng = np.random.default_rng(1013)
+    near_one = [1.0 - 2.0**-k for k in range(1, 54)] + [0.999999, 1.0 - 1e-9, 1.0 - 1e-12]
+    for _ in range(10):
+        cfg = make_config(n_a=rng.uniform(1.0, 3.0), d_a=rng.uniform(1e-3, 50e-3))
+        inside = np.exp(rng.uniform(math.log(1e-150), 0.0, size=40)).tolist()
+        for v0 in near_one + inside + rng.uniform(0.0, 1.0, size=40).tolist():
+            expected = _mp_sigma_theta(v0, cfg)
+            rel = abs(estimate_sigma_theta(v0, cfg) - expected) / expected
+            assert rel <= 1e-15, (v0, cfg.n_a, cfg.d_a)
 
 
 def test_estimate_needs_pump_and_separation():

@@ -103,13 +103,12 @@ def estimate_sigma_theta_bisect(
 
     Shares no algebra with estimate_sigma_theta; the two must agree,
     which guards the constant derivations on both sides. The forward
-    model is central_visibility, 2 / gamma, with the factors of gamma
-    that do not depend on sigma_theta derived once: each step is
-    ``shell_gamma``, the same float operations as
-    central_visibility(replace(cfg, sigma_theta=sigma)), so the same
-    comparisons are made and the same float is returned. The forward
-    model is non-increasing in sigma_theta, in float arithmetic too, so
-    plain bisection on [0, hi] converges unconditionally.
+    model is central_visibility, 2 / gamma: the factors of gamma that do
+    not depend on sigma_theta are derived once, and each step is the
+    same float operations through ``shell_gamma``, without a config
+    copy. Every rounded operation is monotone, so the forward model is
+    non-increasing in sigma_theta and plain bisection on [0, hi]
+    converges unconditionally.
     """
     if not 0.0 < v0 <= 1.0:
         raise DegenerateVisibility(f"v0 = {v0!r} outside (0, 1]")

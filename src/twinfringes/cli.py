@@ -14,7 +14,6 @@ only timestamp.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -23,11 +22,8 @@ import time
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
-from .analytics import _visibility_curve, radial_profile, render_pattern, visibility_hwhms
 from . import __version__
-from .config import CorrelationModel, ExperimentConfig, derive_constants, validate_config
+from .config import CorrelationModel, ExperimentConfig, derive_constants, validate_sigma_theta
 from .fileio import (
     ParseError,
     RunManifest,
@@ -45,8 +41,9 @@ from .inverse import (
     infer_lambda_a,
     ring_law_lambda_eq,
 )
-from .oracle import UnequalAmplitudes, visibility_scan
-from .state import assemble_state
+
+# numpy and the array half of the package, bound by _load_arrays.
+np = analytics = oracle = state = None
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -65,6 +62,21 @@ _ORACLE_TOLS = {
     CorrelationModel.UNCORRELATED: (2e-11, 1e-14),
     CorrelationModel.GAUSSIAN_PARTIAL: (0.01, 0.01),
 }
+
+
+def _load_arrays() -> None:
+    """Import numpy, analytics (which imports special), oracle and state.
+
+    simulate, visibility and oracle call this first; invert and
+    eqwavelength never do, so they run without numpy. It loads the whole
+    array half at once, so a process that has run any array command
+    holds every array module.
+    """
+    global np, analytics, oracle, state
+    if state is None:
+        import numpy as np
+
+        from . import analytics, oracle, state
 
 
 class UsageError(ValueError):
@@ -98,9 +110,10 @@ def run_simulate(
     out_image, out_profile : path-like
         Destination PGM and CSV paths.
     """
+    _load_arrays()
     screen = screen_mm * 1e-3
-    image = render_pattern(cfg, screen, resolution, phi_0)
-    profile = radial_profile(cfg, 0.5 * screen, resolution, phi_0)
+    image = analytics.render_pattern(cfg, screen, resolution, phi_0)
+    profile = analytics.radial_profile(cfg, 0.5 * screen, resolution, phi_0)
     write_pgm(image, out_image)
     write_profile_csv(profile, out_profile)
 
@@ -114,26 +127,27 @@ def run_visibility_scan(cfg: ExperimentConfig, out_csv, sigma_list=None, rho_lis
     radii in meters; emits ``rho_m,visibility`` rows) must be a non-empty
     sequence. The sigma list always tabulates the gaussian_partial model
     at each listed width, whatever the configured model. Each scanned
-    width is validated as a config, except 0, the perfect-correlation
-    limit, which is reported as v0 = 1 with a blank HWHM. The rho list
-    follows the configured model: its rows are the visibility column
-    that ``simulate`` writes at the same radii. Nothing is written
-    before the arguments validate.
+    width is checked as the config's own width is, except 0, the
+    perfect-correlation limit, which is reported as v0 = 1 with a blank
+    HWHM. The rho list follows the configured model: its rows are the
+    visibility column that ``simulate`` writes at the same radii.
+    Nothing is written before the arguments validate.
     """
     if bool(sigma_list) == bool(rho_list):
         raise UsageError("provide exactly one non-empty scan list (sigma or rho)")
+    _load_arrays()
     lines = []
     if sigma_list:
         lines.append("sigma_theta,v0,hwhm_m")
         sigmas = [float(sigma) for sigma in sigma_list]
         constants = []
         for sigma in sigmas:
-            scan_cfg = dataclasses.replace(cfg, sigma_theta=sigma)
             if sigma != 0.0:
-                validate_config(scan_cfg)
-            constants.append(derive_constants(scan_cfg))
-        for sigma, c, hwhm in zip(sigmas, constants, visibility_hwhms(sigmas, constants)):
-            # 2 / gamma is central_visibility(scan_cfg)
+                validate_sigma_theta(sigma)
+            constants.append(derive_constants(cfg, sigma))
+        hwhms = analytics.visibility_hwhms(sigmas, constants)
+        for sigma, c, hwhm in zip(sigmas, constants, hwhms):
+            # 2 / gamma is the central visibility at this width
             hwhm_text = "" if hwhm is None else f"{hwhm:.11e}"
             lines.append(f"{sigma:.11e},{2.0 / c.gamma:.11e},{hwhm_text}")
     else:
@@ -141,7 +155,7 @@ def run_visibility_scan(cfg: ExperimentConfig, out_csv, sigma_list=None, rho_lis
             raise UsageError("scanned radii must be nonnegative")
         lines.append("rho_m,visibility")
         radii = np.array(rho_list, dtype=float)
-        for rho, vis in zip(radii.tolist(), _visibility_curve(radii, cfg).tolist()):
+        for rho, vis in zip(radii.tolist(), analytics._visibility_curve(radii, cfg).tolist()):
             lines.append(f"{rho:.11e},{vis:.11e}")
     Path(out_csv).write_text("\n".join(lines) + "\n", encoding="ascii")
 
@@ -217,18 +231,19 @@ def run_oracle_check(cfg: ExperimentConfig, grid_points: int, out) -> None:
     report is written even on failure; ToleranceExceeded is raised
     afterwards so the discrepancies stay inspectable.
     """
+    _load_arrays()
     if grid_points < 128:
         raise UsageError("grid_points must be at least 128")
     if abs(abs(cfg.alpha1_mag) - abs(cfg.alpha2_mag)) > 1e-12:
-        raise UnequalAmplitudes(
+        raise oracle.UnequalAmplitudes(
             f"oracle check needs balanced sources; alpha1_mag = {cfg.alpha1_mag!r}, "
             f"alpha2_mag = {cfg.alpha2_mag!r}"
         )
-    closed = radial_profile(cfg, 0.5 * cfg.f0 * cfg.sigma_b, 16, 0.0)
-    state = assemble_state(cfg, closed.rho, n_modes=grid_points)
+    closed = analytics.radial_profile(cfg, 0.5 * cfg.f0 * cfg.sigma_b, 16, 0.0)
+    grid_state = state.assemble_state(cfg, closed.rho, n_modes=grid_points)
     # the b grid's columns are exactly these radii, so the sweep's
     # phi_0 = 0 sample is the rate curve at every column
-    vis_grid, rate_grid = visibility_scan(state, closed.rho, return_rate=True)
+    vis_grid, rate_grid = oracle.visibility_scan(grid_state, closed.rho, return_rate=True)
 
     vis_tol, rate_tol = _ORACLE_TOLS[cfg.correlation_model]
     vis_err = float(np.max(np.abs(vis_grid - closed.visibility)))

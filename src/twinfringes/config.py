@@ -131,6 +131,47 @@ def effective_curvature(cfg: ExperimentConfig) -> float:
     return cfg.n_a * math.pi * cfg.d_a * cfg.lambda_a / (cfg.f0 * cfg.lambda_b) ** 2
 
 
+# Lower bounds of the range-checked parameters, in reporting order:
+# name -> (bound, strict). d_a = 0 is the balanced case.
+_LOWER_BOUNDS = {
+    "lambda_a": (0, True),
+    "lambda_b": (0, True),
+    "lambda_p": (0, True),
+    "f0": (0, True),
+    "sigma_b": (0, True),
+    "sigma_theta": (0, True),
+    "d_a": (0, False),
+    "n_a": (1, False),
+}
+
+
+def _range_violations(values: dict) -> list[Violation]:
+    """Non-finite floats, then values at or below their lower bound (None is unset)."""
+    bad = [
+        Violation("NonFiniteParameter", f"{name} must be finite, got {value!r}")
+        for name, value in values.items()
+        if isinstance(value, float) and not math.isfinite(value)
+    ]
+    for name, (bound, strict) in _LOWER_BOUNDS.items():
+        value = values.get(name)
+        if value is not None and ((value <= bound) if strict else (value < bound)):
+            relation = ">" if strict else ">="
+            message = f"{name} must be {relation} {bound}, got {value!r}"
+            bad.append(Violation("NonPositiveParameter", message))
+    return bad
+
+
+def validate_sigma_theta(sigma: float) -> None:
+    """Check one correlation width as ``validate_config`` checks a config's.
+
+    Raises ConfigError with the same violations, and message, that the
+    config holding the width would.
+    """
+    bad = _range_violations({"sigma_theta": sigma})
+    if bad:
+        raise ConfigError(bad)
+
+
 def validate_config(raw: ExperimentConfig) -> ExperimentConfig:
     """Check every invariant and return the config unchanged if all hold.
 
@@ -145,28 +186,7 @@ def validate_config(raw: ExperimentConfig) -> ExperimentConfig:
         When ``sigma_b`` is large enough to strain the small-angle model.
         This is advisory only and never rejects the config.
     """
-    bad: list[Violation] = []
-
-    for name, value in vars(raw).items():
-        if isinstance(value, float) and not math.isfinite(value):
-            bad.append(Violation("NonFiniteParameter", f"{name} must be finite, got {value!r}"))
-
-    def positive(name: str, value: float | None, strict: bool = True) -> None:
-        if value is None:
-            return
-        if (value <= 0.0) if strict else (value < 0.0):
-            bound = "> 0" if strict else ">= 0"
-            bad.append(Violation("NonPositiveParameter", f"{name} must be {bound}, got {value!r}"))
-
-    positive("lambda_a", raw.lambda_a)
-    positive("lambda_b", raw.lambda_b)
-    positive("lambda_p", raw.lambda_p)
-    positive("f0", raw.f0)
-    positive("sigma_b", raw.sigma_b)
-    positive("sigma_theta", raw.sigma_theta)
-    positive("d_a", raw.d_a, strict=False)  # d_a = 0 is the balanced case
-    if raw.n_a < 1.0:
-        bad.append(Violation("NonPositiveParameter", f"n_a must be >= 1, got {raw.n_a!r}"))
+    bad = _range_violations(vars(raw))
 
     norm = raw.alpha1_mag**2 + raw.alpha2_mag**2
     if abs(norm - 1.0) > AMPLITUDE_NORM_TOL:
@@ -214,12 +234,14 @@ def shell_gamma(sigma: float, a_eff: float, b_coeff: float) -> tuple[float, floa
     return kappa, math.sqrt(4.0 + kappa * kappa)
 
 
-def derive_constants(cfg: ExperimentConfig) -> FringeConstants:
+def derive_constants(cfg: ExperimentConfig, sigma_theta: float | None = None) -> FringeConstants:
     """Compute all closed-form constants from a validated config.
 
     Pure function: identical inputs give bit-identical outputs. Needs
     ``lambda_p``; a missing ``sigma_theta`` is treated as 0 (perfect
     correlation), which gives ``gamma = 2`` exactly and ``g = 0``.
+    A ``sigma_theta`` argument replaces the config's width, so a scan
+    over widths needs no config copy per width.
     """
     if cfg.lambda_p is None:
         raise ConfigError(
@@ -227,7 +249,9 @@ def derive_constants(cfg: ExperimentConfig) -> FringeConstants:
         )
     a_coeff = math.pi * cfg.d_a * cfg.lambda_a / (cfg.f0 * cfg.lambda_b) ** 2
     b_coeff = cfg.f0 * cfg.lambda_b / cfg.lambda_p
-    sigma = cfg.sigma_theta if cfg.sigma_theta is not None else 0.0
+    if sigma_theta is None:
+        sigma_theta = cfg.sigma_theta
+    sigma = sigma_theta if sigma_theta is not None else 0.0
     a_eff = cfg.n_a * a_coeff
     kappa, gamma = shell_gamma(sigma, a_eff, b_coeff)
     ab = a_eff * b_coeff

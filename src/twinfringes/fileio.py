@@ -3,7 +3,8 @@
 The config surface is a flat key-value text file; images go out as
 16-bit binary PGM and profiles as plain CSV, both with deterministic
 bytes for identical inputs (the run manifest carries the only
-timestamp).
+timestamp). Only the image and profile readers and the PGM writer
+import numpy, on first call; the config and manifest half does not.
 """
 
 from __future__ import annotations
@@ -11,11 +12,14 @@ from __future__ import annotations
 import dataclasses
 import json
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .analytics import FringeImage, RadialProfile, mirror_quadrant
 from .config import CorrelationModel, ExperimentConfig, validate_config
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .analytics import FringeImage, RadialProfile
 
 PGM_MAXVAL = 65535
 
@@ -110,6 +114,10 @@ def write_pgm(image: FringeImage, path) -> None:
     Only the stored quadrant is scaled and rounded; its 16-bit samples
     are mirrored out to the full frame.
     """
+    import numpy as np
+
+    from .analytics import mirror_quadrant
+
     scale = PGM_MAXVAL / image.normalization if image.normalization > 0.0 else 0.0
     samples = np.multiply(image.quadrant, scale)
     np.rint(samples, out=samples)
@@ -125,6 +133,8 @@ def write_pgm(image: FringeImage, path) -> None:
 
 def read_pgm(path) -> tuple[np.ndarray, float]:
     """Read back a PGM written by write_pgm: (uint16 samples, rate_max)."""
+    import numpy as np
+
     blob = Path(path).read_bytes()
     parts = blob.split(b"\n", 4)
     if parts[0] != b"P5" or not parts[1].startswith(b"# rate_max "):
@@ -152,6 +162,10 @@ def write_profile_csv(profile: RadialProfile, path) -> None:
 
 def read_profile_csv(path) -> RadialProfile:
     """Read back a profile written by write_profile_csv."""
+    import numpy as np
+
+    from .analytics import RadialProfile
+
     lines = Path(path).read_text(encoding="ascii").splitlines()
     if not lines or lines[0] != PROFILE_HEADER:
         raise ParseError(f"{path}: missing profile header {PROFILE_HEADER!r}")

@@ -12,10 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .config import CorrelationModel, ExperimentConfig, derive_constants, shell_gamma
-from .state import ModeGrid, TwoPhotonState, build_amplitudes
+from .config import ExperimentConfig, derive_constants, shell_gamma
 
 
 class DegenerateVisibility(ValueError):
@@ -157,15 +154,15 @@ def estimate_equivalent_wavelength(
     if len({d for d, _ in first_radii}) < 3:
         raise InsufficientData("need at least 3 observations with distinct d_a")
 
-    x = np.array([1.0 / d for d, _ in first_radii])
-    y = np.array([r * r for _, r in first_radii])
-    sxx = float(x @ x)
-    slope = float(x @ y) / sxx
+    x = [1.0 / d for d, _ in first_radii]
+    y = [r * r for _, r in first_radii]
+    sxx = math.fsum(xi * xi for xi in x)
+    slope = math.fsum(xi * yi for xi, yi in zip(x, y)) / sxx
     if slope <= 0.0:
         raise NegativeSlope(f"fitted slope {slope!r} is not positive")
-    residual = y - slope * x
-    dof = x.size - 1
-    slope_var = float(residual @ residual) / dof / sxx
+    residual = [yi - slope * xi for xi, yi in zip(x, y)]
+    dof = len(x) - 1
+    slope_var = math.fsum(ri * ri for ri in residual) / dof / sxx
     return WavelengthEstimate(
         lambda_eq=ring_law_lambda_eq(slope, cfg),
         stderr=ring_law_lambda_eq(math.sqrt(slope_var), cfg),
@@ -188,42 +185,3 @@ def infer_lambda_a(lambda_eq: float, lambda_b: float) -> float:
         raise ValueError("wavelengths must be positive")
     return lambda_b * lambda_b / lambda_eq
 
-
-def reconstruct_joint_probability(
-    sigma_theta: float,
-    envelope_sigma_b: float,
-    grids: tuple[ModeGrid, ModeGrid],
-    *,
-    k0_prime: float | None = None,
-) -> TwoPhotonState:
-    """Joint momentum distribution implied by the estimated parameters.
-
-    Rebuilds the Gaussian-shell amplitude table on the given
-    (grid_a, grid_b) pair. The shell wavenumber defaults to the sum of
-    the two grid wavenumbers (energy conservation); pass ``k0_prime`` to
-    override. sigma_theta = 0 returns the perfectly correlated table.
-    """
-    grid_a, grid_b = grids
-    if sigma_theta < 0.0 or envelope_sigma_b <= 0.0:
-        raise ValueError("widths must be nonnegative (sigma_b strictly positive)")
-    shell_k = k0_prime if k0_prime is not None else grid_a.k_magnitude + grid_b.k_magnitude
-    cfg = ExperimentConfig(
-        lambda_a=2.0 * math.pi / grid_a.k_magnitude,
-        lambda_b=2.0 * math.pi / grid_b.k_magnitude,
-        d_a=0.0,
-        f0=1.0,
-        sigma_b=envelope_sigma_b,
-        correlation_model=(
-            CorrelationModel.MAXIMAL if sigma_theta == 0.0 else CorrelationModel.GAUSSIAN_PARTIAL
-        ),
-        lambda_p=2.0 * math.pi / shell_k,
-        sigma_theta=sigma_theta if sigma_theta > 0.0 else None,
-    )
-    return build_amplitudes(cfg.correlation_model, grid_a, grid_b, cfg)
-
-
-def pump_waist_to_sigma(w_p: float, lambda_p: float) -> float:
-    """Correlation width of a Gaussian pump: sigma_theta = lambda_p / (pi w_p)."""
-    if w_p <= 0.0 or lambda_p <= 0.0:
-        raise ValueError("waist and wavelength must be positive")
-    return lambda_p / (math.pi * w_p)

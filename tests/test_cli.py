@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 from twinfringes import (
     CorrelationModel,
+    ParaxialWarning,
     UnequalAmplitudes,
     __version__,
     fringe_radius,
@@ -239,6 +241,31 @@ def test_visibility_rejects_negative_radius(capsys, tmp_path, cfg_file, rho_list
     assert "nonnegative" in capsys.readouterr().err
     assert not (tmp_path / "rho.csv").exists()
     assert not (tmp_path / "rho.manifest.json").exists()
+
+
+def test_visibility_rejects_negative_width(capsys, tmp_path, cfg_file):
+    out = tmp_path / "scan"
+    code = main(
+        ["visibility", "--config", cfg_file, "--out", str(out), "--sigma-list=1e-3,-1e-3"]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "twinfringes: error: invalid configuration: "
+        "NonPositiveParameter: sigma_theta must be > 0, got -0.001\n"
+    )
+    assert not list(tmp_path.glob("scan*"))
+
+
+def test_visibility_width_scan_warns_once_per_config(tmp_path):
+    # only the parsed config is validated whole; a scanned width is
+    # checked alone, so a wide sigma_b warns once, not once per width
+    cfg = _cfg(tmp_path, PARTIAL.replace("2.36e-2", "0.12"), "wide.cfg")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["visibility", "--config", cfg, "--out", str(tmp_path / "scan"),
+                     "--sigma-list", "5e-4,1e-3,2e-3"])
+    assert code == 0
+    assert [w.category for w in caught] == [ParaxialWarning]
 
 
 @pytest.mark.parametrize("sigma_list", ["-0.001", "nan", "9.37e-4,inf"])
@@ -546,7 +573,12 @@ import json, sys
 from twinfringes import cli
 
 def loaded():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    names = sorted(sys.modules)
+    return {
+        "scipy": [m for m in names if m == "scipy" or m.startswith("scipy.")],
+        "numpy": [m for m in names if m == "numpy" or m.startswith("numpy.")],
+        "twinfringes": [m for m in names if m.startswith("twinfringes.")],
+    }
 
 steps = [[0, loaded()]]
 for argv in json.loads(sys.argv[1]):
@@ -554,8 +586,19 @@ for argv in json.loads(sys.argv[1]):
 print(json.dumps(steps))
 """
 
+_SCALAR_STEPS = 3  # import twinfringes.cli, invert, eqwavelength
+_ARRAY_MODULES = ["twinfringes.analytics", "twinfringes.oracle", "twinfringes.special",
+                  "twinfringes.state"]
 
-def test_no_cli_command_loads_scipy(tmp_path):
+
+@pytest.fixture(scope="module")
+def import_graph(tmp_path_factory):
+    """(label, exit code, loaded modules) after each step of one fresh interpreter.
+
+    The interpreter imports the CLI, runs the two scalar commands, then
+    every array command under every model.
+    """
+    tmp_path = tmp_path_factory.mktemp("import_graph")
     cfgs = {name: _cfg(tmp_path, text, f"{name}.cfg")
             for name, text in (("partial", PARTIAL), ("maximal", MAXIMAL),
                                ("uncorrelated", UNCORRELATED))}
@@ -580,11 +623,26 @@ def test_no_cli_command_loads_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     labels = ["import twinfringes.cli"] + [" ".join(argv) for argv in argvs]
-    steps = dict(zip(labels, json.loads(proc.stdout)))
+    steps = json.loads(proc.stdout)
     assert len(steps) == len(labels)
-    for label, (code, scipy_modules) in steps.items():
+    return [(label, code, modules) for label, (code, modules) in zip(labels, steps)]
+
+
+def test_no_cli_command_loads_scipy(import_graph):
+    for label, code, modules in import_graph:
         assert code == 0, label
-        assert scipy_modules == [], label
+        assert modules["scipy"] == [], label
+
+
+def test_scalar_commands_load_no_numpy(import_graph):
+    for label, code, modules in import_graph[:_SCALAR_STEPS]:
+        assert code == 0, label
+        assert modules["numpy"] == [], label
+        assert not set(_ARRAY_MODULES) & set(modules["twinfringes"]), label
+    # every array command runs, and the first one loads the whole array half
+    for label, code, modules in import_graph[_SCALAR_STEPS:]:
+        assert code == 0, label
+        assert set(_ARRAY_MODULES) <= set(modules["twinfringes"]), label
 
 
 def test_module_entry_point_runs_in_subprocess(cfg_file):

@@ -15,6 +15,7 @@ from twinfringes import (
     effective_curvature,
     validate_config,
 )
+from twinfringes.config import validate_sigma_theta
 
 from conftest import make_config
 
@@ -148,6 +149,36 @@ def test_sigma_theta_must_be_positive_in_every_model():
     with pytest.raises(ConfigError) as excinfo:
         make_config(CorrelationModel.MAXIMAL, sigma_theta=-1e-3)
     assert "NonPositiveParameter" in _kinds(excinfo)
+
+
+def test_violation_messages_are_frozen():
+    with pytest.raises(ConfigError) as excinfo:
+        make_config(lambda_a=math.nan, sigma_theta=-1e-3, n_a=0.5, d_a=-1.0)
+    assert str(excinfo.value) == (
+        "invalid configuration: NonFiniteParameter: lambda_a must be finite, got nan; "
+        "NonPositiveParameter: sigma_theta must be > 0, got -0.001; "
+        "NonPositiveParameter: d_a must be >= 0, got -1.0; "
+        "NonPositiveParameter: n_a must be >= 1, got 0.5"
+    )
+
+
+@pytest.mark.parametrize("sigma", [-1e-3, 0.0, -0.0, math.nan, math.inf, -math.inf])
+def test_width_check_reports_as_the_config_check(partial_cfg, sigma):
+    with pytest.raises(ConfigError) as alone:
+        validate_sigma_theta(sigma)
+    with pytest.raises(ConfigError) as whole:
+        validate_config(dataclasses.replace(partial_cfg, sigma_theta=sigma))
+    assert str(alone.value) == str(whole.value)
+
+
+def test_width_check_accepts_positive_width():
+    validate_sigma_theta(9.37e-4)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 2e-4, 9.37e-4, 3e-3])
+def test_derive_constants_width_argument_replaces_config_width(partial_cfg, sigma):
+    copied = derive_constants(dataclasses.replace(partial_cfg, sigma_theta=sigma))
+    assert derive_constants(partial_cfg, sigma) == copied
 
 
 def test_all_violations_collected_in_one_error():

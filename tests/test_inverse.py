@@ -1,4 +1,4 @@
-"""Parameter estimation: width inversion, ring regression, reconstruction."""
+"""Parameter estimation: width inversion and ring regression."""
 
 import dataclasses
 import math
@@ -15,19 +15,13 @@ from twinfringes import (
     ExperimentConfig,
     FringeObservation,
     InsufficientData,
-    ModeGrid,
-    build_amplitudes,
-    camera_grid,
     central_visibility,
-    conjugate_grid,
     derive_constants,
     estimate_equivalent_wavelength,
     estimate_sigma_theta,
     estimate_sigma_theta_bisect,
     fringe_radius,
     infer_lambda_a,
-    pump_waist_to_sigma,
-    reconstruct_joint_probability,
     ring_law_lambda_eq,
 )
 
@@ -35,14 +29,6 @@ from conftest import SIGMA_THETA, make_config
 
 # Central visibility frozen for the reference sigma_theta = 9.37e-4.
 V0_REF = 0.996118297317
-
-# (pump waist, correlation width) pairs for a 532 nm pump.
-WAIST_SIGMA = [
-    (274.90399e-6, 6.16e-4),
-    (159.75553e-6, 1.06e-3),
-    (85.095909e-6, 1.99e-3),
-]
-
 
 def test_round_trip_through_visibility(partial_cfg):
     v0 = central_visibility(partial_cfg)
@@ -251,70 +237,6 @@ def test_fringe_observation_validates():
         FringeObservation(d_a=1e-2, ring_radii=((1, -1e-3),), v0=0.5)
     with pytest.raises(ValueError):
         FringeObservation(d_a=1e-2, ring_radii=((1, 2e-3), (2, 1e-3)), v0=0.5)
-
-
-@pytest.mark.parametrize("waist,sigma", WAIST_SIGMA)
-def test_pump_waist_conversion(waist, sigma):
-    assert pump_waist_to_sigma(waist, 532e-9) == pytest.approx(sigma, rel=1e-7)
-
-
-def test_pump_waist_conversion_validates():
-    with pytest.raises(ValueError):
-        pump_waist_to_sigma(0.0, 532e-9)
-    with pytest.raises(ValueError):
-        pump_waist_to_sigma(100e-6, 0.0)
-
-
-def _small_grids(cfg):
-    grid_b = camera_grid(np.linspace(1e-4, 1e-3, 8), cfg)
-    grid_a = conjugate_grid(grid_b, cfg)
-    return grid_a, grid_b
-
-
-def test_reconstruct_matches_forward_table(partial_cfg):
-    grid_b = camera_grid(np.linspace(0.0, 1e-3, 8), partial_cfg)
-    grid_a = ModeGrid(
-        np.linspace(0.0, 2e-2, 64), np.array([0.0, math.pi]),
-        2.0 * math.pi / partial_cfg.lambda_a,
-    )
-    forward = build_amplitudes(
-        CorrelationModel.GAUSSIAN_PARTIAL, grid_a, grid_b, partial_cfg
-    )
-    k0p = 2.0 * math.pi / partial_cfg.lambda_p
-    rebuilt = reconstruct_joint_probability(
-        partial_cfg.sigma_theta,
-        partial_cfg.sigma_b,
-        (grid_a, grid_b),
-        k0_prime=k0p,
-    )
-    assert np.allclose(
-        np.abs(rebuilt.amplitudes) ** 2, np.abs(forward.amplitudes) ** 2, atol=1e-14
-    )
-
-
-def test_reconstruct_default_shell_wavenumber(partial_cfg):
-    grid_a, grid_b = _small_grids(partial_cfg)
-    k_sum = grid_a.k_magnitude + grid_b.k_magnitude
-    default = reconstruct_joint_probability(SIGMA_THETA, 2.36e-2, (grid_a, grid_b))
-    explicit = reconstruct_joint_probability(
-        SIGMA_THETA, 2.36e-2, (grid_a, grid_b), k0_prime=k_sum
-    )
-    assert np.array_equal(default.amplitudes, explicit.amplitudes)
-
-
-def test_reconstruct_zero_width_is_maximal(partial_cfg):
-    grid_a, grid_b = _small_grids(partial_cfg)
-    table = reconstruct_joint_probability(0.0, 2.36e-2, (grid_a, grid_b))
-    occupancy = np.count_nonzero(np.abs(table.amplitudes) ** 2, axis=0)
-    assert np.array_equal(occupancy, np.ones(grid_b.n_modes, dtype=int))
-
-
-def test_reconstruct_validates_widths(partial_cfg):
-    grid_a, grid_b = _small_grids(partial_cfg)
-    with pytest.raises(ValueError):
-        reconstruct_joint_probability(-1e-4, 2.36e-2, (grid_a, grid_b))
-    with pytest.raises(ValueError):
-        reconstruct_joint_probability(SIGMA_THETA, 0.0, (grid_a, grid_b))
 
 
 @pytest.mark.parametrize("d_a", [5e-3, 11.7e-3, 20e-3])

@@ -35,23 +35,21 @@ _EXPORTS = {
         "read_profile_csv", "write_manifest", "write_pgm", "write_profile_csv",
     ),
     "inverse": (
-        "DegenerateVisibility", "FringeObservation", "InsufficientData", "NegativeSlope",
-        "WavelengthEstimate", "estimate_equivalent_wavelength", "estimate_sigma_theta",
-        "estimate_sigma_theta_bisect", "infer_lambda_a", "ring_law_lambda_eq",
+        "DegenerateVisibility", "InsufficientData", "NegativeSlope", "WavelengthEstimate",
+        "estimate_equivalent_wavelength", "estimate_sigma_theta", "estimate_sigma_theta_bisect",
+        "infer_lambda_a", "ring_law_lambda_eq",
     ),
     "oracle": (
         "UnequalAmplitudes", "ZeroRate", "counting_rate_reduced", "sweep_visibility",
         "visibility_scan",
     ),
     "special": (
-        "ToleranceNotReached", "dm2_pair_scaled", "erfc_complex", "faddeeva", "integrate_radial",
-        "parabolic_cylinder_Dm2",
+        "ToleranceNotReached", "dm2_pair_scaled", "faddeeva", "integrate_radial",
     ),
     "state": (
-        "GridMismatch", "ModeGrid", "SuperposedState", "TwoPhotonState", "ZeroMarginal",
-        "assemble_state", "build_amplitudes", "camera_grid", "conditional_probability",
-        "conjugate_grid", "dephasing_grid", "joint_probability", "line_grid", "marginal_b",
-        "mutual_information_bits", "phase_a", "shell_line_grid", "superpose_sources",
+        "GridMismatch", "ModeGrid", "SuperposedState", "TwoPhotonState", "assemble_state",
+        "build_amplitudes", "camera_grid", "conjugate_grid", "dephasing_grid", "line_grid",
+        "phase_a", "shell_line_grid", "superpose_sources",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -34,7 +34,6 @@ from .fileio import (
     write_profile_csv,
 )
 from .inverse import (
-    FringeObservation,
     estimate_equivalent_wavelength,
     estimate_sigma_theta,
     estimate_sigma_theta_bisect,
@@ -197,7 +196,7 @@ def run_eqwavelength(cfg: ExperimentConfig, data_path) -> str:
     lines = Path(data_path).read_text(encoding="ascii").splitlines()
     if not lines or lines[0].strip() != "d_a_mm,rho1_mm":
         raise ParseError(f"{data_path}: expected header 'd_a_mm,rho1_mm'")
-    observations = []
+    first_radii = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -207,12 +206,10 @@ def run_eqwavelength(cfg: ExperimentConfig, data_path) -> str:
             raise ParseError(f"{data_path}:{lineno}: expected two numbers, got {line!r}") from None
         if not (math.isfinite(d_mm) and math.isfinite(rho_mm)):
             raise ParseError(f"{data_path}:{lineno}: expected two finite numbers, got {line!r}")
-        observations.append(
-            FringeObservation(d_a=d_mm * 1e-3, ring_radii=((1, rho_mm * 1e-3),), v0=1.0)
-        )
-    estimate = estimate_equivalent_wavelength(observations, cfg)
+        first_radii.append((d_mm * 1e-3, rho_mm * 1e-3))
+    estimate = estimate_equivalent_wavelength(first_radii, cfg)
     return (
-        f"n_separations = {len(observations)}\n"
+        f"n_separations = {len(first_radii)}\n"
         f"lambda_eq_nm = {estimate.lambda_eq * 1e9:.6f}\n"
         f"lambda_eq_stderr_nm = {estimate.stderr * 1e9:.6f}\n"
         f"lambda_a_nm = {infer_lambda_a(estimate.lambda_eq, cfg.lambda_b) * 1e9:.6f}\n"
@@ -226,14 +223,16 @@ def run_oracle_check(cfg: ExperimentConfig, grid_points: int, out) -> None:
     visibility |S| / A from the grid rate A + Re(S e^{-i phi_0}) at four
     scan phases, takes the grid rate curve from the phi_0 = 0 phase of
     that scan, and checks both against the analytic results for the
-    configured model. The closed forms assume balanced sources, so
-    UnequalAmplitudes is raised unless |alpha1| = |alpha2|. The JSON
-    report is written even on failure; ToleranceExceeded is raised
-    afterwards so the discrepancies stay inspectable.
+    configured model. ``grid_points`` must be even and at least 128,
+    whatever the model, or UsageError is raised. The closed forms
+    assume balanced sources, so UnequalAmplitudes is raised unless
+    |alpha1| = |alpha2|. The JSON report is written even on failure;
+    ToleranceExceeded is raised afterwards so the discrepancies stay
+    inspectable.
     """
+    if grid_points < 128 or grid_points % 2:
+        raise UsageError(f"--grid-points must be an even number >= 128, got {grid_points}")
     _load_arrays()
-    if grid_points < 128:
-        raise UsageError("grid_points must be at least 128")
     if abs(abs(cfg.alpha1_mag) - abs(cfg.alpha2_mag)) > 1e-12:
         raise oracle.UnequalAmplitudes(
             f"oracle check needs balanced sources; alpha1_mag = {cfg.alpha1_mag!r}, "
@@ -243,7 +242,7 @@ def run_oracle_check(cfg: ExperimentConfig, grid_points: int, out) -> None:
     grid_state = state.assemble_state(cfg, closed.rho, n_modes=grid_points)
     # the b grid's columns are exactly these radii, so the sweep's
     # phi_0 = 0 sample is the rate curve at every column
-    vis_grid, rate_grid = oracle.visibility_scan(grid_state, closed.rho, return_rate=True)
+    vis_grid, rate_grid = oracle.visibility_scan(grid_state, closed.rho)
 
     vis_tol, rate_tol = _ORACLE_TOLS[cfg.correlation_model]
     vis_err = float(np.max(np.abs(vis_grid - closed.visibility)))
@@ -326,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="CSV of d_a_mm,rho1_mm rows")
 
     p = sub.add_parser("oracle", parents=[common], help="grid vs closed-form consistency check")
-    p.add_argument("--grid-points", type=int, default=512, help="a-side modes (>= 128)")
+    p.add_argument("--grid-points", type=int, default=512, help="a-side modes (even, >= 128)")
     return parser
 
 

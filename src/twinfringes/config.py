@@ -113,7 +113,10 @@ class FringeConstants:
     ``A`` is the quadratic fringe-phase coefficient per unit refractive
     index; rates use ``n_a * A``. ``gamma``, ``chi`` and ``g`` already
     include ``n_a`` so that the whole family stays mutually consistent
-    (for ``n_a = 1`` they reduce to the plain formulas).
+    (for ``n_a = 1`` they reduce to the plain formulas). The fields are
+    what the closed-form rates and visibilities read; the equivalent
+    wavelength lambda_b^2 / lambda_a enters only through the ring law
+    (``analytics.fringe_radius``, ``inverse.ring_law_lambda_eq``).
     """
 
     A: float  # pi * d_a * lambda_a / (f0 * lambda_b)**2  [1/m^2]
@@ -122,8 +125,6 @@ class FringeConstants:
     gamma: float  # sqrt(4 + kappa^2)
     chi: float  # gamma / (n_a A B)                       [m]
     g: complex  # i sqrt(2) n_a A B sigma_theta / sqrt(2 - i kappa)
-    lambda_eq: float  # lambda_b**2 / lambda_a            [m]
-    k0_prime: float  # 2 pi / lambda_p                    [1/m]
 
 
 def effective_curvature(cfg: ExperimentConfig) -> float:
@@ -264,6 +265,4 @@ def derive_constants(cfg: ExperimentConfig, sigma_theta: float | None = None) ->
         gamma=gamma,
         chi=chi,
         g=g,
-        lambda_eq=cfg.lambda_b**2 / cfg.lambda_a,
-        k0_prime=2.0 * math.pi / cfg.lambda_p,
     )

@@ -28,31 +28,6 @@ class NegativeSlope(ValueError):
 
 
 @dataclass(frozen=True)
-class FringeObservation:
-    """Fringe observables measured at one source separation.
-
-    ring_radii holds (N, rho_N) pairs for the bright rings that were
-    identified; v0 is the central visibility; hwhm is optional.
-    """
-
-    d_a: float
-    ring_radii: tuple[tuple[int, float], ...]
-    v0: float
-    hwhm: float | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "ring_radii", tuple((int(n), float(r)) for n, r in self.ring_radii))
-        if not 0.0 < self.v0 <= 1.0:
-            raise ValueError(f"v0 = {self.v0!r} outside (0, 1]")
-        ordered = sorted(self.ring_radii)
-        radii = [r for _, r in ordered]
-        if any(r <= 0.0 for r in radii):
-            raise ValueError("ring radii must be positive")
-        if any(b <= a for a, b in zip(radii, radii[1:])):
-            raise ValueError("ring radii must increase with N")
-
-
-@dataclass(frozen=True)
 class WavelengthEstimate:
     """Equivalent wavelength with the standard error of the fitted slope."""
 
@@ -93,9 +68,7 @@ def estimate_sigma_theta(v0: float, cfg: ExperimentConfig) -> float:
     return math.sqrt(sigma_sq)
 
 
-def estimate_sigma_theta_bisect(
-    v0: float, cfg: ExperimentConfig, hi: float = 5e-2
-) -> float:
+def estimate_sigma_theta_bisect(v0: float, cfg: ExperimentConfig) -> float:
     """Scan-based width inverse: bisection on the forward visibility.
 
     Shares no algebra with estimate_sigma_theta; the two must agree,
@@ -104,7 +77,7 @@ def estimate_sigma_theta_bisect(
     not depend on sigma_theta are derived once, and each step is the
     same float operations through ``shell_gamma``, without a config
     copy. Every rounded operation is monotone, so the forward model is
-    non-increasing in sigma_theta and plain bisection on [0, hi]
+    non-increasing in sigma_theta and plain bisection on [0, 5e-2]
     converges unconditionally.
     """
     if not 0.0 < v0 <= 1.0:
@@ -117,6 +90,7 @@ def estimate_sigma_theta_bisect(
     def forward(sigma: float) -> float:
         return 2.0 / shell_gamma(sigma, a_eff, constants.B)[1]
 
+    hi = 5e-2
     if forward(hi) > v0:
         raise ValueError(f"v0 = {v0!r} not reachable within sigma_theta <= {hi}")
     lo = 0.0
@@ -132,25 +106,24 @@ def estimate_sigma_theta_bisect(
 
 
 def estimate_equivalent_wavelength(
-    observations: list[FringeObservation], cfg: ExperimentConfig
+    first_radii: list[tuple[float, float]], cfg: ExperimentConfig
 ) -> WavelengthEstimate:
     """Equivalent wavelength from first-ring radii at several separations.
 
-    Fits rho_1^2 = slope / d_a through the origin by least squares and
-    maps the slope through ``ring_law_lambda_eq``. The reported stderr
-    is the ordinary no-intercept slope standard error propagated through
-    that relation (the error model is plain homoscedastic OLS).
-    Needs at least three observations with distinct d_a, each carrying
-    the N = 1 ring.
+    ``first_radii`` holds one (d_a, rho_1) pair per separation, both in
+    meters: the source separation and the radius of the first bright
+    ring measured there. Fits rho_1^2 = slope / d_a through the origin
+    by least squares and maps the slope through ``ring_law_lambda_eq``.
+    The reported stderr is the ordinary no-intercept slope standard
+    error propagated through that relation (the error model is plain
+    homoscedastic OLS). Needs at least three distinct separations; a
+    non-positive radius raises ValueError, and a non-positive d_a
+    InsufficientData.
     """
-    first_radii: list[tuple[float, float]] = []
-    for obs in observations:
-        ring = dict(obs.ring_radii).get(1)
-        if ring is None:
-            raise InsufficientData("every observation must include the N = 1 ring radius")
-        if obs.d_a <= 0.0:
-            raise InsufficientData("observations require d_a > 0")
-        first_radii.append((obs.d_a, ring))
+    if any(r <= 0.0 for _, r in first_radii):
+        raise ValueError("ring radii must be positive")
+    if any(d <= 0.0 for d, _ in first_radii):
+        raise InsufficientData("observations require d_a > 0")
     if len({d for d, _ in first_radii}) < 3:
         raise InsufficientData("need at least 3 observations with distinct d_a")
 

@@ -82,17 +82,16 @@ def sweep_visibility(rate_fn: Callable[[float], object]):
     return visibilities[0] if np.ndim(samples[0]) == 0 else np.array(visibilities)
 
 
-def visibility_scan(state: SuperposedState, rho, return_rate: bool = False):
-    """Brute-force visibility at camera radius rho (a scalar or an array).
+def visibility_scan(state: SuperposedState, rho):
+    """Brute-force (visibility, rate) at camera radius rho (a scalar or an array).
 
     Every radius must coincide (within half the local grid pitch) with
     one of the camera radii represented in the state's b grid; one
     off-grid radius raises ValueError. All radii are mapped to columns
-    at once and go through one ``sweep_visibility``. Returns a float for
-    a scalar rho, else one visibility per radius. With ``return_rate``
-    it returns (visibility, rate), where rate is the sweep's phi_0 = 0
-    sample, ``counting_rate_reduced`` at each radius's column, in the
-    same kind.
+    at once and go through one ``sweep_visibility``. The rate is the
+    sweep's phi_0 = 0 sample, ``counting_rate_reduced`` at each radius's
+    column. Returns two floats for a scalar rho, else one visibility and
+    one rate per radius.
     """
     radii = state.base.grid_b.mode_thetas() * state.config.f0
     wanted = np.atleast_1d(np.asarray(rho, dtype=float))
@@ -116,4 +115,4 @@ def visibility_scan(state: SuperposedState, rho, return_rate: bool = False):
     rate = samples[0]
     if np.ndim(rho) == 0:
         visibility, rate = float(visibility[0]), float(rate[0])
-    return (visibility, rate) if return_rate else visibility
+    return visibility, rate

@@ -1,13 +1,13 @@
-"""Complex error functions, the order -2 parabolic cylinder function,
-and adaptive radial quadrature.
+"""The Faddeeva function, the scaled D_{-2} pair, and adaptive radial
+quadrature.
 
 Everything here is a stateless pure function; all of them are safe to
 call concurrently. The complex substrate is the Faddeeva function
 ``w(z) = exp(-z^2) erfc(-iz)``, evaluated with numpy alone by
 Weideman's rational approximation (J. A. C. Weideman, SIAM J. Numer.
 Anal. 31 (1994) 1497-1518), whose 40 coefficients are computed once
-at import; erfc and D_{-2} are thin closed-form layers on top of it, so
-they share one accuracy budget. The only scipy use is scipy.integrate
+at import; the scaled D_{-2} pair is a thin closed-form layer on top
+of it, so the two share one accuracy budget. The only scipy use is scipy.integrate
 in the reference quadrature, imported on its first call: scipy is a
 test-only dependency, and no command loads it.
 """
@@ -20,7 +20,6 @@ from typing import Callable
 
 import numpy as np
 
-_SQRT_PI_OVER_2 = math.sqrt(math.pi / 2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
@@ -189,39 +188,6 @@ def faddeeva(z: complex) -> complex:
     return out
 
 
-def erfc_complex(z: complex) -> complex:
-    """Complementary error function continued to complex arguments.
-
-    Computed as ``exp(-z^2) w(iz)`` in the right half-plane and by the
-    reflection ``erfc(z) = 2 - erfc(-z)`` in the left half-plane, which
-    keeps the exp factor decaying. Relative accuracy 1e-10 for |z| <= 8.
-    """
-    z = complex(z)
-    if z.real < 0.0:
-        return 2.0 - erfc_complex(-z)
-    return cmath.exp(-z * z) * faddeeva(1j * z)
-
-
-def parabolic_cylinder_Dm2(z: complex) -> complex:
-    """Parabolic cylinder function D_{-2}(z).
-
-    Uses the closed form in the complementary error function,
-
-        D_{-2}(z) = exp(-z^2/4) - z exp(z^2/4) sqrt(pi/2) erfc(z/sqrt(2)),
-
-    evaluated in the factored shape
-    ``exp(-z^2/4) * (1 - z sqrt(pi/2) w(iz/sqrt(2)))`` so that only one
-    exponential appears and the growing factor never materializes.
-    Relative accuracy 1e-10 for |z| <= 8.
-    """
-    z = complex(z)
-    bracket = 1.0 - z * _SQRT_PI_OVER_2 * faddeeva(1j * z * _INV_SQRT2)
-    out = cmath.exp(-0.25 * z * z) * bracket
-    if not (math.isfinite(out.real) and math.isfinite(out.imag)):
-        raise OverflowError(f"parabolic_cylinder_Dm2 overflow at z = {z!r}")
-    return out
-
-
 def dm2_pair_scaled(z, tail=None):
     """Br(z) = e^{z^2/4} [D_{-2}(z) + D_{-2}(-z)], for a scalar or an array.
 
@@ -280,9 +246,7 @@ def integrate_radial(
     lower: float,
     upper: float,
     abs_tol: float,
-    *,
-    with_error: bool = False,
-) -> float | tuple[float, float]:
+) -> float:
     """Adaptive quadrature of ``f`` over [lower, upper].
 
     Deterministic for fixed inputs. The result is certified to carry an
@@ -298,9 +262,6 @@ def integrate_radial(
         Integration limits, lower < upper.
     abs_tol : float
         Absolute error target.
-    with_error : bool, keyword only
-        When true, return ``(value, error_estimate)`` instead of the
-        bare value. Used by refinement-behavior tests.
     """
     if not lower < upper:
         raise ValueError(f"empty integration interval [{lower}, {upper}]")
@@ -318,6 +279,4 @@ def integrate_radial(
         raise ToleranceNotReached(
             f"quadrature error estimate {estimate:.3e} exceeds abs_tol {abs_tol:.3e}", estimate
         )
-    if with_error:
-        return value, estimate
     return value

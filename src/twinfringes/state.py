@@ -2,9 +2,9 @@
 
 A mode grid enumerates paraxial plane-wave modes as the cross product of
 polar angles and azimuths, flattened theta-major. The joint state stores
-the complex amplitude table C over a pair of grids; all probability
-queries are pure functions of that table. This module is the ground
-truth the closed-form analytics are tested against.
+the complex amplitude table C over a pair of grids, from which
+:mod:`twinfringes.oracle` sums the counting rates. This module is the
+ground truth the closed-form analytics are tested against.
 """
 
 from __future__ import annotations
@@ -29,10 +29,6 @@ STATE_NORM_TOL = 1e-10
 
 class GridMismatch(ValueError):
     """Maximal-correlation table requested on non-conjugate grids."""
-
-
-class ZeroMarginal(ValueError):
-    """Conditional probability conditioned on a zero-probability mode."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,10 +139,10 @@ class SuperposedState:
 # grid factories
 # ---------------------------------------------------------------------------
 
-def camera_grid(rho_values, cfg: ExperimentConfig, azimuths=(0.0,)) -> ModeGrid:
+def camera_grid(rho_values, cfg: ExperimentConfig) -> ModeGrid:
     """Grid of b modes that land on the given camera radii (theta_b = rho / f0)."""
     rho = np.asarray(rho_values, dtype=float)
-    return ModeGrid(rho / cfg.f0, np.asarray(azimuths, dtype=float), 2.0 * math.pi / cfg.lambda_b)
+    return ModeGrid(rho / cfg.f0, np.array([0.0]), 2.0 * math.pi / cfg.lambda_b)
 
 
 def conjugate_grid(grid_b: ModeGrid, cfg: ExperimentConfig) -> ModeGrid:
@@ -175,14 +171,12 @@ def line_grid(cfg: ExperimentConfig, t_max: float, n_modes: int = 512) -> ModeGr
     return ModeGrid(theta, np.array([0.0, math.pi]), 2.0 * math.pi / cfg.lambda_a)
 
 
-def shell_line_grid(
-    cfg: ExperimentConfig, rho_max: float, n_modes: int = 512, span: float = 6.0
-) -> ModeGrid:
+def shell_line_grid(cfg: ExperimentConfig, rho_max: float, n_modes: int = 512) -> ModeGrid:
     """Line grid wide enough to hold the correlation shell for every camera
     radius up to ``rho_max``.
 
     The shell conditioned on a b mode at theta_b is centered at
-    -(k_b / k_a) theta_b with angular half-width span * sigma_theta * k0' / k_a,
+    -(k_b / k_a) theta_b with angular half-width 6 sigma_theta k0' / k_a,
     so the symmetric extent below covers all columns at once.
     """
     if cfg.sigma_theta is None or cfg.lambda_p is None:
@@ -190,7 +184,7 @@ def shell_line_grid(
     k_a = 2.0 * math.pi / cfg.lambda_a
     k_b = 2.0 * math.pi / cfg.lambda_b
     k0p = 2.0 * math.pi / cfg.lambda_p
-    t_max = (span * cfg.sigma_theta * k0p + k_b * rho_max / cfg.f0) / k_a
+    t_max = (6.0 * cfg.sigma_theta * k0p + k_b * rho_max / cfg.f0) / k_a
     return line_grid(cfg, t_max, n_modes)
 
 
@@ -211,7 +205,7 @@ def dephasing_grid(cfg: ExperimentConfig, n_modes: int = 512) -> ModeGrid:
 
 
 # ---------------------------------------------------------------------------
-# state constructors and probability queries
+# state constructors
 # ---------------------------------------------------------------------------
 
 def _envelope_b(grid_b: ModeGrid, cfg: ExperimentConfig) -> np.ndarray:
@@ -277,28 +271,6 @@ def build_amplitudes(
     return TwoPhotonState(grid_a, grid_b, np.sqrt(weights / total).astype(complex))
 
 
-def joint_probability(state: TwoPhotonState, k_a: int, k_b: int) -> float:
-    """|C[k_a, k_b]|^2 for a pair of flattened mode indices."""
-    n_a, n_b = state.amplitudes.shape
-    if not (0 <= k_a < n_a and 0 <= k_b < n_b):
-        raise IndexError(f"mode pair ({k_a}, {k_b}) outside table {state.amplitudes.shape}")
-    return float(abs(state.amplitudes[k_a, k_b]) ** 2)
-
-
-def marginal_b(state: TwoPhotonState) -> np.ndarray:
-    """Probability of each b mode, summed over all a modes."""
-    return np.sum(np.abs(state.amplitudes) ** 2, axis=0)
-
-
-def conditional_probability(state: TwoPhotonState, k_a: int, given_k_b: int) -> float:
-    """P(k_a | k_b) = |C[k_a, k_b]|^2 / sum_a |C[., k_b]|^2."""
-    joint = joint_probability(state, k_a, given_k_b)
-    marg = float(np.sum(np.abs(state.amplitudes[:, given_k_b]) ** 2))
-    if marg == 0.0:
-        raise ZeroMarginal(f"b mode {given_k_b} has zero marginal probability")
-    return joint / marg
-
-
 def phase_a(theta_a, cfg: ExperimentConfig):
     """Optical phase picked up by an a photon traveling between the sources.
 
@@ -339,16 +311,6 @@ def superpose_sources(state: TwoPhotonState, cfg: ExperimentConfig) -> Superpose
         phase_offset=float(offset),
         config=cfg,
     )
-
-
-def mutual_information_bits(state: TwoPhotonState) -> float:
-    """Mutual information of the discretized joint |C|^2, in bits."""
-    joint = np.abs(state.amplitudes) ** 2
-    pa = joint.sum(axis=1)
-    pb = joint.sum(axis=0)
-    product = np.outer(pa, pb)
-    mask = joint > 0.0
-    return float(np.sum(joint[mask] * np.log2(joint[mask] / product[mask])))
 
 
 def assemble_state(cfg: ExperimentConfig, rho_values, n_modes: int = 512) -> SuperposedState:

@@ -68,7 +68,7 @@ def test_fringe_radius_reference_and_scaling(maximal_cfg):
 
 def test_fringe_radius_equivalent_wavelength_form(maximal_cfg):
     cfg = maximal_cfg
-    lam_eq = derive_constants(cfg).lambda_eq
+    lam_eq = cfg.lambda_b**2 / cfg.lambda_a
     expect = math.sqrt(2.0 * lam_eq * cfg.f0**2 / (cfg.n_a * cfg.d_a))
     assert fringe_radius(1, cfg) == pytest.approx(expect, rel=1e-13)
 

@@ -410,6 +410,23 @@ def test_eqwavelength_rejects_non_finite_row(capsys, tmp_path, cfg_file, row):
     assert not (tmp_path / "fit.manifest.json").exists()
 
 
+@pytest.mark.parametrize("row,message", [
+    ("8,-1.54", "ring radii must be positive"),
+    ("8,0", "ring radii must be positive"),
+    ("0,1.54", "observations require d_a > 0"),
+    ("-8,1.54", "observations require d_a > 0"),
+])
+def test_eqwavelength_rejects_nonpositive_row(capsys, tmp_path, cfg_file, row, message):
+    data = tmp_path / "rings.csv"
+    data.write_text(f"d_a_mm,rho1_mm\n5,1.95\n{row}\n11.7,1.27\n15,1.12\n")
+    out = tmp_path / "fit"
+    code = main(["eqwavelength", "--config", cfg_file, "--data", str(data), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"twinfringes: error: {message}\n"
+    assert not (tmp_path / "fit.txt").exists()
+    assert not (tmp_path / "fit.manifest.json").exists()
+
+
 def _rings_csv(tmp_path):
     rows = ["d_a_mm,rho1_mm"]
     for d_mm in (5.0, 11.7, 20.0):
@@ -498,9 +515,17 @@ def test_oracle_requires_balanced_sources(tmp_path):
     assert not (tmp_path / "oracle.json").exists()
 
 
-def test_oracle_rejects_coarse_grid(tmp_path, cfg_file):
-    out = str(tmp_path / "oracle")
-    assert main(["oracle", "--config", cfg_file, "--out", out, "--grid-points", "64"]) == 1
+def test_oracle_rejects_coarse_grid(capsys, tmp_path):
+    # one rule for every model: an even count of at least 128 a-side modes
+    for text, name in ((PARTIAL, "partial.cfg"), (MAXIMAL, "maximal.cfg"),
+                       (UNCORRELATED, "uncorrelated.cfg")):
+        cfg = _cfg(tmp_path, text, name)
+        for points in ("64", "126", "127", "129", "513"):
+            out = str(tmp_path / "oracle")
+            assert main(["oracle", "--config", cfg, "--out", out, "--grid-points", points]) == 1
+            err = capsys.readouterr().err
+            assert f"--grid-points must be an even number >= 128, got {points}" in err
+            assert not (tmp_path / "oracle.json").exists()
 
 
 def test_simulate_at_extreme_separation_matches_mpmath(tmp_path):

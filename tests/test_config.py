@@ -26,8 +26,6 @@ B_REF = 0.228383458647
 GAMMA_REF = 2.00779365803
 CHI_REF = 2.27792570683e-6
 G_REF = complex(-36.3137172843, 823.479348053)
-LAMBDA_EQ_REF = 4.23290322581e-7
-K0P_REF = 11810498.6977
 
 
 def _kinds(excinfo):
@@ -42,13 +40,6 @@ def test_derived_constants_match_reference(partial_cfg):
     assert c.chi == pytest.approx(CHI_REF, rel=1e-10)
     assert c.g.real == pytest.approx(G_REF.real, rel=1e-10)
     assert c.g.imag == pytest.approx(G_REF.imag, rel=1e-10)
-    assert c.lambda_eq == pytest.approx(LAMBDA_EQ_REF, rel=1e-10)
-    assert c.k0_prime == pytest.approx(K0P_REF, rel=1e-10)
-
-
-def test_lambda_eq_is_exact_ratio(partial_cfg):
-    c = derive_constants(partial_cfg)
-    assert c.lambda_eq == partial_cfg.lambda_b**2 / partial_cfg.lambda_a
 
 
 def test_effective_curvature_formula(partial_cfg):

@@ -13,10 +13,8 @@ from twinfringes import (
     CorrelationModel,
     DegenerateVisibility,
     ExperimentConfig,
-    FringeObservation,
     InsufficientData,
     central_visibility,
-    derive_constants,
     estimate_equivalent_wavelength,
     estimate_sigma_theta,
     estimate_sigma_theta_bisect,
@@ -177,14 +175,14 @@ def _observations(cfg, separations):
             lambda_b=cfg.lambda_b,
             f0=cfg.f0,
         )
-        rows.append(FringeObservation(d_a=d, ring_radii=((1, fringe_radius(1, geo)),), v0=1.0))
+        rows.append((d, fringe_radius(1, geo)))
     return rows
 
 
 def test_ring_regression_recovers_equivalent_wavelength(maximal_cfg):
     obs = _observations(maximal_cfg, [5e-3, 8e-3, 11.7e-3, 15e-3, 20e-3])
     est = estimate_equivalent_wavelength(obs, maximal_cfg)
-    lam_eq = derive_constants(maximal_cfg).lambda_eq
+    lam_eq = maximal_cfg.lambda_b**2 / maximal_cfg.lambda_a
     assert est.lambda_eq == pytest.approx(lam_eq, rel=1e-12)
     assert est.stderr == pytest.approx(0.0, abs=1e-18)
     assert infer_lambda_a(est.lambda_eq, maximal_cfg.lambda_b) == pytest.approx(
@@ -198,9 +196,9 @@ def test_ring_regression_reports_noise(maximal_cfg):
     for d in (5e-3, 8e-3, 11.7e-3, 15e-3, 20e-3):
         geo = make_config(CorrelationModel.MAXIMAL, d_a=d)
         rho = fringe_radius(1, geo) * (1.0 + 0.01 * rng.standard_normal())
-        obs.append(FringeObservation(d_a=d, ring_radii=((1, rho),), v0=1.0))
+        obs.append((d, rho))
     est = estimate_equivalent_wavelength(obs, maximal_cfg)
-    lam_eq = derive_constants(maximal_cfg).lambda_eq
+    lam_eq = maximal_cfg.lambda_b**2 / maximal_cfg.lambda_a
     assert est.stderr > 0.0
     assert abs(est.lambda_eq - lam_eq) < 5.0 * max(est.stderr, 0.02 * lam_eq)
 
@@ -214,15 +212,6 @@ def test_ring_regression_requires_three_distinct_separations(maximal_cfg):
         estimate_equivalent_wavelength(duplicated, maximal_cfg)
 
 
-def test_ring_regression_requires_first_ring(maximal_cfg):
-    good = _observations(maximal_cfg, [5e-3, 8e-3, 11.7e-3])
-    second_only = FringeObservation(
-        d_a=15e-3, ring_radii=((2, 1.5e-3),), v0=1.0
-    )
-    with pytest.raises(InsufficientData):
-        estimate_equivalent_wavelength(good + [second_only], maximal_cfg)
-
-
 def test_infer_lambda_a_validates():
     with pytest.raises(ValueError):
         infer_lambda_a(0.0, 810e-9)
@@ -230,13 +219,16 @@ def test_infer_lambda_a_validates():
         infer_lambda_a(423e-9, -810e-9)
 
 
-def test_fringe_observation_validates():
-    with pytest.raises(ValueError):
-        FringeObservation(d_a=1e-2, ring_radii=(), v0=0.0)
-    with pytest.raises(ValueError):
-        FringeObservation(d_a=1e-2, ring_radii=((1, -1e-3),), v0=0.5)
-    with pytest.raises(ValueError):
-        FringeObservation(d_a=1e-2, ring_radii=((1, 2e-3), (2, 1e-3)), v0=0.5)
+def test_ring_regression_rejects_nonpositive_radius_and_separation(maximal_cfg):
+    good = _observations(maximal_cfg, [5e-3, 8e-3, 11.7e-3])
+    for rho in (-1e-3, 0.0):
+        with pytest.raises(ValueError, match="ring radii must be positive"):
+            estimate_equivalent_wavelength(good + [(15e-3, rho)], maximal_cfg)
+        # a bad radius is reported before a bad separation, wherever it sits
+        with pytest.raises(ValueError, match="ring radii must be positive"):
+            estimate_equivalent_wavelength([(0.0, 1e-3)] + good + [(15e-3, rho)], maximal_cfg)
+    with pytest.raises(InsufficientData, match="observations require d_a > 0"):
+        estimate_equivalent_wavelength(good + [(-15e-3, 1e-3)], maximal_cfg)
 
 
 @pytest.mark.parametrize("d_a", [5e-3, 11.7e-3, 20e-3])

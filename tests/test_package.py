@@ -1,6 +1,9 @@
 """The package namespace: every public name loads its module on first access."""
 
+import ast
 import importlib
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -31,3 +34,29 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         twinfringes.no_such_name
     assert not hasattr(twinfringes, "no_such_name")
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_benchmark_tracer_targets_resolve():
+    # the tracer wraps each listed function by module and name, so a
+    # deleted one breaks a traced benchmark run
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module_name, name in tracing.SPANNED + tracing.COUNTED:
+        module = importlib.import_module(f"twinfringes.{module_name}")
+        assert callable(getattr(module, name, None)), f"{module_name}.{name}"
+
+
+def test_benchmark_checks_import_only_public_names():
+    tree = ast.parse((PERFBENCH / "checks.py").read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "twinfringes"
+        for alias in node.names
+    }
+    assert imported
+    assert imported <= set(twinfringes.__all__)

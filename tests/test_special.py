@@ -6,14 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from twinfringes import (
-    ToleranceNotReached,
-    dm2_pair_scaled,
-    erfc_complex,
-    faddeeva,
-    integrate_radial,
-    parabolic_cylinder_Dm2,
-)
+from twinfringes import ToleranceNotReached, dm2_pair_scaled, faddeeva, integrate_radial
 from twinfringes.special import dm2_pair_slope, two_product
 
 # Frozen from an independent 50-digit evaluation.
@@ -24,20 +17,6 @@ W_REF = {
     -3 + 0.25j: 0.01939221549012719 - 0.1988980790215782j,
     4j: 0.1369994576250614 + 0j,
     5 + 0j: 1.388794386496402e-11 + 0.1152459618309366j,
-}
-
-ERFC_REF = {
-    1 + 0j: 0.1572992070502851 + 0j,
-    0.7 - 0.3j: 0.2773044998359651 + 0.207395571530813j,
-    -1.5 + 2j: 0.8949507102259825 - 0.6995116861631245j,
-    3 + 3j: 0.1321735024245489 + 0.01215218179031226j,
-}
-
-DM2_REF = {
-    0j: 1.0 + 0j,
-    1 + 0j: 0.2681570419917442 + 0j,
-    1 + 2j: -0.3825060843645914 - 0.2058131913366333j,
-    -2.5 + 0j: 29.9201030952392 + 0j,
 }
 
 
@@ -106,69 +85,6 @@ def test_faddeeva_matches_scipy_wofz():
     for z in rng.uniform(-8.0, 8.0, size=(300, 2)) @ np.array([1.0, 1j]):
         want = complex(special.wofz(z))
         assert abs(faddeeva(z) - want) <= 1e-13 * abs(want), z
-
-
-@pytest.mark.parametrize("z,want", sorted(ERFC_REF.items(), key=lambda kv: str(kv[0])))
-def test_erfc_reference_values(z, want):
-    _close(erfc_complex(z), want)
-
-
-def test_erfc_at_zero_and_real_line():
-    assert erfc_complex(0j) == 1.0 + 0j
-    assert erfc_complex(1.0).real == pytest.approx(math.erfc(1.0), rel=1e-14)
-
-
-def test_erfc_reflection_is_exact():
-    # the left half plane is filled in via erfc(-z) = 2 - erfc(z), so the
-    # reflection identity holds to the bit
-    for z in (0.3 + 1j, 2.0 - 0.5j, 4.1 + 0.1j):
-        assert erfc_complex(-z) == 2.0 - erfc_complex(z)
-
-
-def test_erfc_conjugate_symmetry():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        z = complex(*rng.uniform(-3, 3, size=2))
-        _close(erfc_complex(z.conjugate()), erfc_complex(z).conjugate(), rel=1e-13)
-
-
-def test_erfc_against_mpmath():
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        z = complex(*rng.uniform(-4, 4, size=2))
-        want = complex(mpmath.erfc(mpmath.mpc(z)))
-        got = erfc_complex(z)
-        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
-
-
-@pytest.mark.parametrize("z,want", sorted(DM2_REF.items(), key=lambda kv: str(kv[0])))
-def test_dm2_reference_values(z, want):
-    _close(parabolic_cylinder_Dm2(z), want)
-
-
-def test_dm2_at_origin_is_exactly_one():
-    assert parabolic_cylinder_Dm2(0j) == 1.0 + 0j
-
-
-def test_dm2_against_mpmath():
-    rng = np.random.default_rng(23)
-    for _ in range(200):
-        r = 5.0 * math.sqrt(rng.uniform())
-        phi = rng.uniform(0.0, 2.0 * math.pi)
-        z = r * complex(math.cos(phi), math.sin(phi))
-        want = complex(mpmath.pcfd(-2, mpmath.mpc(z)))
-        got = parabolic_cylinder_Dm2(z)
-        assert abs(got - want) <= 1e-11 * max(1.0, abs(want))
-
-
-def test_dm2_even_real_part_growth():
-    # D_{-2} grows on the negative real axis and decays on the positive one
-    assert abs(parabolic_cylinder_Dm2(-3.0)) > 1.0 > abs(parabolic_cylinder_Dm2(3.0))
-
-
-def test_dm2_overflow_raises():
-    with pytest.raises(OverflowError):
-        parabolic_cylinder_Dm2(-60.0)
 
 
 def test_dm2_pair_scaled_against_mpmath():
@@ -250,12 +166,6 @@ def test_integrate_radial_gaussian_ring():
     # integral of u exp(-2 u^2) over [0, 6]: (1 - e^{-72}) / 4
     value = integrate_radial(lambda u: u * math.exp(-2.0 * u * u), 0.0, 6.0, 1e-12)
     assert value == pytest.approx(0.25, rel=1e-12)
-
-
-def test_integrate_radial_reports_error_estimate():
-    value, err = integrate_radial(lambda x: math.cos(x), 0.0, 1.0, 1e-12, with_error=True)
-    assert value == pytest.approx(math.sin(1.0), rel=1e-13)
-    assert 0.0 <= err <= 1e-12
 
 
 def test_integrate_radial_rejects_bad_interval():

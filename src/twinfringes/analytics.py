@@ -183,14 +183,34 @@ def counting_rate_partial(rho, phi_0: float, cfg: ExperimentConfig):
     The erfc form of D_{-2} (DLMF 12.7) turns Br into Faddeeva functions.
     The visibility is |Br(rho g)| / |p| = visibility_closed_form.
     """
+    return _partial_fringe(rho, phi_0, cfg)[0]
+
+
+def _partial_br(rho, cfg: ExperimentConfig):
+    """derive_constants(cfg) and Br(rho g) at the radii rho.
+
+    The one evaluation of the scaled D_-2 pair behind both the
+    partial-model rate and its visibility.
+    """
+    constants = derive_constants(cfg)
+    return constants, dm2_pair_scaled(rho * constants.g)
+
+
+def _partial_fringe(rho, phi_0: float, cfg: ExperimentConfig):
+    """counting_rate_partial, with the constants and Br(rho g) it used.
+
+    radial_profile takes the visibility |Br| / gamma from the same Br,
+    which is the value visibility_closed_form computes at rho >= 0.
+    """
     _require_nonnegative(rho)
     if cfg.sigma_theta is None:
         raise ValueError("partial-correlation rate requires sigma_theta")
-    constants = derive_constants(cfg)
+    constants, br = _partial_br(rho, cfg)
     phase = cfg.n_a * constants.A * rho * rho - phi_0
     p = complex(2.0, -constants.kappa)
-    fringe = np.exp(1j * phase) * dm2_pair_scaled(rho * constants.g) / p
-    return 0.5 * cfg.sigma_theta**2 * _envelope(rho, cfg) * (1.0 + fringe.real)
+    fringe = np.exp(1j * phase) * br / p
+    rate = 0.5 * cfg.sigma_theta**2 * _envelope(rho, cfg) * (1.0 + fringe.real)
+    return rate, constants, br
 
 
 def counting_rate_partial_quadrature(rho: float, phi_0: float, cfg: ExperimentConfig) -> float:
@@ -230,8 +250,8 @@ def visibility_closed_form(rho, cfg: ExperimentConfig):
     e^{sigma^2 rho^2 / chi^2} at z = rho g. Depends only on |rho|; at
     rho = 0 it reduces bit-exactly to central_visibility.
     """
-    constants = derive_constants(cfg)
-    return np.abs(dm2_pair_scaled(np.abs(rho) * constants.g)) / constants.gamma
+    constants, br = _partial_br(np.abs(rho), cfg)
+    return np.abs(br) / constants.gamma
 
 
 def central_visibility(cfg: ExperimentConfig) -> float:
@@ -395,10 +415,16 @@ def _visibility_curve(rho: np.ndarray, cfg: ExperimentConfig) -> np.ndarray:
 def radial_profile(
     cfg: ExperimentConfig, rho_max: float, n_samples: int, phi_0: float
 ) -> RadialProfile:
-    """Rate and visibility sampled on n_samples radii in [0, rho_max]."""
+    """Rate and visibility sampled on n_samples radii in [0, rho_max].
+
+    The partial model evaluates Br once per radius for both columns.
+    """
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
     rho = np.linspace(0.0, rho_max, n_samples)
+    if cfg.correlation_model is CorrelationModel.GAUSSIAN_PARTIAL:
+        rate, constants, br = _partial_fringe(rho, phi_0, cfg)
+        return RadialProfile(rho, rate, np.clip(np.abs(br) / constants.gamma, 0.0, 1.0))
     return RadialProfile(rho, _rate_curve(rho, phi_0, cfg), _visibility_curve(rho, cfg))
 
 

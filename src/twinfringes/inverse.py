@@ -118,7 +118,9 @@ def estimate_equivalent_wavelength(
     error propagated through that relation (the error model is plain
     homoscedastic OLS). Needs at least three distinct separations; a
     non-positive radius raises ValueError, and a non-positive d_a
-    InsufficientData.
+    InsufficientData. Finite data whose squares or reciprocals leave
+    the float range give a non-finite slope or stderr, which
+    ``ring_law_lambda_eq`` rejects with ValueError.
     """
     if any(r <= 0.0 for _, r in first_radii):
         raise ValueError("ring radii must be positive")
@@ -147,9 +149,15 @@ def ring_law_lambda_eq(rho1_sq_d_a: float, cfg: ExperimentConfig) -> float:
 
     ``rho1_sq_d_a`` is rho_1^2 d_a in m^3, one measured ring or a fitted
     slope. The law is linear in it, so a slope's standard error maps
-    through it too.
+    through it too. A result that is not finite, from an input that
+    overflowed or is undefined, raises ValueError.
     """
-    return rho1_sq_d_a * (cfg.n_a / (2.0 * cfg.f0 * cfg.f0))
+    lambda_eq = rho1_sq_d_a * (cfg.n_a / (2.0 * cfg.f0 * cfg.f0))
+    if not math.isfinite(lambda_eq):
+        raise ValueError(
+            f"ring law gives lambda_eq = {lambda_eq!r} from rho_1^2 d_a = {rho1_sq_d_a!r} m^3"
+        )
+    return lambda_eq
 
 
 def infer_lambda_a(lambda_eq: float, lambda_b: float) -> float:

@@ -251,6 +251,14 @@ def test_radial_profile_per_model(partial_cfg, maximal_cfg, uncorrelated_cfg):
     assert np.all(np.diff(prof.visibility) < 0.0)
 
 
+@pytest.mark.parametrize("d_a,sigma", [(5e-3, 5e-4), (11.7e-3, 9.37e-4), (20e-3, 3e-3)])
+def test_radial_profile_partial_matches_rate_and_visibility_bit_for_bit(d_a, sigma):
+    cfg = make_config(d_a=d_a, sigma_theta=sigma)
+    prof = radial_profile(cfg, 4e-3, 301, 2.3)
+    assert np.array_equal(prof.rate, counting_rate_partial(prof.rho, 2.3, cfg))
+    assert np.array_equal(prof.visibility, np.clip(visibility_closed_form(prof.rho, cfg), 0.0, 1.0))
+
+
 def test_radial_profile_needs_two_samples(partial_cfg):
     with pytest.raises(ValueError):
         radial_profile(partial_cfg, 1e-3, 1, 0.0)

@@ -363,6 +363,14 @@ def test_invert_rejects_overflowing_visibility(capsys, tmp_path, cfg_file, v0):
     assert not (tmp_path / "width.txt").exists()
 
 
+def test_invert_rejects_overflowing_ring_radius(capsys, tmp_path, cfg_file):
+    out = tmp_path / "inv"
+    argv = ["--v0", "0.8", "--rho1-mm", "1e200"]
+    assert main(["invert", "--config", cfg_file, "--out", str(out), *argv]) == 1
+    assert "ring law gives lambda_eq = inf" in capsys.readouterr().err
+    assert not (tmp_path / "inv.txt").exists()
+
+
 def test_invert_writes_file_when_out_given(tmp_path, cfg_file):
     out = tmp_path / "width"
     assert main(["invert", "--config", cfg_file, "--v0", "0.9", "--out", str(out)]) == 0
@@ -406,6 +414,18 @@ def test_eqwavelength_rejects_non_finite_row(capsys, tmp_path, cfg_file, row):
     code = main(["eqwavelength", "--config", cfg_file, "--data", str(data), "--out", str(out)])
     assert code == 1
     assert f"{data}:4:" in capsys.readouterr().err
+    assert not (tmp_path / "fit.txt").exists()
+    assert not (tmp_path / "fit.manifest.json").exists()
+
+
+@pytest.mark.parametrize("row", ["5,1e200", "1e-320,1.9"])
+def test_eqwavelength_rejects_non_finite_fit(capsys, tmp_path, cfg_file, row):
+    data = tmp_path / "rings.csv"
+    data.write_text(f"d_a_mm,rho1_mm\n{row}\n8,1.54\n11.7,1.27\n")
+    out = tmp_path / "fit"
+    code = main(["eqwavelength", "--config", cfg_file, "--data", str(data), "--out", str(out)])
+    assert code == 1
+    assert "ring law gives lambda_eq" in capsys.readouterr().err
     assert not (tmp_path / "fit.txt").exists()
     assert not (tmp_path / "fit.manifest.json").exists()
 

@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twinfringes import (
     ConfigError,
@@ -24,6 +26,7 @@ from twinfringes import (
     write_pgm,
     write_profile_csv,
 )
+from twinfringes.fileio import _format_e11_rows
 
 GOOD_CONFIG = """\
 # reference run
@@ -226,6 +229,49 @@ def test_write_profile_csv_matches_reference_text(
     for profile in profiles:
         write_profile_csv(profile, path)
         assert path.read_bytes() == _reference_profile_text(profile).encode("ascii")
+
+
+def _reference_e11_rows(values):
+    """The per-float Python formatting that _format_e11_rows replaces."""
+    return "".join(",".join(format(v, ".11e") for v in row) + "\n" for row in values.tolist())
+
+
+finite_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=0.0, max_value=1e-99),  # subnormals and three-digit exponents
+    st.floats(min_value=1e-12, max_value=1.0),  # the profile's range
+    st.floats(min_value=1e22, max_value=1e40),  # past the exact powers of ten
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(finite_floats, finite_floats, finite_floats), min_size=1, max_size=20))
+def test_format_e11_rows_matches_python_format(rows):
+    values = np.array(rows, dtype=float)
+    assert _format_e11_rows(values).decode("ascii") == _reference_e11_rows(values)
+
+
+@pytest.mark.parametrize("value,text", [
+    (2.0**-18, "3.81469726562e-06"),  # an exact tie, rounded half to even
+    (9.999999999995e-3, "1.00000000000e-02"),  # rounds up into the next decade
+    (0.0, "0.00000000000e+00"),
+    (5e-324, "4.94065645841e-324"),
+])
+def test_format_e11_rows_fixed_cases(value, text):
+    values = np.array([[value, 0.5], [1.0, value]])
+    want = f"{text},5.00000000000e-01\n1.00000000000e+00,{text}\n"
+    assert _format_e11_rows(values).decode("ascii") == want
+
+
+def test_format_e11_rows_at_powers_of_ten():
+    powers = np.array([float(f"1e{k}") for k in range(-120, 121)])
+    values = np.stack([np.nextafter(powers, 0.0), powers, np.nextafter(powers, np.inf)], axis=1)
+    assert _format_e11_rows(values).decode("ascii") == _reference_e11_rows(values)
+
+
+def test_format_e11_rows_non_finite_and_negative():
+    values = np.array([[np.nan, 1.0, -0.0], [0.25, -np.inf, -1e-5], [np.inf, 2.0, 3.0]])
+    assert _format_e11_rows(values).decode("ascii") == _reference_e11_rows(values)
 
 
 def test_manifest_requires_existing_outputs(tmp_path):

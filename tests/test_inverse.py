@@ -231,6 +231,16 @@ def test_ring_regression_rejects_nonpositive_radius_and_separation(maximal_cfg):
         estimate_equivalent_wavelength(good + [(-15e-3, 1e-3)], maximal_cfg)
 
 
+@pytest.mark.parametrize("first_radii", [
+    [(5e-3, 1e197), (8e-3, 1.54e-3), (11.7e-3, 1.27e-3)],  # rho_1^2 overflows: slope inf
+    [(1e-323, 1.9e-3), (8e-3, 1.54e-3), (11.7e-3, 1.27e-3)],  # 1 / d_a overflows: slope nan
+    [(5e-3, 1e149), (8e-3, 1.54e-3), (11.7e-3, 1.27e-3)],  # finite slope, residual^2 overflows
+])
+def test_ring_regression_rejects_non_finite_fit(maximal_cfg, first_radii):
+    with pytest.raises(ValueError, match="ring law gives lambda_eq"):
+        estimate_equivalent_wavelength(first_radii, maximal_cfg)
+
+
 @pytest.mark.parametrize("d_a", [5e-3, 11.7e-3, 20e-3])
 @pytest.mark.parametrize("n_a", [1.0, 1.5])
 def test_ring_law_inverts_fringe_radius(d_a, n_a):

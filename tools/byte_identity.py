@@ -12,9 +12,13 @@ strips do not divide evenly), visibility with a rho list and with two
 sigma lists (one holding 0, a repeated width and an unsorted order),
 invert at v0 0.9, 0.1 and 0.98, eqwavelength and oracle at 128, 512
 and 1024 modes (a partial check that misses its gate at 128 modes
-exits 2 and still writes its report). Every command is ``python -m twinfringes.cli`` in a
-fresh interpreter with PYTHONPATH set to the tree. Exit codes and every
-output file are compared; manifests are compared without ``started_at``,
+exits 2 and still writes its report). The d_a 11.7 mm, sigma_theta
+9.37e-4 config of each model also runs simulate at 256 px on a 100 mm
+screen, whose profile reaches rates below 1e-11 and with three-digit
+exponents, the fields the CSV writer leaves to Python's format. Every
+command is ``python -m twinfringes.cli`` in a fresh interpreter with
+PYTHONPATH set to the tree. Exit codes and every output file are
+compared; manifests are compared without ``started_at``,
 ``duration_s`` and output paths.
 Prints each difference and exits 1 if there is any, else exits 0.
 Standard library only.
@@ -59,6 +63,10 @@ COMMANDS = {
     "oracle1024": ["oracle", "--grid-points", "1024"],
 }
 
+# Run on one config per model only (see the module docstring).
+WIDE_CONFIG = "_d11p7_s0p000937"
+WIDE_COMMANDS = {"simwide": ["simulate", "--resolution", "256", "--screen-mm", "100"]}
+
 VOLATILE = ("started_at", "duration_s")
 
 
@@ -82,7 +90,8 @@ def run_tree(src: Path, work: Path) -> dict[str, int]:
     for cfg_name, text in _configs().items():
         cfg = work / f"{cfg_name}.cfg"
         cfg.write_text(text, encoding="ascii")
-        for cmd_name, args in COMMANDS.items():
+        commands = dict(COMMANDS, **WIDE_COMMANDS) if cfg_name.endswith(WIDE_CONFIG) else COMMANDS
+        for cmd_name, args in commands.items():
             run = f"{cfg_name}_{cmd_name}"
             argv = [str(rings) if a == "RINGS" else a for a in args]
             argv[1:1] = ["--config", str(cfg), "--out", str(work / run)]

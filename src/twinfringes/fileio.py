@@ -177,20 +177,37 @@ def _e11_tables():
     By index e + _E_OFFSET: the multiplier and divisor that scale x in
     decade e to the 12-digit mantissa x 10^(11 - e) (one of them 1, the
     other an exact power 10^k, k <= 22; both 1 where no exact power
-    exists) and whether that scale is exact; the exponent text "e+XX".
-    By four-digit group 0000..9999: its ASCII digits, and "d.ddd" for
-    the leading group. The record type of one output field.
+    exists), whether that scale is exact, and the exponent text "e+XX"
+    (used for |e| < 100 only). By four-digit group 0000..9999: its ASCII
+    digits, and "d.ddd" for the leading group. The record type of one
+    output field. Array arithmetic builds them in well under a
+    millisecond, which a cold ``simulate`` pays once.
     """
     import numpy as np
 
-    k = 11 - np.arange(-_E_OFFSET, _E_OFFSET + 1)
+    e = np.arange(-_E_OFFSET, _E_OFFSET + 1)
+    k = 11 - e
     exact = np.abs(k) <= 22
-    powers = [float(10**p) for p in range(23)]
-    multiplier = np.array([powers[p] if 0 <= p <= 22 else 1.0 for p in k.tolist()])
-    divisor = np.array([powers[-p] if -22 <= p < 0 else 1.0 for p in k.tolist()])
-    tails = np.array([b"e%+03d" % (11 - p) for p in k.tolist()], dtype="S4")
-    groups = np.array([b"%04d" % i for i in range(10**4)], dtype="S4")
-    heads = np.array([b"%d.%03d" % divmod(i, 1000) for i in range(10**4)], dtype="S8")
+    power = np.array([float(10**p) for p in range(23)])[np.minimum(np.abs(k), 22)]
+    multiplier = np.where(exact & (k >= 0), power, 1.0)
+    divisor = np.where(exact & (k < 0), power, 1.0)
+
+    ascii_digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    digits = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)
+    digits[..., 0] = ascii_digits[:, None, None, None]
+    digits[..., 1] = ascii_digits[:, None, None]
+    digits[..., 2] = ascii_digits[:, None]
+    digits[..., 3] = ascii_digits
+    digits = digits.reshape(10**4, 4)
+    groups = digits.view("S4").ravel()
+    heads = np.zeros((10**4, 8), dtype=np.uint8)
+    heads[:, 0] = digits[:, 0]
+    heads[:, 1] = ord(".")
+    heads[:, 2:5] = digits[:, 1:]
+    tails = np.empty((e.size, 4), dtype=np.uint8)
+    tails[:, 0] = ord("e")
+    tails[:, 1] = np.where(e < 0, ord("-"), ord("+"))
+    tails[:, 2:] = digits[np.abs(e) % 100, 2:]
     # One field of the output: "d.ddd" "dddd" "dddd" "e+XX" and its
     # separator. "head" is 8 bytes wide, since 8-byte items copy several
     # times faster than 5-byte ones; "mid", written after it, overwrites
@@ -201,7 +218,9 @@ def _e11_tables():
         "offsets": [0, 5, 9, 13, 17],
         "itemsize": 18,
     })
-    return multiplier, divisor, exact, tails, groups, heads, record
+    return (
+        multiplier, divisor, exact, tails.view("S4").ravel(), groups, heads.view("S8").ravel(), record
+    )
 
 
 def _format_e11_rows(columns: np.ndarray) -> bytes:
@@ -213,13 +232,13 @@ def _format_e11_rows(columns: np.ndarray) -> bytes:
     power of ten (|11 - e| <= 22). m lies in [1e11, 1e12], where half an
     ulp is at most 2^-14, so rounding m to an integer gives the
     correctly rounded 12 digits unless m lies within 2^-12 of a
-    rounding tie; 10^12 carries into the exponent. The
-    digits come from tables of four-digit groups. A field goes to
-    ``format(x, ".11e")`` instead when it is zero, negative or not
-    finite, when its scale is not exact (x below 1e-11 or from 1e34 on,
-    which covers every three-digit exponent) or when m is near a tie. A
-    fallback text 17 bytes long is written into its field; a row with
-    one of another length is formatted whole in Python.
+    rounding tie; 10^12 carries into the exponent. The digits come from
+    tables of four-digit groups. A field goes to ``format(x, ".11e")``
+    instead when it is zero, negative or not finite, when its scale is
+    not exact (x below 1e-11 or from 1e34 on, which covers every
+    three-digit exponent) or when m is near a tie. A fallback text 17
+    bytes long is written into its field; a row with one of another
+    length is formatted whole in Python.
     """
     import numpy as np
 

@@ -684,6 +684,7 @@ def test_scalar_commands_load_no_numpy(import_graph):
         assert code == 0, label
         assert modules["numpy"] == [], label
         assert not set(_ARRAY_MODULES) & set(modules["twinfringes"]), label
+        assert "twinfringes.floattext" not in modules["twinfringes"], label
     # every array command runs, and the first one loads the whole array half
     for label, code, modules in import_graph[_SCALAR_STEPS:]:
         assert code == 0, label

@@ -26,7 +26,7 @@ from twinfringes import (
     write_pgm,
     write_profile_csv,
 )
-from twinfringes.fileio import _format_e11_rows
+from twinfringes.floattext import format_e11_rows
 
 GOOD_CONFIG = """\
 # reference run
@@ -232,7 +232,7 @@ def test_write_profile_csv_matches_reference_text(
 
 
 def _reference_e11_rows(values):
-    """The per-float Python formatting that _format_e11_rows replaces."""
+    """The per-float Python formatting that format_e11_rows replaces."""
     return "".join(",".join(format(v, ".11e") for v in row) + "\n" for row in values.tolist())
 
 
@@ -248,7 +248,7 @@ finite_floats = st.one_of(
 @given(st.lists(st.tuples(finite_floats, finite_floats, finite_floats), min_size=1, max_size=20))
 def test_format_e11_rows_matches_python_format(rows):
     values = np.array(rows, dtype=float)
-    assert _format_e11_rows(values).decode("ascii") == _reference_e11_rows(values)
+    assert format_e11_rows(values).decode("ascii") == _reference_e11_rows(values)
 
 
 @pytest.mark.parametrize("value,text", [
@@ -260,18 +260,18 @@ def test_format_e11_rows_matches_python_format(rows):
 def test_format_e11_rows_fixed_cases(value, text):
     values = np.array([[value, 0.5], [1.0, value]])
     want = f"{text},5.00000000000e-01\n1.00000000000e+00,{text}\n"
-    assert _format_e11_rows(values).decode("ascii") == want
+    assert format_e11_rows(values).decode("ascii") == want
 
 
 def test_format_e11_rows_at_powers_of_ten():
     powers = np.array([float(f"1e{k}") for k in range(-120, 121)])
     values = np.stack([np.nextafter(powers, 0.0), powers, np.nextafter(powers, np.inf)], axis=1)
-    assert _format_e11_rows(values).decode("ascii") == _reference_e11_rows(values)
+    assert format_e11_rows(values).decode("ascii") == _reference_e11_rows(values)
 
 
 def test_format_e11_rows_non_finite_and_negative():
     values = np.array([[np.nan, 1.0, -0.0], [0.25, -np.inf, -1e-5], [np.inf, 2.0, 3.0]])
-    assert _format_e11_rows(values).decode("ascii") == _reference_e11_rows(values)
+    assert format_e11_rows(values).decode("ascii") == _reference_e11_rows(values)
 
 
 def test_manifest_requires_existing_outputs(tmp_path):

@@ -47,9 +47,9 @@ _EXPORTS = {
         "ToleranceNotReached", "dm2_pair_scaled", "faddeeva", "integrate_radial",
     ),
     "state": (
-        "GridMismatch", "ModeGrid", "SuperposedState", "TwoPhotonState", "assemble_state",
-        "build_amplitudes", "camera_grid", "conjugate_grid", "dephasing_grid", "line_grid",
-        "phase_a", "shell_line_grid", "superpose_sources",
+        "GridMismatch", "ModeGrid", "SuperposedState", "assemble_state", "build_amplitudes",
+        "camera_grid", "conjugate_grid", "dephasing_grid", "line_grid", "phase_a",
+        "shell_line_grid",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

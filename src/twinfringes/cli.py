@@ -233,7 +233,7 @@ def run_oracle_check(cfg: ExperimentConfig, grid_points: int, out) -> None:
     if grid_points < 128 or grid_points % 2:
         raise UsageError(f"--grid-points must be an even number >= 128, got {grid_points}")
     _load_arrays()
-    if abs(abs(cfg.alpha1_mag) - abs(cfg.alpha2_mag)) > 1e-12:
+    if abs(cfg.alpha1_mag - cfg.alpha2_mag) > 1e-12:
         raise oracle.UnequalAmplitudes(
             f"oracle check needs balanced sources; alpha1_mag = {cfg.alpha1_mag!r}, "
             f"alpha2_mag = {cfg.alpha2_mag!r}"

@@ -83,7 +83,8 @@ class ExperimentConfig:
     n_a : float
         Refractive index seen by photon a between the sources.
     alpha1_mag, alpha2_mag : float
-        Source emission amplitude magnitudes; their squares must sum to 1.
+        Source emission amplitude magnitudes, >= 0; their squares must
+        sum to 1.
     phi1, phi2 : float
         Source phases [rad].
     phi_b : float
@@ -143,6 +144,8 @@ _LOWER_BOUNDS = {
     "sigma_theta": (0, True),
     "d_a": (0, False),
     "n_a": (1, False),
+    "alpha1_mag": (0, False),
+    "alpha2_mag": (0, False),
 }
 
 

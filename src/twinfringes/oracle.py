@@ -1,9 +1,11 @@
 """Brute-force camera counting rates by direct summation over the state.
 
-Rates here are computed mode by mode from the amplitude table with no
-closed-form shortcuts, which makes this module the independent reference
-for everything in :mod:`twinfringes.analytics`. All outputs share one
-arbitrary positive scale; comparisons downstream are ratio-based.
+Rates here are computed mode by mode from the real amplitude table and
+the a-path phase table of a :class:`~twinfringes.state.SuperposedState`,
+with no closed-form shortcuts, which makes this module the independent
+reference for everything in :mod:`twinfringes.analytics`. All outputs
+share one arbitrary positive scale; comparisons downstream are
+ratio-based.
 
 Each function takes one camera column (or radius) or an array of them
 and answers in kind: a float for a scalar, one value per entry for an
@@ -33,17 +35,18 @@ class ZeroRate(ArithmeticError):
 def counting_rate_reduced(state: SuperposedState, k_b, phi_0: float):
     """Counting rate at b mode ``k_b`` (an int or an index array).
 
-    sum_a |C|^2 { |a1|^2 + |a2|^2 + 2 |a1||a2| cos[dphi_a - phi_0] }
+    sum_a C^2 { |a1|^2 + |a2|^2 + 2 |a1||a2| cos[dphi_a - phi_0] }
+    with the source magnitudes |a1|, |a2| read from the state's config,
     where dphi_a is the a phase less the state's ``phase_offset``, so
     phi_0 = 0 sits on the on-axis bright fringe. For balanced sources
-    this is sum_a |C|^2 {1 + cos[dphi_a - phi_0]}. The fringe factor and
-    |C|^2 of the requested columns are formed once; each column's rate
+    this is sum_a C^2 {1 + cos[dphi_a - phi_0]}. The fringe factor and
+    C^2 of the requested columns are formed once; each column's rate
     is the exact ``math.fsum`` of its elementwise products. Returns a
     float for an int ``k_b``, else one rate per column.
     """
-    a1 = abs(state.alpha1)
-    a2 = abs(state.alpha2)
-    weights = np.abs(state.base.amplitudes.T[np.atleast_1d(k_b)]) ** 2
+    a1 = state.config.alpha1_mag
+    a2 = state.config.alpha2_mag
+    weights = state.amplitudes.T[np.atleast_1d(k_b)] ** 2
     arg = state.phase_a - state.phase_offset - phi_0
     terms = weights * ((a1 * a1 + a2 * a2) + 2.0 * a1 * a2 * np.cos(arg))
     rates = [math.fsum(row.tolist()) for row in terms]
@@ -93,7 +96,7 @@ def visibility_scan(state: SuperposedState, rho):
     column. Returns two floats for a scalar rho, else one visibility and
     one rate per radius.
     """
-    radii = state.base.grid_b.mode_thetas() * state.config.f0
+    radii = state.grid_b.angles * state.config.f0
     wanted = np.atleast_1d(np.asarray(rho, dtype=float))
     k_b = np.argmin(np.abs(radii - wanted[:, np.newaxis]), axis=1)
     unique = np.unique(radii)

@@ -1,10 +1,11 @@
-"""Discretized two-photon states over polar transverse-mode grids.
+"""Discretized biphoton states over signed transverse-mode lines.
 
-A mode grid enumerates paraxial plane-wave modes as the cross product of
-polar angles and azimuths, flattened theta-major. The joint state stores
-the complex amplitude table C over a pair of grids, from which
-:mod:`twinfringes.oracle` sums the counting rates. This module is the
-ground truth the closed-form analytics are tested against.
+A mode grid holds the signed transverse angles of one photon's modes
+along a single line through the optical axis. The superposed state
+stores the real amplitude table C over a pair of grids together with
+the a-path phase of every a mode, from which :mod:`twinfringes.oracle`
+sums the counting rates. This module is the ground truth the
+closed-form analytics are tested against.
 """
 
 from __future__ import annotations
@@ -15,15 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import (
-    AMPLITUDE_NORM_TOL,
-    PARAXIAL_LIMIT,
-    CorrelationModel,
-    ExperimentConfig,
-    ParaxialWarning,
-)
+from .config import PARAXIAL_LIMIT, CorrelationModel, ExperimentConfig, ParaxialWarning
 
-# Sum |C|^2 must match 1 this closely after every constructor.
+# Sum C^2 must match 1 this closely after every constructor.
 STATE_NORM_TOL = 1e-10
 
 
@@ -33,106 +28,74 @@ class GridMismatch(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class ModeGrid:
-    """Transverse modes of one photon: polar angles x azimuths.
+    """Transverse modes of one photon along a line through the axis.
 
     Parameters
     ----------
-    theta_samples : array
-        Strictly increasing polar angles in [0, 0.1) rad.
-    azimuth_samples : array
-        Strictly increasing azimuths in [0, 2 pi) rad; a single entry
-        gives a radially resolved (1D) grid.
+    angles : array
+        Distinct signed transverse angles, |angle| < 0.1 rad.
     k_magnitude : float
         Wavenumber of the photon species this grid represents [1/m].
     """
 
-    theta_samples: np.ndarray
-    azimuth_samples: np.ndarray
+    angles: np.ndarray
     k_magnitude: float
 
     def __post_init__(self):
-        theta = np.asarray(self.theta_samples, dtype=float)
-        azimuth = np.asarray(self.azimuth_samples, dtype=float)
-        object.__setattr__(self, "theta_samples", theta)
-        object.__setattr__(self, "azimuth_samples", azimuth)
-        if theta.ndim != 1 or theta.size == 0:
-            raise ValueError("theta_samples must be a non-empty 1D array")
-        if azimuth.ndim != 1 or azimuth.size == 0:
-            raise ValueError("azimuth_samples must be a non-empty 1D array")
-        if np.any(np.diff(theta) <= 0.0):
-            raise ValueError("theta_samples must be strictly increasing")
-        if theta[0] < 0.0 or theta[-1] >= PARAXIAL_LIMIT:
-            raise ValueError(f"theta_samples must lie in [0, {PARAXIAL_LIMIT})")
-        if np.any(np.diff(azimuth) <= 0.0):
-            raise ValueError("azimuth_samples must be strictly increasing")
-        if azimuth[0] < 0.0 or azimuth[-1] >= 2.0 * math.pi:
-            raise ValueError("azimuth_samples must lie in [0, 2 pi)")
+        angles = np.asarray(self.angles, dtype=float)
+        object.__setattr__(self, "angles", angles)
+        if angles.ndim != 1 or angles.size == 0:
+            raise ValueError("angles must be a non-empty 1D array")
+        if np.unique(angles).size != angles.size:
+            raise ValueError("angles must be distinct")
+        if not np.all(np.abs(angles) < PARAXIAL_LIMIT):
+            raise ValueError(f"angles must lie in (-{PARAXIAL_LIMIT}, {PARAXIAL_LIMIT})")
         if not self.k_magnitude > 0.0:
             raise ValueError("k_magnitude must be positive")
 
     @property
     def n_modes(self) -> int:
-        return self.theta_samples.size * self.azimuth_samples.size
-
-    def mode_thetas(self) -> np.ndarray:
-        """Polar angle of every flattened mode (theta-major order)."""
-        return np.repeat(self.theta_samples, self.azimuth_samples.size)
-
-    def mode_azimuths(self) -> np.ndarray:
-        """Azimuth of every flattened mode (theta-major order)."""
-        return np.tile(self.azimuth_samples, self.theta_samples.size)
+        return self.angles.size
 
     def transverse_x(self) -> np.ndarray:
-        """Signed x transverse wavevector k sin(theta) cos(az), paraxially k theta cos(az)."""
-        return self.k_magnitude * self.mode_thetas() * np.cos(self.mode_azimuths())
-
-
-@dataclass(frozen=True, eq=False)
-class TwoPhotonState:
-    """Amplitude table C[k_a, k_b] over a pair of mode grids."""
-
-    grid_a: ModeGrid
-    grid_b: ModeGrid
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=complex)
-        object.__setattr__(self, "amplitudes", amp)
-        expected = (self.grid_a.n_modes, self.grid_b.n_modes)
-        if amp.shape != expected:
-            raise ValueError(f"amplitude table shape {amp.shape}, expected {expected}")
-        total = float(np.sum(np.abs(amp) ** 2))
-        if abs(total - 1.0) > STATE_NORM_TOL:
-            raise ValueError(f"state not normalized: sum |C|^2 = {total!r}")
+        """Signed transverse wavevector k sin(angle), paraxially k angle."""
+        return self.k_magnitude * self.angles
 
 
 @dataclass(frozen=True, eq=False)
 class SuperposedState:
-    """Coherent superposition of the same biphoton state from two sources.
+    """The biphoton state that both sources emit coherently.
 
-    ``phase_a`` is the raw a-path phase accumulated between the sources
-    for every mode of ``grid_a``. ``phase_offset`` is the static,
-    mode-independent part (on-axis a phase plus the source and b-path
-    phases); counting rates subtract it so that the externally scanned
-    phase phi_0 = 0 corresponds to the on-axis bright-fringe condition.
-    The originating config is kept for downstream geometry queries.
+    ``amplitudes`` is the real table C[k_a, k_b] over ``grid_a`` x
+    ``grid_b``, normalized so that sum C^2 = 1. ``phase_a`` is the raw
+    a-path phase accumulated between the sources for every mode of
+    ``grid_a``. ``phase_offset`` is the static, mode-independent part
+    (on-axis a phase plus the source and b-path phases); counting rates
+    subtract it so that the externally scanned phase phi_0 = 0
+    corresponds to the on-axis bright-fringe condition. The originating
+    config supplies the source magnitudes and the camera geometry.
     """
 
-    base: TwoPhotonState
-    alpha1: complex
-    alpha2: complex
+    grid_a: ModeGrid
+    grid_b: ModeGrid
+    amplitudes: np.ndarray
     phase_a: np.ndarray
     phase_offset: float
     config: ExperimentConfig
 
     def __post_init__(self):
+        amp = np.asarray(self.amplitudes, dtype=float)
         table = np.asarray(self.phase_a, dtype=float)
+        object.__setattr__(self, "amplitudes", amp)
         object.__setattr__(self, "phase_a", table)
-        if table.shape != (self.base.grid_a.n_modes,):
+        expected = (self.grid_a.n_modes, self.grid_b.n_modes)
+        if amp.shape != expected:
+            raise ValueError(f"amplitude table shape {amp.shape}, expected {expected}")
+        if table.shape != (self.grid_a.n_modes,):
             raise ValueError("phase_a table does not match grid_a mode count")
-        norm = abs(self.alpha1) ** 2 + abs(self.alpha2) ** 2
-        if abs(norm - 1.0) > AMPLITUDE_NORM_TOL:
-            raise ValueError(f"|alpha1|^2 + |alpha2|^2 = {norm!r}, expected 1")
+        total = float(np.sum(amp**2))
+        if abs(total - 1.0) > STATE_NORM_TOL:
+            raise ValueError(f"state not normalized: sum C^2 = {total!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -142,33 +105,35 @@ class SuperposedState:
 def camera_grid(rho_values, cfg: ExperimentConfig) -> ModeGrid:
     """Grid of b modes that land on the given camera radii (theta_b = rho / f0)."""
     rho = np.asarray(rho_values, dtype=float)
-    return ModeGrid(rho / cfg.f0, np.array([0.0]), 2.0 * math.pi / cfg.lambda_b)
+    if np.any(rho < 0.0):
+        raise ValueError("camera radii must be non-negative")
+    return ModeGrid(rho / cfg.f0, 2.0 * math.pi / cfg.lambda_b)
 
 
 def conjugate_grid(grid_b: ModeGrid, cfg: ExperimentConfig) -> ModeGrid:
     """The a-side image of a b grid under the anti-correlated momentum map.
 
-    Transverse momenta cancel pairwise: k_a theta_a = k_b theta_b with
-    the azimuth flipped by pi. Feeding this grid to the maximal model
-    guarantees every b column finds its partner.
+    Transverse momenta cancel pairwise: k_a theta_a = -k_b theta_b.
+    Feeding this grid to the maximal model guarantees every b column
+    finds its partner.
     """
-    theta_a = (cfg.lambda_a / cfg.lambda_b) * grid_b.theta_samples
-    azimuth = np.sort(np.mod(grid_b.azimuth_samples + math.pi, 2.0 * math.pi))
-    return ModeGrid(theta_a, azimuth, 2.0 * math.pi / cfg.lambda_a)
+    angles = -(cfg.lambda_a / cfg.lambda_b) * grid_b.angles
+    return ModeGrid(angles, 2.0 * math.pi / cfg.lambda_a)
 
 
 def line_grid(cfg: ExperimentConfig, t_max: float, n_modes: int = 512) -> ModeGrid:
-    """Signed transverse line for photon a: azimuths {0, pi}, midpoint thetas.
+    """Signed transverse line for photon a at midpoint angles.
 
-    The 2 m modes sit at +-(i + 1/2) t_max / m, i < m = n_modes / 2,
-    which is the midpoint discretization of the signed interval
-    [-t_max, t_max] used by the brute-force rate sums.
+    The 2 m modes sit at +(i + 1/2) t_max / m and -(i + 1/2) t_max / m,
+    i < m = n_modes / 2, interleaved in that order: the midpoint
+    discretization of the signed interval [-t_max, t_max] used by the
+    brute-force rate sums.
     """
     if n_modes < 4 or n_modes % 2:
         raise ValueError("n_modes must be an even number >= 4")
     half = n_modes // 2
     theta = (np.arange(half) + 0.5) * (t_max / half)
-    return ModeGrid(theta, np.array([0.0, math.pi]), 2.0 * math.pi / cfg.lambda_a)
+    return ModeGrid(np.column_stack((theta, -theta)).ravel(), 2.0 * math.pi / cfg.lambda_a)
 
 
 def shell_line_grid(cfg: ExperimentConfig, rho_max: float, n_modes: int = 512) -> ModeGrid:
@@ -191,7 +156,7 @@ def shell_line_grid(cfg: ExperimentConfig, rho_max: float, n_modes: int = 512) -
 def dephasing_grid(cfg: ExperimentConfig, n_modes: int = 512) -> ModeGrid:
     """Uncorrelated-model a grid whose quadratic phases cancel exactly.
 
-    The polar angles are chosen so the accumulated phases
+    The angles are chosen so the accumulated phases
     (pi n_a d_a / lambda_a) theta^2 land on 2 pi (i + 1/2) / N, the N-th
     roots of unity rotated by pi / N; with uniform weights their sum is
     exactly zero, making the phase-averaged rate flat to rounding level
@@ -201,29 +166,15 @@ def dephasing_grid(cfg: ExperimentConfig, n_modes: int = 512) -> ModeGrid:
     if c2 <= 0.0:
         raise ValueError("dephasing_grid needs d_a > 0")
     theta = np.sqrt(2.0 * math.pi * (np.arange(n_modes) + 0.5) / (n_modes * c2))
-    return ModeGrid(theta, np.array([0.0]), 2.0 * math.pi / cfg.lambda_a)
+    return ModeGrid(theta, 2.0 * math.pi / cfg.lambda_a)
 
 
 # ---------------------------------------------------------------------------
 # state constructors
 # ---------------------------------------------------------------------------
 
-def _envelope_b(grid_b: ModeGrid, cfg: ExperimentConfig) -> np.ndarray:
-    theta = grid_b.mode_thetas()
-    return np.exp(-2.0 * theta**2 / cfg.sigma_b**2)
-
-
-def _unit_phasor(phi: float) -> complex:
-    return complex(math.cos(phi), math.sin(phi))
-
-
-def build_amplitudes(
-    model: CorrelationModel,
-    grid_a: ModeGrid,
-    grid_b: ModeGrid,
-    cfg: ExperimentConfig,
-) -> TwoPhotonState:
-    """Construct the normalized amplitude table for one correlation model.
+def build_amplitudes(grid_a: ModeGrid, grid_b: ModeGrid, cfg: ExperimentConfig) -> SuperposedState:
+    """Construct the normalized state for the config's correlation model.
 
     Maximal: one nonzero entry per b column, at the a mode whose
     transverse momentum cancels it (GridMismatch if a column has no
@@ -231,11 +182,13 @@ def build_amplitudes(
     Gaussian b envelope. Gaussian partial: the pump-shell conditional,
     with the radial delta resolved analytically; each node carries the
     ring measure |theta'| times the Gaussian in the shell angle
-    theta' = |k_a + k_b| transverse / k0'.
+    theta' = |k_a + k_b| transverse / k0'. The a-path phase of every
+    a mode and the static phase reference are attached as well.
     """
+    model = cfg.correlation_model
     x_a = grid_a.transverse_x()
     x_b = grid_b.transverse_x()
-    p_b = _envelope_b(grid_b, cfg)
+    p_b = np.exp(-2.0 * grid_b.angles**2 / cfg.sigma_b**2)
 
     if model is CorrelationModel.MAXIMAL:
         target = -x_b
@@ -252,7 +205,7 @@ def build_amplitudes(
     elif model is CorrelationModel.UNCORRELATED:
         u_a = np.full(grid_a.n_modes, 1.0 / grid_a.n_modes)
         weights = np.outer(u_a, p_b)
-    elif model is CorrelationModel.GAUSSIAN_PARTIAL:
+    else:
         if cfg.sigma_theta is None or cfg.lambda_p is None:
             raise ValueError("gaussian_partial model requires sigma_theta and lambda_p")
         k0p = 2.0 * math.pi / cfg.lambda_p
@@ -262,13 +215,21 @@ def build_amplitudes(
             * np.abs(theta_prime)
             * np.exp(-2.0 * theta_prime**2 / cfg.sigma_theta**2)
         )
-    else:
-        raise ValueError(f"unknown correlation model {model!r}")
 
     total = weights.sum()
     if not total > 0.0:
         raise ValueError("amplitude table underflowed to zero; grids miss the support")
-    return TwoPhotonState(grid_a, grid_b, np.sqrt(weights / total).astype(complex))
+    # phi_0 is measured from the on-axis bright fringe: the static phase
+    # reference (on-axis a phase, phi_b and the source phase difference)
+    # goes into phase_offset
+    return SuperposedState(
+        grid_a,
+        grid_b,
+        np.sqrt(weights / total),
+        phase_a(grid_a.angles, cfg),
+        phase_a(0.0, cfg) + cfg.phi_b + cfg.phi2 - cfg.phi1,
+        cfg,
+    )
 
 
 def phase_a(theta_a, cfg: ExperimentConfig):
@@ -294,25 +255,6 @@ def phase_a(theta_a, cfg: ExperimentConfig):
     return out
 
 
-def superpose_sources(state: TwoPhotonState, cfg: ExperimentConfig) -> SuperposedState:
-    """Attach the source amplitudes and the a-path phase table.
-
-    The static phase reference (on-axis a phase plus phi_b and the
-    source phase difference) is folded into ``phase_offset`` so that the
-    scan phase phi_0 is measured from the on-axis bright fringe.
-    """
-    table = phase_a(state.grid_a.mode_thetas(), cfg)
-    offset = phase_a(0.0, cfg) + cfg.phi_b + cfg.phi2 - cfg.phi1
-    return SuperposedState(
-        base=state,
-        alpha1=cfg.alpha1_mag * _unit_phasor(cfg.phi1),
-        alpha2=cfg.alpha2_mag * _unit_phasor(cfg.phi2),
-        phase_a=np.asarray(table, dtype=float),
-        phase_offset=float(offset),
-        config=cfg,
-    )
-
-
 def assemble_state(cfg: ExperimentConfig, rho_values, n_modes: int = 512) -> SuperposedState:
     """Build the two-source state sampled at the given camera radii.
 
@@ -328,6 +270,5 @@ def assemble_state(cfg: ExperimentConfig, rho_values, n_modes: int = 512) -> Sup
     elif model is CorrelationModel.UNCORRELATED:
         grid_a = dephasing_grid(cfg, n_modes)
     else:
-        rho_max = float(np.max(np.abs(np.asarray(rho_values, dtype=float))))
-        grid_a = shell_line_grid(cfg, rho_max, n_modes)
-    return superpose_sources(build_amplitudes(model, grid_a, grid_b, cfg), cfg)
+        grid_a = shell_line_grid(cfg, float(np.max(rho_values)), n_modes)
+    return build_amplitudes(grid_a, grid_b, cfg)

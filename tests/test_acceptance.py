@@ -130,7 +130,7 @@ def test_criterion_4_limiting_models():
     radii = np.linspace(0.0, 3e-3, 12)
 
     state = assemble_state(make_config(CorrelationModel.MAXIMAL), radii)
-    supported = np.sum(np.abs(state.base.amplitudes) ** 2, axis=0) > 1e-6
+    supported = np.sum(state.amplitudes**2, axis=0) > 1e-6
     v_err = max(
         abs(visibility_scan(state, float(r))[0] - 1.0) for r in radii[supported]
     )

@@ -1,5 +1,6 @@
 """End-to-end CLI runs: exit codes, file outputs, determinism."""
 
+import itertools
 import json
 import subprocess
 import sys
@@ -533,6 +534,30 @@ def test_oracle_requires_balanced_sources(tmp_path):
         run_oracle_check(parse_config(cfg), 512, out.with_suffix(".json"))
     assert main(["oracle", "--config", cfg, "--out", str(out)]) == 1
     assert not (tmp_path / "oracle.json").exists()
+
+
+def test_negative_source_magnitude_exits_usage(capsys, tmp_path):
+    # normalised, but a magnitude is never negative
+    text = PARTIAL + "alpha1_mag = -0.7071067811865476\n"
+    cfg = _cfg(tmp_path, text, "negative.cfg")
+    for command in ("simulate", "oracle"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 1
+        assert "NonPositiveParameter: alpha1_mag must be >= 0" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["negative.cfg"]
+
+
+@pytest.mark.parametrize("model", [CorrelationModel.MAXIMAL, CorrelationModel.UNCORRELATED],
+                         ids=lambda m: m.value)
+def test_exact_oracle_gates_sit_tenfold_above_the_worst_case(tmp_path, model):
+    # the claim behind the maximal and uncorrelated gates: at least 10x
+    # above every discrepancy over n_a 1-3, d_a 1-50 mm and 128-4096 modes
+    out = tmp_path / "oracle.json"
+    for n_a, d_a, points in itertools.product((1.0, 3.0), (1e-3, 50e-3), (128, 4096)):
+        run_oracle_check(make_config(model, n_a=n_a, d_a=d_a), points, out)
+        report = json.loads(out.read_text())
+        assert report["max_abs_visibility_discrepancy"] <= report["visibility_tolerance"] / 10
+        assert (report["max_peak_relative_rate_discrepancy"]
+                <= report["rate_tolerance"] / 10)
 
 
 def test_oracle_rejects_coarse_grid(capsys, tmp_path):

@@ -186,10 +186,13 @@ VALID_VALUES = {
     "phi_b_rad": FINITE,
 }
 
-# Values outside it. An unbalanced alpha1_mag is written with alpha2_mag
-# left at its default sqrt(1/2).
+# Values outside it. A drawn source magnitude is written with the other
+# one left at its default sqrt(1/2), so -sqrt(1/2) is normalised and out
+# of the domain only by its sign.
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 NON_POSITIVE = st.floats(-1e6, 0.0) | NON_FINITE
+NEGATIVE_NORMALISED = st.just(-math.sqrt(0.5))
+
 INVALID_VALUES = {
     "lambda_a_nm": NON_POSITIVE,
     "lambda_b_nm": NON_POSITIVE,
@@ -199,7 +202,9 @@ INVALID_VALUES = {
     "n_a": st.floats(-1e6, 1.0, exclude_max=True) | NON_FINITE,
     "sigma_b": NON_POSITIVE,
     "sigma_theta": NON_POSITIVE,
-    "alpha1_mag": st.floats(0.0, 2.0).filter(lambda a: abs(a * a - 0.5) > 1e-9) | NON_FINITE,
+    "alpha1_mag": st.floats(0.0, 2.0).filter(lambda a: abs(a * a - 0.5) > 1e-9)
+    | NON_FINITE | NEGATIVE_NORMALISED,
+    "alpha2_mag": NEGATIVE_NORMALISED,
     "phi1_rad": NON_FINITE,
     "phi2_rad": NON_FINITE,
     "phi_b_rad": NON_FINITE,
@@ -264,8 +269,8 @@ def test_parse_config_rejects_values_outside_the_domain(config_path, data):
     entries = data.draw(valid_entries())
     key = data.draw(st.sampled_from(sorted(INVALID_VALUES)))
     entries[key] = data.draw(INVALID_VALUES[key])
-    if key == "alpha1_mag":
-        entries.pop("alpha2_mag", None)
+    if key in ("alpha1_mag", "alpha2_mag"):
+        entries.pop("alpha2_mag" if key == "alpha1_mag" else "alpha1_mag", None)
     config_path.write_text(data.draw(config_text(entries)))
     with pytest.raises(ConfigError):
         parse_config(config_path)

@@ -1,5 +1,6 @@
 """Mode grids, amplitude tables and the two-source superposition."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,6 @@ from twinfringes import (
     GridMismatch,
     ModeGrid,
     SuperposedState,
-    TwoPhotonState,
     assemble_state,
     build_amplitudes,
     camera_grid,
@@ -18,7 +18,6 @@ from twinfringes import (
     dephasing_grid,
     line_grid,
     shell_line_grid,
-    superpose_sources,
 )
 
 from conftest import make_config
@@ -27,56 +26,59 @@ RHO = np.linspace(0.0, 1.5e-3, 24)
 
 
 @pytest.mark.parametrize(
-    "theta,azimuth,k",
+    "angles,k",
     [
-        ([[0.001]], [0.0], 1.0),                  # not 1D
-        ([], [0.0], 1.0),                         # empty
-        ([0.002, 0.001], [0.0], 1.0),             # not increasing
-        ([-0.001, 0.001], [0.0], 1.0),            # negative angle
-        ([0.001, 0.2], [0.0], 1.0),               # beyond paraxial window
-        ([0.001], [1.0, 0.5], 1.0),               # azimuths not increasing
-        ([0.001], [0.0, 7.0], 1.0),               # azimuth outside [0, 2 pi)
-        ([0.001], [0.0], 0.0),                    # k not positive
+        ([[0.001]], 1.0),                 # not 1D
+        ([], 1.0),                        # empty
+        ([0.002, 0.001, 0.002], 1.0),     # repeated angle
+        ([-0.001, float("nan")], 1.0),    # not a number
+        ([0.001, 0.2], 1.0),              # beyond paraxial window
+        ([-0.1, 0.001], 1.0),             # beyond paraxial window, negative side
+        ([0.001], 0.0),                   # k not positive
     ],
 )
-def test_mode_grid_rejects_bad_inputs(theta, azimuth, k):
+def test_mode_grid_rejects_bad_inputs(angles, k):
     with pytest.raises(ValueError):
-        ModeGrid(np.asarray(theta), np.asarray(azimuth), k)
+        ModeGrid(np.asarray(angles), k)
 
 
 def test_mode_grid_flattening_is_theta_major():
-    grid = ModeGrid(np.array([0.001, 0.002]), np.array([0.0, math.pi]), 5.0)
+    # a line grid lists each |theta| with both signs before the next one
+    grid = line_grid(make_config(), 4e-3, n_modes=4)
     assert grid.n_modes == 4
-    assert np.array_equal(grid.mode_thetas(), [0.001, 0.001, 0.002, 0.002])
-    assert np.array_equal(grid.mode_azimuths(), [0.0, math.pi, 0.0, math.pi])
+    assert np.allclose(grid.angles, [1e-3, -1e-3, 3e-3, -3e-3], rtol=1e-15)
+    assert np.array_equal(grid.angles[1::2], -grid.angles[0::2])
     x = grid.transverse_x()
-    assert x[0] == pytest.approx(0.005, rel=1e-12)
-    assert x[1] == pytest.approx(-0.005, rel=1e-12)
+    assert x[0] == pytest.approx(1e-3 * grid.k_magnitude, rel=1e-12)
+    assert x[1] == -x[0]
 
 
 def test_camera_grid_maps_radius_to_angle(partial_cfg):
     grid = camera_grid(RHO, partial_cfg)
-    assert np.allclose(grid.theta_samples, RHO / partial_cfg.f0, rtol=1e-14)
+    assert np.allclose(grid.angles, RHO / partial_cfg.f0, rtol=1e-14)
     assert grid.k_magnitude == pytest.approx(2.0 * math.pi / partial_cfg.lambda_b, rel=1e-14)
+    with pytest.raises(ValueError, match="non-negative"):
+        camera_grid([1e-3, -1e-3], partial_cfg)
 
 
 def test_conjugate_grid_cancels_transverse_momentum(partial_cfg):
     grid_b = camera_grid(RHO[1:], partial_cfg)
     grid_a = conjugate_grid(grid_b, partial_cfg)
-    # pairwise momentum cancellation: k_a theta_a = k_b theta_b, azimuth + pi
+    # pairwise momentum cancellation: k_a theta_a = -k_b theta_b
     assert np.allclose(
-        grid_a.k_magnitude * grid_a.theta_samples,
-        grid_b.k_magnitude * grid_b.theta_samples,
+        grid_a.k_magnitude * grid_a.angles,
+        -grid_b.k_magnitude * grid_b.angles,
         rtol=1e-13,
     )
-    assert grid_a.azimuth_samples[0] == pytest.approx(math.pi)
+    assert np.all(grid_a.angles < 0.0)
 
 
 def test_line_grid_midpoints(partial_cfg):
     grid = line_grid(partial_cfg, 1e-3, n_modes=8)
     assert grid.n_modes == 8
-    assert np.allclose(grid.theta_samples, (np.arange(4) + 0.5) * 0.25e-3, rtol=1e-14)
-    assert np.array_equal(grid.azimuth_samples, [0.0, math.pi])
+    midpoints = (np.arange(4) + 0.5) * 0.25e-3
+    assert np.allclose(grid.angles[0::2], midpoints, rtol=1e-14)
+    assert np.array_equal(grid.angles[1::2], -grid.angles[0::2])
 
 
 def test_line_grid_rejects_odd_or_tiny(partial_cfg):
@@ -94,7 +96,8 @@ def test_shell_line_grid_covers_every_column(partial_cfg):
     k0p = 2.0 * math.pi / partial_cfg.lambda_p
     center = (k_b * rho_max / partial_cfg.f0) / k_a
     width = 6.0 * partial_cfg.sigma_theta * k0p / k_a
-    assert grid.theta_samples[-1] >= center + 0.9 * width
+    assert np.max(grid.angles) >= center + 0.9 * width
+    assert np.min(grid.angles) == -np.max(grid.angles)
 
 
 def test_shell_line_grid_needs_partial_parameters():
@@ -107,7 +110,7 @@ def test_dephasing_grid_phases_cancel(partial_cfg):
     n = 256
     grid = dephasing_grid(partial_cfg, n)
     c2 = math.pi * partial_cfg.n_a * partial_cfg.d_a / partial_cfg.lambda_a
-    phases = c2 * grid.theta_samples**2
+    phases = c2 * grid.angles**2
     # the accumulated quadratic phases are rotated N-th roots of unity
     assert np.allclose(phases, 2.0 * math.pi * (np.arange(n) + 0.5) / n, rtol=1e-12)
     assert abs(np.sum(np.exp(1j * phases))) < 1e-11
@@ -122,21 +125,22 @@ def test_dephasing_grid_needs_separation():
 def _partial_state(cfg, rho=RHO, n_modes=128):
     grid_b = camera_grid(rho, cfg)
     grid_a = shell_line_grid(cfg, float(np.max(rho)), n_modes)
-    return build_amplitudes(CorrelationModel.GAUSSIAN_PARTIAL, grid_a, grid_b, cfg), grid_a, grid_b
+    return build_amplitudes(grid_a, grid_b, cfg), grid_a, grid_b
 
 
 def test_tables_are_normalized(partial_cfg, maximal_cfg, uncorrelated_cfg):
     for cfg in (partial_cfg, maximal_cfg, uncorrelated_cfg):
         state = assemble_state(cfg, RHO, n_modes=64)
-        total = np.sum(np.abs(state.base.amplitudes) ** 2)
+        assert state.amplitudes.dtype == np.float64
+        total = np.sum(state.amplitudes**2)
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_maximal_table_is_one_to_one(maximal_cfg):
     grid_b = camera_grid(RHO, maximal_cfg)
     grid_a = conjugate_grid(grid_b, maximal_cfg)
-    state = build_amplitudes(CorrelationModel.MAXIMAL, grid_a, grid_b, maximal_cfg)
-    occupancy = np.count_nonzero(np.abs(state.amplitudes) ** 2, axis=0)
+    state = build_amplitudes(grid_a, grid_b, maximal_cfg)
+    occupancy = np.count_nonzero(state.amplitudes**2, axis=0)
     assert np.array_equal(occupancy, np.ones(grid_b.n_modes, dtype=int))
 
 
@@ -144,14 +148,14 @@ def test_maximal_table_rejects_foreign_grid(maximal_cfg):
     grid_b = camera_grid(RHO[1:], maximal_cfg)
     stranger = line_grid(maximal_cfg, 1e-4, n_modes=8)
     with pytest.raises(GridMismatch):
-        build_amplitudes(CorrelationModel.MAXIMAL, stranger, grid_b, maximal_cfg)
+        build_amplitudes(stranger, grid_b, maximal_cfg)
 
 
 def test_uncorrelated_table_is_a_product(uncorrelated_cfg):
     grid_b = camera_grid(RHO, uncorrelated_cfg)
     grid_a = dephasing_grid(uncorrelated_cfg, 32)
-    state = build_amplitudes(CorrelationModel.UNCORRELATED, grid_a, grid_b, uncorrelated_cfg)
-    joint = np.abs(state.amplitudes) ** 2
+    state = build_amplitudes(grid_a, grid_b, uncorrelated_cfg)
+    joint = state.amplitudes**2
     pa = joint.sum(axis=1)
     pb = joint.sum(axis=0)
     assert np.allclose(joint, np.outer(pa, pb), atol=1e-15)
@@ -168,70 +172,65 @@ def test_partial_conditional_follows_ring_gaussian(partial_cfg):
     theta_prime = x_shift / k0p
     expect = np.abs(theta_prime) * np.exp(-2.0 * theta_prime**2 / sigma**2)
     expect /= expect.sum()
-    joint = np.abs(state.amplitudes[:, j]) ** 2
+    joint = state.amplitudes[:, j] ** 2
     assert np.allclose(joint / joint.sum(), expect, atol=1e-13)
 
 
 def test_partial_model_requires_shell_parameters(partial_cfg):
     grid_b = camera_grid(RHO, partial_cfg)
     grid_a = shell_line_grid(partial_cfg, 1.5e-3, 32)
-    cfg = make_config(CorrelationModel.MAXIMAL)  # lacks sigma_theta
-    with pytest.raises(ValueError):
-        build_amplitudes(CorrelationModel.GAUSSIAN_PARTIAL, grid_a, grid_b, cfg)
+    cfg = dataclasses.replace(partial_cfg, sigma_theta=None)  # skips validate_config
+    with pytest.raises(ValueError, match="sigma_theta"):
+        build_amplitudes(grid_a, grid_b, cfg)
 
 
 def test_empty_support_is_an_error(partial_cfg):
     grid_b = camera_grid(RHO, partial_cfg)
     # a-line ~90 shell widths out: exp(-2 theta'^2 / sigma^2) underflows to
     # exactly zero for every node, leaving no probability mass at all
-    grid_a = ModeGrid(np.array([0.08, 0.09]), np.array([0.0]), 2.0 * math.pi / partial_cfg.lambda_a)
+    grid_a = ModeGrid(np.array([0.08, 0.09]), 2.0 * math.pi / partial_cfg.lambda_a)
     with pytest.raises(ValueError, match="underflowed"):
-        build_amplitudes(CorrelationModel.GAUSSIAN_PARTIAL, grid_a, grid_b, partial_cfg)
+        build_amplitudes(grid_a, grid_b, partial_cfg)
 
 
 def test_superpose_attaches_phases_and_amplitudes(partial_cfg):
-    state, grid_a, _ = _partial_state(partial_cfg)
-    sup = superpose_sources(state, partial_cfg)
-    assert sup.alpha1 == pytest.approx(math.sqrt(0.5))
-    assert sup.alpha2 == pytest.approx(math.sqrt(0.5))
+    sup, grid_a, _ = _partial_state(partial_cfg)
+    assert sup.config is partial_cfg
     assert sup.phase_a.shape == (grid_a.n_modes,)
-    # phi_0 reference: on-axis phase plus static source/detection phases
     on_axis = 2.0 * math.pi * partial_cfg.n_a * partial_cfg.d_a / partial_cfg.lambda_a
+    assert np.allclose(sup.phase_a, on_axis * (1.0 + 0.5 * grid_a.angles**2), rtol=1e-15)
+    # phi_0 reference: on-axis phase plus static source/detection phases
     assert sup.phase_offset == pytest.approx(on_axis, rel=1e-13)
 
 
 def test_superpose_carries_source_phases(partial_cfg):
     cfg = make_config(phi1=0.3, phi2=1.1, phi_b=0.5)
-    state, _, _ = _partial_state(cfg)
-    sup = superpose_sources(state, cfg)
+    sup, _, _ = _partial_state(cfg)
     on_axis = 2.0 * math.pi * cfg.n_a * cfg.d_a / cfg.lambda_a
     assert sup.phase_offset == pytest.approx(on_axis + 0.5 + 1.1 - 0.3, rel=1e-13)
-    assert sup.alpha2 == pytest.approx(math.sqrt(0.5) * complex(math.cos(1.1), math.sin(1.1)))
 
 
 def test_superposed_state_validates_inputs(partial_cfg):
-    state, grid_a, _ = _partial_state(partial_cfg)
+    sup, grid_a, grid_b = _partial_state(partial_cfg)
     with pytest.raises(ValueError, match="phase_a"):
-        SuperposedState(state, complex(1.0), complex(0.0), np.zeros(3), 0.0, partial_cfg)
-    with pytest.raises(ValueError, match="alpha"):
-        SuperposedState(
-            state, complex(0.9), complex(0.9), np.zeros(grid_a.n_modes), 0.0, partial_cfg
-        )
+        SuperposedState(grid_a, grid_b, sup.amplitudes, np.zeros(3), 0.0, partial_cfg)
 
 
-def test_two_photon_state_validates_shape_and_norm():
-    grid = ModeGrid(np.array([0.001]), np.array([0.0]), 1.0)
+def test_two_photon_state_validates_shape_and_norm(partial_cfg):
+    grid = ModeGrid(np.array([0.001]), 1.0)
     with pytest.raises(ValueError, match="shape"):
-        TwoPhotonState(grid, grid, np.ones((2, 2), dtype=complex))
+        SuperposedState(grid, grid, np.ones((2, 2)), np.zeros(1), 0.0, partial_cfg)
     with pytest.raises(ValueError, match="normalized"):
-        TwoPhotonState(grid, grid, np.array([[0.5 + 0j]]))
+        SuperposedState(grid, grid, np.array([[0.5]]), np.zeros(1), 0.0, partial_cfg)
 
 
 def test_assemble_state_selects_model_grid(partial_cfg, maximal_cfg, uncorrelated_cfg):
     sup = assemble_state(maximal_cfg, RHO, n_modes=32)
-    assert sup.base.grid_a.n_modes == sup.base.grid_b.n_modes
+    assert sup.grid_a.n_modes == sup.grid_b.n_modes
+    assert np.all(sup.grid_a.angles <= 0.0)
     sup = assemble_state(uncorrelated_cfg, RHO, n_modes=32)
-    assert sup.base.grid_a.azimuth_samples.size == 1
+    assert sup.grid_a.n_modes == 32 and np.all(sup.grid_a.angles > 0.0)
     sup = assemble_state(partial_cfg, RHO, n_modes=32)
-    assert np.array_equal(sup.base.grid_a.azimuth_samples, [0.0, math.pi])
+    assert sup.grid_a.n_modes == 32
+    assert np.array_equal(sup.grid_a.angles[1::2], -sup.grid_a.angles[0::2])
     assert sup.config is partial_cfg

@@ -15,11 +15,14 @@ and 1024 modes (a partial check that misses its gate at 128 modes
 exits 2 and still writes its report). The d_a 11.7 mm, sigma_theta
 9.37e-4 config of each model also runs simulate at 256 px on a 100 mm
 screen, whose profile reaches rates below 1e-11 and with three-digit
-exponents, the fields the CSV writer leaves to Python's format. Every
-command is ``python -m twinfringes.cli`` in a fresh interpreter with
-PYTHONPATH set to the tree. Exit codes and every output file are
-compared; manifests are compared without ``started_at``,
-``duration_s`` and output paths.
+exponents, the fields the CSV writer leaves to Python's format. Three
+more configs, one per model with n_a 1.7, d_a 50 mm and sigma_theta
+9.37e-4, run only the oracle at 128, 512, 1024 and 4096 modes: their
+a-path phases, near 3.4e5 rad, are the largest the oracle tables hold
+here. Every command is ``python -m twinfringes.cli`` in a fresh
+interpreter with PYTHONPATH set to the tree. Exit codes and every
+output file are compared; manifests are compared without
+``started_at``, ``duration_s`` and output paths.
 Prints each difference and exits 1 if there is any, else exits 0.
 Standard library only.
 """
@@ -67,16 +70,28 @@ COMMANDS = {
 WIDE_CONFIG = "_d11p7_s0p000937"
 WIDE_COMMANDS = {"simwide": ["simulate", "--resolution", "256", "--screen-mm", "100"]}
 
+# Oracle runs on a long, dense a path (see the module docstring).
+LONG_PATH = "d_a_mm = 50.0\nn_a = 1.7\nsigma_theta = 0.000937\n"
+LONG_COMMANDS = dict(
+    {name: args for name, args in COMMANDS.items() if name.startswith("oracle")},
+    oracle4096=["oracle", "--grid-points", "4096"],
+)
+
 VOLATILE = ("started_at", "duration_s")
 
 
-def _configs() -> dict[str, str]:
+def _configs() -> dict[str, tuple[str, dict]]:
+    """Config text and the commands it runs, by config name."""
     out = {}
     for model, d_a, sigma in itertools.product(MODELS, D_A_MM, SIGMA_THETA):
         # No dots in run names: older trees cut an --out base at its last
         # dot (Path.with_suffix), and the comparison must run against them.
         name = f"{model}_d{d_a:g}_s{sigma:g}".replace(".", "p")
-        out[name] = OPTICS + f"d_a_mm = {d_a!r}\nsigma_theta = {sigma!r}\nmodel = {model}\n"
+        text = OPTICS + f"d_a_mm = {d_a!r}\nsigma_theta = {sigma!r}\nmodel = {model}\n"
+        wide = name.endswith(WIDE_CONFIG)
+        out[name] = text, dict(COMMANDS, **WIDE_COMMANDS) if wide else COMMANDS
+    for model in MODELS:
+        out[f"{model}_n1p7_d50"] = OPTICS + LONG_PATH + f"model = {model}\n", LONG_COMMANDS
     return out
 
 
@@ -87,10 +102,9 @@ def run_tree(src: Path, work: Path) -> dict[str, int]:
     rings.write_text(RINGS, encoding="ascii")
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
     codes = {}
-    for cfg_name, text in _configs().items():
+    for cfg_name, (text, commands) in _configs().items():
         cfg = work / f"{cfg_name}.cfg"
         cfg.write_text(text, encoding="ascii")
-        commands = dict(COMMANDS, **WIDE_COMMANDS) if cfg_name.endswith(WIDE_CONFIG) else COMMANDS
         for cmd_name, args in commands.items():
             run = f"{cfg_name}_{cmd_name}"
             argv = [str(rings) if a == "RINGS" else a for a in args]

@@ -57,6 +57,10 @@ def test_camera_grid_maps_radius_to_angle(partial_cfg):
     grid = camera_grid(RHO, partial_cfg)
     assert np.allclose(grid.angles, RHO / partial_cfg.f0, rtol=1e-14)
     assert grid.k_magnitude == pytest.approx(2.0 * math.pi / partial_cfg.lambda_b, rel=1e-14)
+
+
+def test_camera_grid_rejects_negative_radius(partial_cfg):
+    # a camera radius is a magnitude; the grid builder adds the signs itself
     with pytest.raises(ValueError, match="non-negative"):
         camera_grid([1e-3, -1e-3], partial_cfg)
 

@@ -1,17 +1,15 @@
 """Brute-force camera counting rates by direct summation over the state.
 
 Rates here are computed mode by mode from the real amplitude table and
-the a-path phase table of a :class:`~twinfringes.state.SuperposedState`,
-with no closed-form shortcuts, which makes this module the independent
-reference for everything in :mod:`twinfringes.analytics`. All outputs
-share one arbitrary positive scale; comparisons downstream are
-ratio-based.
+the relative a-phase table of a
+:class:`~twinfringes.state.SuperposedState`, with no closed-form
+shortcuts, which makes this module the independent reference for
+everything in :mod:`twinfringes.analytics`. All outputs share one
+arbitrary positive scale; comparisons downstream are ratio-based.
 
-Each function takes one camera column (or radius) or an array of them
-and answers in kind: a float for a scalar, one value per entry for an
-array. A scalar goes through the same array path, and every column's
-rate is its own exact ``math.fsum``, so a column's value does not
-depend on which other columns are asked for with it.
+The state's b grid is the set of camera columns: every function answers
+with one value per column, and every column's rate is its own exact
+``math.fsum``.
 """
 
 from __future__ import annotations
@@ -32,25 +30,22 @@ class ZeroRate(ArithmeticError):
     """Visibility undefined: the rate vanished at every scan phase."""
 
 
-def counting_rate_reduced(state: SuperposedState, k_b, phi_0: float):
-    """Counting rate at b mode ``k_b`` (an int or an index array).
+def counting_rate_reduced(state: SuperposedState, phi_0: float) -> np.ndarray:
+    """Counting rate of every b column of the state at scan phase phi_0.
 
-    sum_a C^2 { |a1|^2 + |a2|^2 + 2 |a1||a2| cos[dphi_a - phi_0] }
-    with the source magnitudes |a1|, |a2| read from the state's config,
-    where dphi_a is the a phase less the state's ``phase_offset``, so
-    phi_0 = 0 sits on the on-axis bright fringe. For balanced sources
-    this is sum_a C^2 {1 + cos[dphi_a - phi_0]}. The fringe factor and
-    C^2 of the requested columns are formed once; each column's rate
-    is the exact ``math.fsum`` of its elementwise products. Returns a
-    float for an int ``k_b``, else one rate per column.
+    sum_a C^2 { |a1|^2 + |a2|^2 + 2 |a1||a2| cos[phase_a - phi_0] }
+    with the source magnitudes |a1|, |a2| read from the state's config
+    and phase_a the state's relative a-phase table, so phi_0 = 0 is the
+    on-axis bright fringe of in-phase sources. For balanced sources this is
+    sum_a C^2 {1 + cos[phase_a - phi_0]}. The fringe factor is formed
+    once; each column's rate is the exact ``math.fsum`` of its
+    elementwise products.
     """
     a1 = state.config.alpha1_mag
     a2 = state.config.alpha2_mag
-    weights = state.amplitudes.T[np.atleast_1d(k_b)] ** 2
-    arg = state.phase_a - state.phase_offset - phi_0
-    terms = weights * ((a1 * a1 + a2 * a2) + 2.0 * a1 * a2 * np.cos(arg))
-    rates = [math.fsum(row.tolist()) for row in terms]
-    return rates[0] if np.ndim(k_b) == 0 else np.array(rates)
+    fringe = (a1 * a1 + a2 * a2) + 2.0 * a1 * a2 * np.cos(state.phase_a - phi_0)
+    terms = state.amplitudes.T ** 2 * fringe
+    return np.array([math.fsum(row.tolist()) for row in terms])
 
 
 def sweep_visibility(rate_fn: Callable[[float], object]):
@@ -85,37 +80,17 @@ def sweep_visibility(rate_fn: Callable[[float], object]):
     return visibilities[0] if np.ndim(samples[0]) == 0 else np.array(visibilities)
 
 
-def visibility_scan(state: SuperposedState, rho):
-    """Brute-force (visibility, rate) at camera radius rho (a scalar or an array).
+def visibility_scan(state: SuperposedState):
+    """Brute-force (visibility, rate) of every b column of the state.
 
-    Every radius must coincide (within half the local grid pitch) with
-    one of the camera radii represented in the state's b grid; one
-    off-grid radius raises ValueError. All radii are mapped to columns
-    at once and go through one ``sweep_visibility``. The rate is the
-    sweep's phi_0 = 0 sample, ``counting_rate_reduced`` at each radius's
-    column. Returns two floats for a scalar rho, else one visibility and
-    one rate per radius.
+    All columns go through one ``sweep_visibility``; the rate is the
+    sweep's phi_0 = 0 sample. Returns one visibility and one rate per
+    column.
     """
-    radii = state.grid_b.angles * state.config.f0
-    wanted = np.atleast_1d(np.asarray(rho, dtype=float))
-    k_b = np.argmin(np.abs(radii - wanted[:, np.newaxis]), axis=1)
-    unique = np.unique(radii)
-    pitch = float(np.min(np.diff(unique))) if unique.size > 1 else math.inf
-    off_grid = np.abs(radii[k_b] - wanted) > max(0.5 * pitch, 1e-12)
-    if off_grid.any():
-        j = int(np.argmax(off_grid))
-        raise ValueError(
-            f"rho = {float(wanted[j])!r} m is not represented on the camera grid "
-            f"(nearest column at {float(radii[k_b[j]])!r} m)"
-        )
     samples = []
 
     def rate_at(phi_0: float):
-        samples.append(counting_rate_reduced(state, k_b, phi_0))
+        samples.append(counting_rate_reduced(state, phi_0))
         return samples[-1]
 
-    visibility = sweep_visibility(rate_at)
-    rate = samples[0]
-    if np.ndim(rho) == 0:
-        visibility, rate = float(visibility[0]), float(rate[0])
-    return visibility, rate
+    return sweep_visibility(rate_at), samples[0]

@@ -3,9 +3,11 @@
 A mode grid holds the signed transverse angles of one photon's modes
 along a single line through the optical axis. The superposed state
 stores the real amplitude table C over a pair of grids together with
-the a-path phase of every a mode, from which :mod:`twinfringes.oracle`
-sums the counting rates. This module is the ground truth the
-closed-form analytics are tested against.
+the phase of every a mode relative to the on-axis mode, from which
+:mod:`twinfringes.oracle` sums the counting rates. Only phase
+differences along the a path reach a fringe, so the absolute path
+phase 2 pi n_a d_a / lambda_a is never formed. This module is the
+ground truth the closed-form analytics are tested against.
 """
 
 from __future__ import annotations
@@ -67,20 +69,19 @@ class SuperposedState:
     """The biphoton state that both sources emit coherently.
 
     ``amplitudes`` is the real table C[k_a, k_b] over ``grid_a`` x
-    ``grid_b``, normalized so that sum C^2 = 1. ``phase_a`` is the raw
-    a-path phase accumulated between the sources for every mode of
-    ``grid_a``. ``phase_offset`` is the static, mode-independent part
-    (on-axis a phase plus the source and b-path phases); counting rates
-    subtract it so that the externally scanned phase phi_0 = 0
-    corresponds to the on-axis bright-fringe condition. The originating
-    config supplies the source magnitudes and the camera geometry.
+    ``grid_b``, normalized so that sum C^2 = 1. ``phase_a`` holds the
+    phase of every mode of ``grid_a``: the a-path phase beyond the
+    on-axis one, (pi n_a d_a / lambda_a) theta^2, less the static phase
+    phi_b + phi2 - phi1. The scanned phase phi_0 is measured against
+    it, so phi_0 = 0 is the on-axis bright fringe of in-phase sources.
+    The originating config supplies the source magnitudes and the
+    camera geometry.
     """
 
     grid_a: ModeGrid
     grid_b: ModeGrid
     amplitudes: np.ndarray
     phase_a: np.ndarray
-    phase_offset: float
     config: ExperimentConfig
 
     def __post_init__(self):
@@ -121,7 +122,7 @@ def conjugate_grid(grid_b: ModeGrid, cfg: ExperimentConfig) -> ModeGrid:
     return ModeGrid(angles, 2.0 * math.pi / cfg.lambda_a)
 
 
-def line_grid(cfg: ExperimentConfig, t_max: float, n_modes: int = 512) -> ModeGrid:
+def line_grid(cfg: ExperimentConfig, t_max: float, n_modes: int) -> ModeGrid:
     """Signed transverse line for photon a at midpoint angles.
 
     The 2 m modes sit at +(i + 1/2) t_max / m and -(i + 1/2) t_max / m,
@@ -136,7 +137,7 @@ def line_grid(cfg: ExperimentConfig, t_max: float, n_modes: int = 512) -> ModeGr
     return ModeGrid(np.column_stack((theta, -theta)).ravel(), 2.0 * math.pi / cfg.lambda_a)
 
 
-def shell_line_grid(cfg: ExperimentConfig, rho_max: float, n_modes: int = 512) -> ModeGrid:
+def shell_line_grid(cfg: ExperimentConfig, rho_max: float, n_modes: int) -> ModeGrid:
     """Line grid wide enough to hold the correlation shell for every camera
     radius up to ``rho_max``.
 
@@ -153,7 +154,7 @@ def shell_line_grid(cfg: ExperimentConfig, rho_max: float, n_modes: int = 512) -
     return line_grid(cfg, t_max, n_modes)
 
 
-def dephasing_grid(cfg: ExperimentConfig, n_modes: int = 512) -> ModeGrid:
+def dephasing_grid(cfg: ExperimentConfig, n_modes: int) -> ModeGrid:
     """Uncorrelated-model a grid whose quadratic phases cancel exactly.
 
     The angles are chosen so the accumulated phases
@@ -164,7 +165,10 @@ def dephasing_grid(cfg: ExperimentConfig, n_modes: int = 512) -> ModeGrid:
     """
     c2 = math.pi * cfg.n_a * cfg.d_a / cfg.lambda_a
     if c2 <= 0.0:
-        raise ValueError("dephasing_grid needs d_a > 0")
+        raise ValueError(
+            "the uncorrelated check needs d_a_mm > 0: at zero separation no a "
+            "phase dephases, so there is nothing to compare"
+        )
     theta = np.sqrt(2.0 * math.pi * (np.arange(n_modes) + 0.5) / (n_modes * c2))
     return ModeGrid(theta, 2.0 * math.pi / cfg.lambda_a)
 
@@ -182,8 +186,8 @@ def build_amplitudes(grid_a: ModeGrid, grid_b: ModeGrid, cfg: ExperimentConfig) 
     Gaussian b envelope. Gaussian partial: the pump-shell conditional,
     with the radial delta resolved analytically; each node carries the
     ring measure |theta'| times the Gaussian in the shell angle
-    theta' = |k_a + k_b| transverse / k0'. The a-path phase of every
-    a mode and the static phase reference are attached as well.
+    theta' = |k_a + k_b| transverse / k0'. The phase of every a mode,
+    relative to the on-axis mode, is attached as well.
     """
     model = cfg.correlation_model
     x_a = grid_a.transverse_x()
@@ -219,26 +223,20 @@ def build_amplitudes(grid_a: ModeGrid, grid_b: ModeGrid, cfg: ExperimentConfig) 
     total = weights.sum()
     if not total > 0.0:
         raise ValueError("amplitude table underflowed to zero; grids miss the support")
-    # phi_0 is measured from the on-axis bright fringe: the static phase
-    # reference (on-axis a phase, phi_b and the source phase difference)
-    # goes into phase_offset
+    static = cfg.phi_b + cfg.phi2 - cfg.phi1
     return SuperposedState(
-        grid_a,
-        grid_b,
-        np.sqrt(weights / total),
-        phase_a(grid_a.angles, cfg),
-        phase_a(0.0, cfg) + cfg.phi_b + cfg.phi2 - cfg.phi1,
-        cfg,
+        grid_a, grid_b, np.sqrt(weights / total), phase_a(grid_a.angles, cfg) - static, cfg
     )
 
 
 def phase_a(theta_a, cfg: ExperimentConfig):
-    """Optical phase picked up by an a photon traveling between the sources.
+    """Optical phase of an a photon traveling between the sources at angle
+    theta, beyond that of the on-axis photon.
 
-    Small-angle form (2 pi n_a d_a / lambda_a) (1 + theta^2 / 2),
-    written as constant + half-curvature * theta^2 so the difference
-    phase_a(theta) - phase_a(0) stays accurate for small theta.
-    Accepts a scalar or an array; returns matching shape.
+    Small-angle form (pi n_a d_a / lambda_a) theta^2: the path phase
+    (2 pi n_a d_a / lambda_a) (1 + theta^2 / 2) less its on-axis
+    constant, which no fringe sees. Accepts a scalar or an array;
+    returns matching shape.
     """
     theta = np.asarray(theta_a, dtype=float)
     if np.any(np.abs(theta) >= PARAXIAL_LIMIT):
@@ -248,14 +246,13 @@ def phase_a(theta_a, cfg: ExperimentConfig):
             ParaxialWarning,
             stacklevel=2,
         )
-    on_axis = 2.0 * math.pi * cfg.n_a * cfg.d_a / cfg.lambda_a
-    out = on_axis + (0.5 * on_axis) * theta**2
+    out = (math.pi * cfg.n_a * cfg.d_a / cfg.lambda_a) * theta**2
     if np.ndim(theta_a) == 0:
         return float(out)
     return out
 
 
-def assemble_state(cfg: ExperimentConfig, rho_values, n_modes: int = 512) -> SuperposedState:
+def assemble_state(cfg: ExperimentConfig, rho_values, n_modes: int) -> SuperposedState:
     """Build the two-source state sampled at the given camera radii.
 
     Convenience wrapper that picks the a-side grid suited to the

@@ -102,7 +102,7 @@ def test_criterion_3_three_way_consistency():
     radii = np.linspace(0.0, 1.5e-3, 20)
 
     state = assemble_state(cfg, radii, n_modes=512)
-    v_grid = np.array([visibility_scan(state, float(r))[0] for r in radii])
+    v_grid = visibility_scan(state)[0]
     v_quad = np.array(
         [
             sweep_visibility(lambda p, rr=float(r): counting_rate_partial_quadrature(rr, p, cfg))
@@ -129,30 +129,25 @@ def test_criterion_4_limiting_models():
     t0 = time.perf_counter()
     radii = np.linspace(0.0, 3e-3, 12)
 
-    state = assemble_state(make_config(CorrelationModel.MAXIMAL), radii)
+    state = assemble_state(make_config(CorrelationModel.MAXIMAL), radii, n_modes=512)
     supported = np.sum(state.amplitudes**2, axis=0) > 1e-6
-    v_err = max(
-        abs(visibility_scan(state, float(r))[0] - 1.0) for r in radii[supported]
-    )
+    v_err = float(np.max(np.abs(visibility_scan(state)[0][supported] - 1.0)))
 
     state = assemble_state(make_config(CorrelationModel.UNCORRELATED), radii, n_modes=512)
     phases = np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False)
-    flatness = 0.0
-    v_un = 0.0
-    for j in (0, 5, 11):
-        rates = np.array([counting_rate_reduced(state, j, p) for p in phases])
-        flatness = max(flatness, float(np.ptp(rates) / rates.mean()))
-        v_un = max(v_un, visibility_scan(state, float(radii[j]))[0])
+    rates = np.array([counting_rate_reduced(state, p) for p in phases])
+    flatness = float(np.max(np.ptp(rates, axis=0) / rates.mean(axis=0)))
+    v_un = float(np.max(visibility_scan(state)[0]))
 
     elapsed = time.perf_counter() - t0
-    ok = v_err <= 1e-14 and flatness <= 1e-10 and v_un <= 1e-9 and elapsed < 5.0
+    ok = v_err <= 1e-14 and flatness <= 1e-14 and v_un <= 1e-14 and elapsed < 5.0
     _report(
         4,
         "maximal-correlation unit visibility and uncorrelated flat rate",
         ok,
         f"max |V-1| {v_err:.1e} <= 1e-14 on modes with P > 1e-6, "
-        f"phase flatness {flatness:.1e} <= 1e-10 relative, "
-        f"residual visibility {v_un:.1e} <= 1e-9, {elapsed:.2f} s < 5 s",
+        f"phase flatness {flatness:.1e} <= 1e-14 relative, "
+        f"residual visibility {v_un:.1e} <= 1e-14, {elapsed:.2f} s < 5 s",
     )
 
 

@@ -560,6 +560,16 @@ def test_exact_oracle_gates_sit_tenfold_above_the_worst_case(tmp_path, model):
                 <= report["rate_tolerance"] / 10)
 
 
+def test_uncorrelated_oracle_at_zero_separation_exits_usage(capsys, tmp_path):
+    cfg = _cfg(tmp_path, UNCORRELATED.replace("d_a_mm = 11.7", "d_a_mm = 0"), "zero.cfg")
+    assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "oracle")]) == 1
+    assert capsys.readouterr().err == (
+        "twinfringes: error: the uncorrelated check needs d_a_mm > 0: at zero "
+        "separation no a phase dephases, so there is nothing to compare\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["zero.cfg"]
+
+
 def test_oracle_rejects_coarse_grid(capsys, tmp_path):
     # one rule for every model: an even count of at least 128 a-side modes
     for text, name in ((PARTIAL, "partial.cfg"), (MAXIMAL, "maximal.cfg"),

@@ -107,23 +107,25 @@ def test_shell_line_grid_covers_every_column(partial_cfg):
 def test_shell_line_grid_needs_partial_parameters():
     cfg = make_config(CorrelationModel.MAXIMAL)
     with pytest.raises(ValueError):
-        shell_line_grid(cfg, 1e-3)
+        shell_line_grid(cfg, 1e-3, 64)
 
 
-def test_dephasing_grid_phases_cancel(partial_cfg):
+def test_dephasing_grid_phases_cancel():
     n = 256
-    grid = dephasing_grid(partial_cfg, n)
-    c2 = math.pi * partial_cfg.n_a * partial_cfg.d_a / partial_cfg.lambda_a
-    phases = c2 * grid.angles**2
-    # the accumulated quadratic phases are rotated N-th roots of unity
-    assert np.allclose(phases, 2.0 * math.pi * (np.arange(n) + 0.5) / n, rtol=1e-12)
-    assert abs(np.sum(np.exp(1j * phases))) < 1e-11
+    roots = 2.0 * math.pi * (np.arange(n) + 0.5) / n
+    # the reference path and the longest one, where the path phase is 3.4e5 rad
+    for overrides in ({}, {"n_a": 1.7, "d_a": 50e-3}):
+        cfg = make_config(CorrelationModel.UNCORRELATED, **overrides)
+        phases = assemble_state(cfg, RHO, n).phase_a
+        # the state's phases are rotated N-th roots of unity
+        assert np.allclose(phases, roots, rtol=1e-14, atol=0.0)
+        assert abs(np.sum(np.exp(1j * phases))) < 1e-11
 
 
 def test_dephasing_grid_needs_separation():
     cfg = make_config(CorrelationModel.UNCORRELATED, d_a=0.0)
-    with pytest.raises(ValueError):
-        dephasing_grid(cfg)
+    with pytest.raises(ValueError, match="d_a_mm > 0"):
+        dephasing_grid(cfg, 128)
 
 
 def _partial_state(cfg, rho=RHO, n_modes=128):
@@ -201,31 +203,31 @@ def test_superpose_attaches_phases_and_amplitudes(partial_cfg):
     sup, grid_a, _ = _partial_state(partial_cfg)
     assert sup.config is partial_cfg
     assert sup.phase_a.shape == (grid_a.n_modes,)
+    # measured from the on-axis phase 2 pi n_a d_a / lambda_a, which cancels
     on_axis = 2.0 * math.pi * partial_cfg.n_a * partial_cfg.d_a / partial_cfg.lambda_a
-    assert np.allclose(sup.phase_a, on_axis * (1.0 + 0.5 * grid_a.angles**2), rtol=1e-15)
-    # phi_0 reference: on-axis phase plus static source/detection phases
-    assert sup.phase_offset == pytest.approx(on_axis, rel=1e-13)
+    assert np.allclose(sup.phase_a, 0.5 * on_axis * grid_a.angles**2, rtol=1e-15, atol=0.0)
 
 
 def test_superpose_carries_source_phases(partial_cfg):
     cfg = make_config(phi1=0.3, phi2=1.1, phi_b=0.5)
     sup, _, _ = _partial_state(cfg)
-    on_axis = 2.0 * math.pi * cfg.n_a * cfg.d_a / cfg.lambda_a
-    assert sup.phase_offset == pytest.approx(on_axis + 0.5 + 1.1 - 0.3, rel=1e-13)
+    balanced, _, _ = _partial_state(partial_cfg)
+    # the static phase phi_b + phi2 - phi1 shifts every a mode alike
+    assert np.allclose(sup.phase_a, balanced.phase_a - (0.5 + 1.1 - 0.3), rtol=0.0, atol=1e-13)
 
 
 def test_superposed_state_validates_inputs(partial_cfg):
     sup, grid_a, grid_b = _partial_state(partial_cfg)
     with pytest.raises(ValueError, match="phase_a"):
-        SuperposedState(grid_a, grid_b, sup.amplitudes, np.zeros(3), 0.0, partial_cfg)
+        SuperposedState(grid_a, grid_b, sup.amplitudes, np.zeros(3), partial_cfg)
 
 
 def test_two_photon_state_validates_shape_and_norm(partial_cfg):
     grid = ModeGrid(np.array([0.001]), 1.0)
     with pytest.raises(ValueError, match="shape"):
-        SuperposedState(grid, grid, np.ones((2, 2)), np.zeros(1), 0.0, partial_cfg)
+        SuperposedState(grid, grid, np.ones((2, 2)), np.zeros(1), partial_cfg)
     with pytest.raises(ValueError, match="normalized"):
-        SuperposedState(grid, grid, np.array([[0.5]]), np.zeros(1), 0.0, partial_cfg)
+        SuperposedState(grid, grid, np.array([[0.5]]), np.zeros(1), partial_cfg)
 
 
 def test_assemble_state_selects_model_grid(partial_cfg, maximal_cfg, uncorrelated_cfg):

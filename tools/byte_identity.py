@@ -18,10 +18,14 @@ screen, whose profile reaches rates below 1e-11 and with three-digit
 exponents, the fields the CSV writer leaves to Python's format. Three
 more configs, one per model with n_a 1.7, d_a 50 mm and sigma_theta
 9.37e-4, run only the oracle at 128, 512, 1024 and 4096 modes: their
-a-path phases, near 3.4e5 rad, are the largest the oracle tables hold
-here. Every command is ``python -m twinfringes.cli`` in a fresh
-interpreter with PYTHONPATH set to the tree. Exit codes and every
-output file are compared; manifests are compared without
+on-axis a-path phase, near 3.4e5 rad, is the longest here. Six more,
+the d_a 11.7 mm, sigma_theta 9.37e-4 config of each model with
+phi1_rad 0.5 and with alpha1_mag 0.8, alpha2_mag 0.6, run only the
+oracle at 512 modes: source phases and unequal amplitudes, which the
+closed forms do not model yet, so their exit codes and reports are
+compared as they stand. Every command is ``python -m twinfringes.cli``
+in a fresh interpreter with PYTHONPATH set to the tree. Exit codes and
+every output file are compared; manifests are compared without
 ``started_at``, ``duration_s`` and output paths.
 Prints each difference and exits 1 if there is any, else exits 0.
 Standard library only.
@@ -77,6 +81,10 @@ LONG_COMMANDS = dict(
     oracle4096=["oracle", "--grid-points", "4096"],
 )
 
+# Oracle runs with source phases or unequal amplitudes (see the module docstring).
+SOURCE_CONFIGS = {"phi1": "phi1_rad = 0.5\n", "unbalanced": "alpha1_mag = 0.8\nalpha2_mag = 0.6\n"}
+SOURCE_COMMANDS = {"oracle": COMMANDS["oracle"]}
+
 VOLATILE = ("started_at", "duration_s")
 
 
@@ -92,6 +100,9 @@ def _configs() -> dict[str, tuple[str, dict]]:
         out[name] = text, dict(COMMANDS, **WIDE_COMMANDS) if wide else COMMANDS
     for model in MODELS:
         out[f"{model}_n1p7_d50"] = OPTICS + LONG_PATH + f"model = {model}\n", LONG_COMMANDS
+        reference = OPTICS + f"d_a_mm = 11.7\nsigma_theta = 0.000937\nmodel = {model}\n"
+        for name, extra in SOURCE_CONFIGS.items():
+            out[f"{model}_{name}"] = reference + extra, SOURCE_COMMANDS
     return out
 
 

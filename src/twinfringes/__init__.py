@@ -40,8 +40,7 @@ _EXPORTS = {
         "infer_lambda_a", "ring_law_lambda_eq",
     ),
     "oracle": (
-        "UnequalAmplitudes", "ZeroRate", "counting_rate_reduced", "sweep_visibility",
-        "visibility_scan",
+        "ZeroRate", "counting_rate_reduced", "sweep_visibility", "visibility_scan",
     ),
     "special": (
         "ToleranceNotReached", "dm2_pair_scaled", "faddeeva", "integrate_radial",

@@ -25,7 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ExperimentConfig, CorrelationModel, derive_constants, effective_curvature
+from .config import (
+    CorrelationModel, ExperimentConfig, derive_constants, effective_curvature, source_fringe,
+)
 from .special import dm2_pair_scaled, dm2_pair_slope, integrate_radial, two_product
 
 # The shell Gaussian is integrated out to this many widths; the tail
@@ -128,14 +130,16 @@ def _require_nonnegative(rho) -> None:
 
 
 def counting_rate_maxcorr(rho, phi_0: float, cfg: ExperimentConfig):
-    """Perfect-correlation rate P(rho) {1 + cos[n_a A rho^2 - phi_0]}.
+    """Perfect-correlation rate P(rho) {1 + c cos[n_a A rho^2 - phi_0 - static]}.
 
-    phi_0 is referenced to the on-axis bright fringe, so phi_0 = 0 gives
-    a bright center. ``rho`` is a radius or an array of radii.
+    (c, static) is ``source_fringe(cfg)``. phi_0 is referenced to the
+    on-axis bright fringe of balanced, in-phase sources, so phi_0 = 0
+    gives them a bright center. ``rho`` is a radius or an array of radii.
     """
     _require_nonnegative(rho)
-    arg = effective_curvature(cfg) * rho * rho - phi_0
-    return _envelope(rho, cfg) * (1.0 + np.cos(arg))
+    contrast, static = source_fringe(cfg)
+    arg = effective_curvature(cfg) * rho * rho - (phi_0 + static)
+    return _envelope(rho, cfg) * (1.0 + contrast * np.cos(arg))
 
 
 def fringe_radius(N: int, cfg: ExperimentConfig) -> float:
@@ -161,9 +165,10 @@ def counting_rate_uncorrelated(rho, cfg: ExperimentConfig):
 def counting_rate_partial(rho, phi_0: float, cfg: ExperimentConfig):
     """Partially correlated rate in closed form, for a radius or an array.
 
-    Returns (sigma^2 / 2) P(rho) {1 + Re[e^{i(C rho^2 - phi_0)} Br(rho g) / (2 - i kappa)]}
-    with C = n_a A, b = B sigma_theta, kappa = C b^2 and Br the scaled
-    D_{-2} pair of ``special.dm2_pair_scaled``; the scale is the one of
+    Returns (sigma^2 / 2) P(rho) {1 + c Re[e^{i(C rho^2 - phi)} Br(rho g) / (2 - i kappa)]}
+    with C = n_a A, b = B sigma_theta, kappa = C b^2, (c, static) =
+    ``source_fringe(cfg)``, phi = phi_0 + static and Br the scaled D_{-2}
+    pair of ``special.dm2_pair_scaled``; the scale is the one of
     counting_rate_partial_quadrature, whose shell integral this is.
 
     Derivation: with u = theta' / sigma_theta the shell integral is
@@ -181,7 +186,7 @@ def counting_rate_partial(rho, phi_0: float, cfg: ExperimentConfig):
 
     gives I(rho) = e^{iC rho^2} Br(z) / (2p) with z = q / sqrt(2p) = rho g.
     The erfc form of D_{-2} (DLMF 12.7) turns Br into Faddeeva functions.
-    The visibility is |Br(rho g)| / |p| = visibility_closed_form.
+    The visibility is c |Br(rho g)| / |p| = visibility_closed_form.
     """
     return _partial_fringe(rho, phi_0, cfg)[0]
 
@@ -197,32 +202,30 @@ def _partial_br(rho, cfg: ExperimentConfig):
 
 
 def _partial_fringe(rho, phi_0: float, cfg: ExperimentConfig):
-    """counting_rate_partial, with the constants and Br(rho g) it used.
-
-    radial_profile takes the visibility |Br| / gamma from the same Br,
-    which is the value visibility_closed_form computes at rho >= 0.
-    """
+    """(counting_rate_partial, visibility_closed_form) at rho >= 0 from one Br(rho g)."""
     _require_nonnegative(rho)
     if cfg.sigma_theta is None:
         raise ValueError("partial-correlation rate requires sigma_theta")
+    contrast, static = source_fringe(cfg)
     constants, br = _partial_br(rho, cfg)
-    phase = cfg.n_a * constants.A * rho * rho - phi_0
+    phase = cfg.n_a * constants.A * rho * rho - (phi_0 + static)
     p = complex(2.0, -constants.kappa)
     fringe = np.exp(1j * phase) * br / p
-    rate = 0.5 * cfg.sigma_theta**2 * _envelope(rho, cfg) * (1.0 + fringe.real)
-    return rate, constants, br
+    rate = 0.5 * cfg.sigma_theta**2 * _envelope(rho, cfg) * (1.0 + contrast * fringe.real)
+    return rate, contrast * np.abs(br) / constants.gamma
 
 
 def counting_rate_partial_quadrature(rho: float, phi_0: float, cfg: ExperimentConfig) -> float:
     """Partially correlated rate as the radial shell integral (reference route).
 
     Integrates
-    theta' exp(-2 theta'^2 / sigma^2) {2 + cos[nA (B theta' - rho)^2 - phi_0]
-    + cos[nA (B theta' + rho)^2 - phi_0]}
+    theta' exp(-2 theta'^2 / sigma^2) {2 + c cos[nA (B theta' - rho)^2 - phi]
+    + c cos[nA (B theta' + rho)^2 - phi]}
     over the shell angle theta' (substituted u = theta' / sigma, truncated
-    at QUADRATURE_SPAN widths), times the camera envelope. The radial
-    delta of the shell model is resolved analytically beforehand; nothing
-    here approximates a delta numerically. No production path calls
+    at QUADRATURE_SPAN widths), times the camera envelope, with (c, static)
+    = ``source_fringe(cfg)`` and phi = phi_0 + static. The radial delta
+    of the shell model is resolved analytically beforehand; nothing here
+    approximates a delta numerically. No production path calls
     this; it is the independent check on counting_rate_partial.
     """
     _require_nonnegative(rho)
@@ -231,32 +234,35 @@ def counting_rate_partial_quadrature(rho: float, phi_0: float, cfg: ExperimentCo
     constants = derive_constants(cfg)
     curvature = cfg.n_a * constants.A
     b_sigma = constants.B * cfg.sigma_theta
+    contrast, static = source_fringe(cfg)
+    phi = phi_0 + static
 
     def integrand(u: float) -> float:
-        lobe_minus = curvature * (b_sigma * u - rho) ** 2 - phi_0
-        lobe_plus = curvature * (b_sigma * u + rho) ** 2 - phi_0
-        return u * math.exp(-2.0 * u * u) * (2.0 + math.cos(lobe_minus) + math.cos(lobe_plus))
+        lobe_minus = contrast * math.cos(curvature * (b_sigma * u - rho) ** 2 - phi)
+        lobe_plus = contrast * math.cos(curvature * (b_sigma * u + rho) ** 2 - phi)
+        return u * math.exp(-2.0 * u * u) * (2.0 + lobe_minus + lobe_plus)
 
     value = integrate_radial(integrand, 0.0, QUADRATURE_SPAN, QUADRATURE_ABS_TOL)
     return cfg.sigma_theta**2 * float(_envelope(rho, cfg)) * value
 
 
 def visibility_closed_form(rho, cfg: ExperimentConfig):
-    """Closed-form visibility |Br(rho g)| / gamma, for a radius or an array.
+    """Closed-form visibility c |Br(rho g)| / gamma, for a radius or an array.
 
-    Br(z) = e^{z^2/4} [D_{-2}(z) + D_{-2}(-z)] (``special.dm2_pair_scaled``).
-    This is the textbook (1/gamma) e^{-sigma^2 rho^2 / chi^2}
+    c is the source contrast of ``source_fringe`` and Br(z) =
+    e^{z^2/4} [D_{-2}(z) + D_{-2}(-z)] (``special.dm2_pair_scaled``).
+    This is the textbook (c/gamma) e^{-sigma^2 rho^2 / chi^2}
     |D_{-2}(rho g) + D_{-2}(-rho g)|, because |e^{-z^2/4}| is exactly
     e^{sigma^2 rho^2 / chi^2} at z = rho g. Depends only on |rho|; at
     rho = 0 it reduces bit-exactly to central_visibility.
     """
     constants, br = _partial_br(np.abs(rho), cfg)
-    return np.abs(br) / constants.gamma
+    return source_fringe(cfg)[0] * np.abs(br) / constants.gamma
 
 
 def central_visibility(cfg: ExperimentConfig) -> float:
-    """On-axis visibility 2 / gamma."""
-    return 2.0 / derive_constants(cfg).gamma
+    """On-axis visibility 2 c / gamma, c the source contrast."""
+    return 2.0 * source_fringe(cfg)[0] / derive_constants(cfg).gamma
 
 
 # visibility_hwhm marches over this many grid radii, in array calls of
@@ -393,39 +399,25 @@ def visibility_hwhms(sigmas, constants) -> list[float | None]:
     return out
 
 
-def _rate_curve(rho: np.ndarray, phi_0: float, cfg: ExperimentConfig) -> np.ndarray:
-    """Model-appropriate closed-form rate at each radius."""
+def _fringe(rho: np.ndarray, phi_0: float, cfg: ExperimentConfig):
+    """Closed-form (rate, visibility) of the configured model at each radius."""
     model = cfg.correlation_model
     if model is CorrelationModel.MAXIMAL:
-        return counting_rate_maxcorr(rho, phi_0, cfg)
+        return counting_rate_maxcorr(rho, phi_0, cfg), np.full_like(rho, source_fringe(cfg)[0])
     if model is CorrelationModel.UNCORRELATED:
-        return counting_rate_uncorrelated(rho, cfg)
-    return counting_rate_partial(rho, phi_0, cfg)
-
-
-def _visibility_curve(rho: np.ndarray, cfg: ExperimentConfig) -> np.ndarray:
-    model = cfg.correlation_model
-    if model is CorrelationModel.MAXIMAL:
-        return np.ones_like(rho)
-    if model is CorrelationModel.UNCORRELATED:
-        return np.zeros_like(rho)
-    return np.clip(visibility_closed_form(rho, cfg), 0.0, 1.0)
+        return counting_rate_uncorrelated(rho, cfg), np.zeros_like(rho)
+    rate, visibility = _partial_fringe(rho, phi_0, cfg)
+    return rate, np.clip(visibility, 0.0, 1.0)
 
 
 def radial_profile(
     cfg: ExperimentConfig, rho_max: float, n_samples: int, phi_0: float
 ) -> RadialProfile:
-    """Rate and visibility sampled on n_samples radii in [0, rho_max].
-
-    The partial model evaluates Br once per radius for both columns.
-    """
+    """Rate and visibility sampled on n_samples radii in [0, rho_max]."""
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
     rho = np.linspace(0.0, rho_max, n_samples)
-    if cfg.correlation_model is CorrelationModel.GAUSSIAN_PARTIAL:
-        rate, constants, br = _partial_fringe(rho, phi_0, cfg)
-        return RadialProfile(rho, rate, np.clip(np.abs(br) / constants.gamma, 0.0, 1.0))
-    return RadialProfile(rho, _rate_curve(rho, phi_0, cfg), _visibility_curve(rho, cfg))
+    return RadialProfile(rho, *_fringe(rho, phi_0, cfg))
 
 
 # render_pattern evaluates the upper triangle of its quadrant in this
@@ -463,7 +455,7 @@ def render_pattern(
     r_corner = 0.5 * screen_size * math.sqrt(2.0)
     n_prof = 4 * resolution + 2
     r_prof = np.linspace(0.0, r_corner + pitch, n_prof)
-    rates = _rate_curve(r_prof, phi_0, cfg)
+    rates = _fringe(r_prof, phi_0, cfg)[0]
     centers = (np.arange(resolution // 2, resolution) - 0.5 * (resolution - 1)) * pitch
     n = centers.size
     quadrant = np.empty((n, n))

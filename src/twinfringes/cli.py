@@ -23,7 +23,9 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .config import CorrelationModel, ExperimentConfig, derive_constants, validate_sigma_theta
+from .config import (
+    CorrelationModel, ExperimentConfig, derive_constants, source_fringe, validate_sigma_theta,
+)
 from .fileio import (
     ParseError,
     RunManifest,
@@ -54,11 +56,11 @@ EXIT_IO = 3
 # 512-mode Riemann-sum convergence level established by grid refinement.
 # The maximal and uncorrelated grids are exact up to rounding; each of
 # their gates is the smallest 1-2-5 value at least 10x the worst
-# discrepancy over n_a 1-3, d_a 1-50 mm and 128-4096 modes on the
-# reference optics (maximal 3.8e-15, 1.5e-14; uncorrelated 1.4e-16,
-# 2.2e-16).
+# discrepancy over n_a 1/1.7/2.5/3, d_a 1-50 mm (10 values) and 128-4096
+# modes on the reference optics (maximal 3.3e-16, 1.65e-14;
+# uncorrelated 1.1e-16, 2.2e-16).
 _ORACLE_TOLS = {
-    CorrelationModel.MAXIMAL: (5e-14, 2e-13),
+    CorrelationModel.MAXIMAL: (5e-15, 2e-13),
     CorrelationModel.UNCORRELATED: (2e-15, 5e-15),
     CorrelationModel.GAUSSIAN_PARTIAL: (0.01, 0.01),
 }
@@ -128,10 +130,10 @@ def run_visibility_scan(cfg: ExperimentConfig, out_csv, sigma_list=None, rho_lis
     sequence. The sigma list always tabulates the gaussian_partial model
     at each listed width, whatever the configured model. Each scanned
     width is checked as the config's own width is, except 0, the
-    perfect-correlation limit, which is reported as v0 = 1 with a blank
-    HWHM. The rho list follows the configured model: its rows are the
-    visibility column that ``simulate`` writes at the same radii.
-    Nothing is written before the arguments validate.
+    perfect-correlation limit, which is reported as v0 = c, the source
+    contrast, with a blank HWHM. The rho list follows the configured
+    model: its rows are the visibility column that ``simulate`` writes
+    at the same radii. Nothing is written before the arguments validate.
     """
     if bool(sigma_list) == bool(rho_list):
         raise UsageError("provide exactly one non-empty scan list (sigma or rho)")
@@ -146,16 +148,17 @@ def run_visibility_scan(cfg: ExperimentConfig, out_csv, sigma_list=None, rho_lis
                 validate_sigma_theta(sigma)
             constants.append(derive_constants(cfg, sigma))
         hwhms = analytics.visibility_hwhms(sigmas, constants)
+        peak = 2.0 * source_fringe(cfg)[0]
         for sigma, c, hwhm in zip(sigmas, constants, hwhms):
-            # 2 / gamma is the central visibility at this width
+            # 2 contrast / gamma is the central visibility at this width
             hwhm_text = "" if hwhm is None else f"{hwhm:.11e}"
-            lines.append(f"{sigma:.11e},{2.0 / c.gamma:.11e},{hwhm_text}")
+            lines.append(f"{sigma:.11e},{peak / c.gamma:.11e},{hwhm_text}")
     else:
         if min(rho_list) < 0.0:
             raise UsageError("scanned radii must be nonnegative")
         lines.append("rho_m,visibility")
         radii = np.array(rho_list, dtype=float)
-        for rho, vis in zip(radii.tolist(), analytics._visibility_curve(radii, cfg).tolist()):
+        for rho, vis in zip(radii.tolist(), analytics._fringe(radii, 0.0, cfg)[1].tolist()):
             lines.append(f"{rho:.11e},{vis:.11e}")
     Path(out_csv).write_text("\n".join(lines) + "\n", encoding="ascii")
 
@@ -220,25 +223,17 @@ def run_eqwavelength(cfg: ExperimentConfig, data_path) -> str:
 def run_oracle_check(cfg: ExperimentConfig, grid_points: int, out) -> None:
     """Compare the brute-force mode-sum against the closed forms.
 
-    Samples 16 radii across the envelope, extracts the exact grid
-    visibility |S| / A from the grid rate A + Re(S e^{-i phi_0}) at four
-    scan phases, takes the grid rate curve from the phi_0 = 0 phase of
-    that scan, and checks both against the analytic results for the
-    configured model. ``grid_points`` must be even and at least 128,
-    whatever the model, or UsageError is raised. The closed forms
-    assume balanced sources, so UnequalAmplitudes is raised unless
-    |alpha1| = |alpha2|. The JSON report is written even on failure;
-    ToleranceExceeded is raised afterwards so the discrepancies stay
-    inspectable.
+    Samples 16 radii across the envelope, reads the exact grid
+    visibility |S| / A and the phi_0 = 0 rate A + Re S off one fringe
+    phasor per radius, and checks both against the analytic results for
+    the configured model. ``grid_points`` must be even and at least 128,
+    whatever the model, or UsageError is raised. The JSON report is
+    written even on failure; ToleranceExceeded is raised afterwards so
+    the discrepancies stay inspectable.
     """
     if grid_points < 128 or grid_points % 2:
         raise UsageError(f"--grid-points must be an even number >= 128, got {grid_points}")
     _load_arrays()
-    if abs(cfg.alpha1_mag - cfg.alpha2_mag) > 1e-12:
-        raise oracle.UnequalAmplitudes(
-            f"oracle check needs balanced sources; alpha1_mag = {cfg.alpha1_mag!r}, "
-            f"alpha2_mag = {cfg.alpha2_mag!r}"
-        )
     closed = analytics.radial_profile(cfg, 0.5 * cfg.f0 * cfg.sigma_b, 16, 0.0)
     # the b grid's columns are exactly these radii
     grid_state = state.assemble_state(cfg, closed.rho, grid_points)

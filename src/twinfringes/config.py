@@ -133,6 +133,17 @@ def effective_curvature(cfg: ExperimentConfig) -> float:
     return cfg.n_a * math.pi * cfg.d_a * cfg.lambda_a / (cfg.f0 * cfg.lambda_b) ** 2
 
 
+def source_fringe(cfg: ExperimentConfig) -> tuple[float, float]:
+    """(contrast, static): the sources' one factor on every fringe term.
+
+    contrast = 2|a1||a2| / (|a1|^2 + |a2|^2), exactly 1.0 for equal
+    magnitudes, scales the term; the rate at scan phase phi_0 is that of
+    in-phase sources at phi_0 + static, static = phi_b + phi2 - phi1.
+    """
+    a1, a2 = cfg.alpha1_mag, cfg.alpha2_mag
+    return 2.0 * a1 * a2 / (a1 * a1 + a2 * a2), cfg.phi_b + cfg.phi2 - cfg.phi1
+
+
 # Lower bounds of the range-checked parameters, in reporting order:
 # name -> (bound, strict). d_a = 0 is the balanced case.
 _LOWER_BOUNDS = {

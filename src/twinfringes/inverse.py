@@ -12,11 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .config import ExperimentConfig, derive_constants, shell_gamma
+from .config import ExperimentConfig, derive_constants, shell_gamma, source_fringe
 
 
 class DegenerateVisibility(ValueError):
-    """Visibility outside (0, 1]; the width inverse is undefined there."""
+    """Visibility outside (0, c], c the source contrast; no width gives it."""
 
 
 class InsufficientData(ValueError):
@@ -38,16 +38,18 @@ class WavelengthEstimate:
 def estimate_sigma_theta(v0: float, cfg: ExperimentConfig) -> float:
     """Correlation width from the central visibility.
 
-    Inverts the closed-form central visibility:
-    sigma_theta^2 = (8 pi / (n_a k0'^2 lambda_a d_a)) sqrt(1 / v0^2 - 1).
-    1 / v0^2 - 1 is formed as (1 - v0)(1 + v0) / v0^2, where 1 - v0 is
-    exact for v0 >= 1/2 (Sterbenz), so no cancellation is left near
-    v0 = 1. v0 = 1 returns exactly 0 (perfect correlation); anything
-    outside (0, 1], or so small that v0^2 underflows to 0 or 1 / v0^2
-    overflows (v0 below about 7.5e-155), raises DegenerateVisibility.
+    Inverts the closed-form central visibility v0 = c v, c the source
+    contrast: sigma_theta^2 = (8 pi / (n_a k0'^2 lambda_a d_a)) sqrt(1 / v^2 - 1).
+    1 / v^2 - 1 is formed as (1 - v)(1 + v) / v^2, where 1 - v is
+    exact for v >= 1/2 (Sterbenz), so no cancellation is left near
+    v = 1. v0 = c returns exactly 0 (perfect correlation); anything
+    outside (0, c], or so small that v^2 underflows to 0 or 1 / v^2
+    overflows (v below about 7.5e-155), raises DegenerateVisibility.
     """
-    if not 0.0 < v0 <= 1.0:
-        raise DegenerateVisibility(f"v0 = {v0!r} outside (0, 1]")
+    contrast = source_fringe(cfg)[0]
+    if not 0.0 < v0 <= contrast:
+        raise DegenerateVisibility(f"v0 = {v0!r} outside (0, {contrast:g}]")
+    v0 = v0 / contrast
     if v0 == 1.0:
         return 0.0
     if v0 * v0 == 0.0:
@@ -73,22 +75,23 @@ def estimate_sigma_theta_bisect(v0: float, cfg: ExperimentConfig) -> float:
 
     Shares no algebra with estimate_sigma_theta; the two must agree,
     which guards the constant derivations on both sides. The forward
-    model is central_visibility, 2 / gamma: the factors of gamma that do
-    not depend on sigma_theta are derived once, and each step is the
+    model is central_visibility, 2 c / gamma: the factors of gamma that
+    do not depend on sigma_theta are derived once, and each step is the
     same float operations through ``shell_gamma``, without a config
     copy. Every rounded operation is monotone, so the forward model is
     non-increasing in sigma_theta and plain bisection on [0, 5e-2]
     converges unconditionally.
     """
-    if not 0.0 < v0 <= 1.0:
-        raise DegenerateVisibility(f"v0 = {v0!r} outside (0, 1]")
-    if v0 == 1.0:
+    contrast = source_fringe(cfg)[0]
+    if not 0.0 < v0 <= contrast:
+        raise DegenerateVisibility(f"v0 = {v0!r} outside (0, {contrast:g}]")
+    if v0 == contrast:
         return 0.0
     constants = derive_constants(cfg)
     a_eff = cfg.n_a * constants.A
 
     def forward(sigma: float) -> float:
-        return 2.0 / shell_gamma(sigma, a_eff, constants.B)[1]
+        return 2.0 * contrast / shell_gamma(sigma, a_eff, constants.B)[1]
 
     hi = 5e-2
     if forward(hi) > v0:

@@ -8,8 +8,9 @@ everything in :mod:`twinfringes.analytics`. All outputs share one
 arbitrary positive scale; comparisons downstream are ratio-based.
 
 The state's b grid is the set of camera columns: every function answers
-with one value per column, and every column's rate is its own exact
-``math.fsum``.
+with one value per column. A column's rate is one fringe term
+A + Re(S e^{-i phi_0}), and each part of its phasor (A, S) is an exact
+``math.fsum`` over the column.
 """
 
 from __future__ import annotations
@@ -22,30 +23,33 @@ import numpy as np
 from .state import SuperposedState
 
 
-class UnequalAmplitudes(ValueError):
-    """Oracle check requested for sources that do not emit equally."""
-
-
 class ZeroRate(ArithmeticError):
     """Visibility undefined: the rate vanished at every scan phase."""
 
 
-def counting_rate_reduced(state: SuperposedState, phi_0: float) -> np.ndarray:
-    """Counting rate of every b column of the state at scan phase phi_0.
+def _phasor(state: SuperposedState) -> tuple[np.ndarray, np.ndarray]:
+    """Fringe phasor (A, S) of every b column of the state.
 
-    sum_a C^2 { |a1|^2 + |a2|^2 + 2 |a1||a2| cos[phase_a - phi_0] }
-    with the source magnitudes |a1|, |a2| read from the state's config
-    and phase_a the state's relative a-phase table, so phi_0 = 0 is the
-    on-axis bright fringe of in-phase sources. For balanced sources this is
-    sum_a C^2 {1 + cos[phase_a - phi_0]}. The fringe factor is formed
-    once; each column's rate is the exact ``math.fsum`` of its
-    elementwise products.
+    A = (|a1|^2 + |a2|^2) sum_a C^2 and S = 2 |a1||a2| sum_a C^2 e^{i phase_a},
+    with the source magnitudes read from the state's config and phase_a
+    the state's relative a-phase table. Each of sum C^2, sum C^2 cos and
+    sum C^2 sin is the exact ``math.fsum`` of one column.
     """
-    a1 = state.config.alpha1_mag
-    a2 = state.config.alpha2_mag
-    fringe = (a1 * a1 + a2 * a2) + 2.0 * a1 * a2 * np.cos(state.phase_a - phi_0)
-    terms = state.amplitudes.T ** 2 * fringe
-    return np.array([math.fsum(row.tolist()) for row in terms])
+    a1, a2 = state.config.alpha1_mag, state.config.alpha2_mag
+    weights = state.amplitudes.T ** 2
+    parts = (weights, weights * np.cos(state.phase_a), weights * np.sin(state.phase_a))
+    w, c, s = (np.array([math.fsum(row.tolist()) for row in part]) for part in parts)
+    return (a1 * a1 + a2 * a2) * w, 2.0 * a1 * a2 * (c + 1j * s)
+
+
+def counting_rate_reduced(state: SuperposedState, phi_0: float) -> np.ndarray:
+    """Counting rate A + Re(S e^{-i phi_0}) of every b column at scan phase phi_0.
+
+    That is sum_a C^2 { |a1|^2 + |a2|^2 + 2 |a1||a2| cos[phase_a - phi_0] },
+    so phi_0 = 0 is the on-axis bright fringe of in-phase sources.
+    """
+    a, s = _phasor(state)
+    return a + (s.real * math.cos(phi_0) + s.imag * math.sin(phi_0))
 
 
 def sweep_visibility(rate_fn: Callable[[float], object]):
@@ -61,7 +65,7 @@ def sweep_visibility(rate_fn: Callable[[float], object]):
     ``rate_fn`` returns a float or a 1-D array of rates (one per column);
     the formula is applied column by column with ``math.fsum`` and
     ``math.hypot``, and the result is a float or one visibility per
-    column accordingly.
+    column accordingly. It is the reference for rates that give no phasor.
     """
     samples = [rate_fn(k * 0.5 * math.pi) for k in range(4)]
     visibilities = []
@@ -83,14 +87,9 @@ def sweep_visibility(rate_fn: Callable[[float], object]):
 def visibility_scan(state: SuperposedState):
     """Brute-force (visibility, rate) of every b column of the state.
 
-    All columns go through one ``sweep_visibility``; the rate is the
-    sweep's phi_0 = 0 sample. Returns one visibility and one rate per
-    column.
+    From one phasor per column: |S| / A clamped into [0, 1], and A + Re S.
     """
-    samples = []
-
-    def rate_at(phi_0: float):
-        samples.append(counting_rate_reduced(state, phi_0))
-        return samples[-1]
-
-    return sweep_visibility(rate_at), samples[0]
+    a, s = _phasor(state)
+    if np.any(a == 0.0):
+        raise ZeroRate("rate is zero at every scan phase")
+    return np.clip(np.abs(s) / a, 0.0, 1.0), a + s.real

@@ -1,5 +1,6 @@
 """Closed-form rates, visibility curve, ring geometry and rendering."""
 
+import dataclasses
 import itertools
 import math
 
@@ -27,7 +28,7 @@ from twinfringes import (
     visibility_closed_form,
     visibility_hwhm,
 )
-from twinfringes.analytics import _rate_curve
+from twinfringes.analytics import _fringe
 
 from conftest import make_config, mp_partial
 
@@ -259,6 +260,36 @@ def test_radial_profile_partial_matches_rate_and_visibility_bit_for_bit(d_a, sig
     assert np.array_equal(prof.visibility, np.clip(visibility_closed_form(prof.rho, cfg), 0.0, 1.0))
 
 
+@pytest.mark.parametrize("model", list(CorrelationModel), ids=lambda m: m.value)
+def test_unbalanced_sources_scale_the_visibility_by_their_contrast(model):
+    # 2 |a1||a2| / (|a1|^2 + |a2|^2) = 0.96 for magnitudes 0.8 and 0.6
+    balanced = radial_profile(make_config(model), 3e-3, 65, 0.4)
+    unbalanced = radial_profile(make_config(model, alpha1_mag=0.8, alpha2_mag=0.6), 3e-3, 65, 0.4)
+    assert unbalanced.visibility == pytest.approx(0.96 * balanced.visibility, rel=1e-15, abs=0.0)
+    assert np.all(unbalanced.visibility <= 0.96 + 1e-15)
+
+
+@pytest.mark.parametrize("model", list(CorrelationModel), ids=lambda m: m.value)
+def test_static_source_phase_adds_to_the_scan_phase(model):
+    # phi_b + phi2 - phi1 = 0.3 + 1.1 - 0.5 = 0.9 in every closed-form rate
+    shifted = make_config(model, phi1=0.5, phi2=1.1, phi_b=0.3)
+    rho = np.linspace(0.0, 2e-3, 33)
+    for phi_0 in (0.0, 0.4, -2.0):
+        got = _fringe(rho, phi_0, shifted)[0]
+        assert got == pytest.approx(_fringe(rho, phi_0 + 0.9, make_config(model))[0], rel=1e-13)
+
+
+def test_quadrature_carries_the_source_factor(partial_cfg):
+    # contrast 0.96 on the visibility, and phi2 = 0.7 added to the scan phase
+    in_phase = make_config(alpha1_mag=0.8, alpha2_mag=0.6)
+    cfg = dataclasses.replace(in_phase, phi2=0.7)
+    for rho in (0.0, 0.6e-3, 1.3e-3):
+        v = sweep_visibility(lambda p: counting_rate_partial_quadrature(rho, p, cfg))
+        assert v == pytest.approx(0.96 * visibility_closed_form(rho, partial_cfg), rel=1e-9)
+        expected = float(counting_rate_partial(rho, 1.1, in_phase))
+        assert counting_rate_partial_quadrature(rho, 0.4, cfg) == pytest.approx(expected, rel=1e-9)
+
+
 def test_radial_profile_needs_two_samples(partial_cfg):
     with pytest.raises(ValueError):
         radial_profile(partial_cfg, 1e-3, 1, 0.0)
@@ -297,7 +328,7 @@ def test_render_pattern_equals_direct_per_pixel_evaluation(model, resolution):
     pitch = screen / resolution
     centers = (np.arange(resolution) - 0.5 * (resolution - 1)) * pitch
     r_prof = np.linspace(0.0, 0.5 * screen * math.sqrt(2.0) + pitch, 4 * resolution + 2)
-    rates = _rate_curve(r_prof, phi_0, cfg)
+    rates = _fringe(r_prof, phi_0, cfg)[0]
     direct = np.interp(np.hypot(centers[:, None], centers[None, :]), r_prof, rates)
     assert np.array_equal(image.values, direct)
     assert image.normalization == direct.max()

@@ -14,7 +14,6 @@ import pytest
 from twinfringes import (
     CorrelationModel,
     ParaxialWarning,
-    UnequalAmplitudes,
     __version__,
     fringe_radius,
     parse_config,
@@ -525,15 +524,49 @@ def test_oracle_check_passes_per_model(tmp_path, text, name):
     assert report["max_peak_relative_rate_discrepancy"] <= report["rate_tolerance"]
 
 
-def test_oracle_requires_balanced_sources(tmp_path):
-    # the closed forms the oracle is checked against assume |alpha1| = |alpha2|
-    text = PARTIAL + "alpha1_mag = 0.8\nalpha2_mag = 0.6\n"
-    cfg = _cfg(tmp_path, text, "unbalanced.cfg")
-    out = tmp_path / "oracle"
-    with pytest.raises(UnequalAmplitudes):
-        run_oracle_check(parse_config(cfg), 512, out.with_suffix(".json"))
-    assert main(["oracle", "--config", cfg, "--out", str(out)]) == 1
-    assert not (tmp_path / "oracle.json").exists()
+UNBALANCED = "alpha1_mag = 0.8\nalpha2_mag = 0.6\n"
+
+
+def test_oracle_passes_on_unbalanced_sources(tmp_path):
+    # every route scales the fringe term by 2|a1||a2| / (|a1|^2 + |a2|^2)
+    for text in (PARTIAL, MAXIMAL, UNCORRELATED):
+        cfg = _cfg(tmp_path, text + UNBALANCED, "unbalanced.cfg")
+        assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "oracle")]) == 0
+        report = json.loads((tmp_path / "oracle.json").read_text())
+        assert report["passed"] is True
+
+
+@pytest.mark.parametrize("text", [PARTIAL, MAXIMAL, UNCORRELATED],
+                         ids=["gaussian_partial", "maximal", "uncorrelated"])
+def test_source_phase_shifts_the_scan_phase(tmp_path, text):
+    # phi1 = 0.5 makes the static phase phi_b + phi2 - phi1 = -0.5, so
+    # the pattern at phi0 is the in-phase pattern at phi0 - 0.5
+    shifted = _cfg(tmp_path, text + "phi1_rad = 0.5\n", "phi1.cfg")
+    balanced = _cfg(tmp_path, text, "balanced.cfg")
+    flags = ["--resolution", "96", "--screen-mm", "2"]
+    for phi0 in (0.9, 2.5):
+        assert main(["simulate", "--config", shifted, "--out", str(tmp_path / "a"),
+                     "--phi0", repr(phi0), *flags]) == 0
+        assert main(["simulate", "--config", balanced, "--out", str(tmp_path / "b"),
+                     "--phi0", repr(phi0 - 0.5), *flags]) == 0
+        for suffix in (".pgm", ".csv"):
+            a = (tmp_path / "a").with_suffix(suffix).read_bytes()
+            assert a == (tmp_path / "b").with_suffix(suffix).read_bytes()
+
+
+def test_invert_divides_v0_by_the_source_contrast(capsys, tmp_path, cfg_file):
+    # 2 * 0.8 * 0.6 = 0.96, so v0 = 0.9 is the balanced v0 = 0.9375
+    unbalanced = _cfg(tmp_path, PARTIAL + UNBALANCED, "unbalanced.cfg")
+
+    def width(cfg, v0):
+        assert main(["invert", "--config", cfg, "--v0", v0]) == 0
+        return capsys.readouterr().out.splitlines()[1]
+
+    assert width(unbalanced, "0.9") == "sigma_theta_rad = 1.920382358776e-03"
+    assert width(cfg_file, "0.9375") == "sigma_theta_rad = 1.920382358776e-03"
+    assert width(cfg_file, "0.9") == "sigma_theta_rad = 2.193613243102e-03"
+    assert main(["invert", "--config", unbalanced, "--v0", "0.97"]) == 1
+    assert "outside (0, 0.96]" in capsys.readouterr().err
 
 
 def test_negative_source_magnitude_exits_usage(capsys, tmp_path):

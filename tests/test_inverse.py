@@ -54,6 +54,20 @@ def test_out_of_range_visibility_rejected(partial_cfg, bad):
         estimate_sigma_theta_bisect(bad, partial_cfg)
 
 
+def test_unbalanced_sources_invert_v0_over_their_contrast(partial_cfg):
+    # the central visibility is 2 c / gamma, c = 0.96 for magnitudes 0.8, 0.6
+    cfg = make_config(alpha1_mag=0.8, alpha2_mag=0.6)
+    v0 = central_visibility(cfg)
+    assert v0 == pytest.approx(0.96 * V0_REF, rel=1e-10)
+    for estimate in (estimate_sigma_theta, estimate_sigma_theta_bisect):
+        assert estimate(v0, cfg) == pytest.approx(SIGMA_THETA, rel=1e-9)
+        assert estimate(0.9, cfg) == pytest.approx(estimate(0.9375, partial_cfg), rel=1e-9)
+        assert estimate(2.0 * 0.8 * 0.6 / (0.8**2 + 0.6**2), cfg) == 0.0
+        for bad in (0.97, 1.0):
+            with pytest.raises(DegenerateVisibility, match=r"outside \(0, 0.96\]"):
+                estimate(bad, cfg)
+
+
 @pytest.mark.parametrize("tiny", [1e-200, 5e-324])
 def test_underflowing_visibility_rejected(partial_cfg, tiny):
     # v0^2 underflows to 0 in the closed-form inverse's 1 / v0^2

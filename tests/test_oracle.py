@@ -1,4 +1,4 @@
-"""Brute-force counting rates and exact four-phase visibility extraction."""
+"""Brute-force counting rates and the exact fringe phasor of every column."""
 
 import math
 
@@ -18,6 +18,7 @@ from twinfringes import (
     visibility_closed_form,
     visibility_scan,
 )
+from twinfringes.oracle import _phasor
 
 from conftest import make_config
 
@@ -174,8 +175,19 @@ def test_partial_oracle_converges_in_grid_size(partial_cfg):
     assert errors[-1] <= 2e-5
 
 
-def _reference_rate(state, k_b, phi_0):
-    """The one-column sum the batched counting_rate_reduced replaced."""
+def _reference_phasor(state, k_b):
+    """One column's (A, Re S, Im S) from its own three scalar sums."""
+    a1 = state.config.alpha1_mag
+    a2 = state.config.alpha2_mag
+    weights = state.amplitudes[:, k_b] ** 2
+    w, c, s = (math.fsum(weights * part) for part in
+               (1.0, np.cos(state.phase_a), np.sin(state.phase_a)))
+    k = 2.0 * a1 * a2
+    return (a1 * a1 + a2 * a2) * w, k * c, k * s
+
+
+def _four_term_rate(state, k_b, phi_0):
+    """One column's rate summed term by term at one scan phase."""
     a1 = state.config.alpha1_mag
     a2 = state.config.alpha2_mag
     weights = state.amplitudes[:, k_b] ** 2
@@ -183,39 +195,59 @@ def _reference_rate(state, k_b, phi_0):
     return math.fsum(weights * ((a1 * a1 + a2 * a2) + 2.0 * a1 * a2 * np.cos(arg)))
 
 
-def _reference_visibility(state, k_b):
-    """The scalar four-phase visibility the column-wise sweep replaced."""
-    r0, r1, r2, r3 = (_reference_rate(state, k_b, k * 0.5 * math.pi) for k in range(4))
-    visibility = 2.0 * math.hypot(r0 - r2, r1 - r3) / math.fsum((r0, r1, r2, r3))
-    return min(max(visibility, 0.0), 1.0)
+AMPLITUDES = pytest.mark.parametrize(
+    "amplitudes", [{}, {"alpha1_mag": 0.8, "alpha2_mag": 0.6}], ids=["balanced", "unbalanced"]
+)
+PHASES = (0.0, 0.4, 0.5 * math.pi, 2.1, math.pi, 1.5 * math.pi, -3.0)
 
 
 @pytest.mark.parametrize("model", list(CorrelationModel), ids=lambda m: m.value)
 @pytest.mark.parametrize("n_modes", (128, 512, 1024))
-@pytest.mark.parametrize("amplitudes", [{}, {"alpha1_mag": 0.8, "alpha2_mag": 0.6}],
-                         ids=["balanced", "unbalanced"])
+@AMPLITUDES
 def test_batched_oracle_is_bit_identical_to_per_column_sums(model, n_modes, amplitudes):
     cfg = make_config(model, **amplitudes)
     radii = np.linspace(0.0, 0.5 * cfg.f0 * cfg.sigma_b, 16)
     state = assemble_state(cfg, radii, n_modes=n_modes)
-    columns = range(state.grid_b.n_modes)
-    for phi_0 in (0.0, 0.4, 0.5 * math.pi, 2.1, math.pi, 1.5 * math.pi, -3.0):
-        reference = np.array([_reference_rate(state, k, phi_0) for k in columns])
+    a, re_s, im_s = np.array([_reference_phasor(state, k) for k in range(16)]).T
+    for phi_0 in PHASES:
+        reference = a + (re_s * math.cos(phi_0) + im_s * math.sin(phi_0))
         assert np.array_equal(counting_rate_reduced(state, phi_0), reference)
-    reference = np.array([_reference_visibility(state, k) for k in columns])
+    reference = np.clip(np.abs(re_s + 1j * im_s) / a, 0.0, 1.0)
     assert np.array_equal(visibility_scan(state)[0], reference)
 
 
 @pytest.mark.parametrize("model", list(CorrelationModel), ids=lambda m: m.value)
 @pytest.mark.parametrize("n_modes", (128, 1024))
 def test_scan_rate_is_the_phi0_zero_rate_of_every_column(model, n_modes):
-    # run_oracle_check takes its rate curve from the sweep's first phase
+    # run_oracle_check takes its rate curve and visibility from one phasor
     cfg = make_config(model)
     radii = np.linspace(0.0, 0.5 * cfg.f0 * cfg.sigma_b, 16)
     state = assemble_state(cfg, radii, n_modes=n_modes)
     vis, rate = visibility_scan(state)
     assert np.array_equal(rate, counting_rate_reduced(state, 0.0))
-    assert np.array_equal(vis, sweep_visibility(lambda p: counting_rate_reduced(state, p)))
+    a, s = _phasor(state)
+    assert np.array_equal(vis, np.clip(np.abs(s) / a, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("model", list(CorrelationModel), ids=lambda m: m.value)
+@pytest.mark.parametrize("n_modes", (128, 512, 1024))
+@AMPLITUDES
+def test_phasor_agrees_with_four_term_sums_and_four_phase_sweep(model, n_modes, amplitudes):
+    # the phasor regroups the sum of the term-by-term rate, so the two
+    # agree to rounding at every phase, and so do the visibilities
+    cfg = make_config(model, **amplitudes)
+    radii = np.linspace(0.0, 0.5 * cfg.f0 * cfg.sigma_b, 16)
+    state = assemble_state(cfg, radii, n_modes=n_modes)
+
+    def four_term(phi_0):
+        return np.array([_four_term_rate(state, k, phi_0) for k in range(16)])
+
+    for phi_0 in PHASES:
+        reference = four_term(phi_0)
+        error = np.max(np.abs(counting_rate_reduced(state, phi_0) - reference))
+        assert error <= 1e-15 * np.max(reference)
+    error = np.max(np.abs(visibility_scan(state)[0] - sweep_visibility(four_term)))
+    assert error <= 1e-15
 
 
 def test_one_column_state_answers_with_arrays():

@@ -26,7 +26,8 @@ from twinfringes import (
     visibility_hwhms,
     write_pgm,
 )
-from twinfringes.analytics import _rate_curve
+from twinfringes.analytics import _fringe
+from twinfringes.cli import run_oracle_check
 
 from conftest import make_config
 from test_fileio import _reference_pgm_bytes
@@ -141,12 +142,25 @@ def test_octant_render_and_quadrant_pgm_match_full_frame_references(
     centers = (np.arange(resolution) - 0.5 * (resolution - 1)) * pitch
     r_prof = np.linspace(0.0, 0.5 * screen * math.sqrt(2.0) + pitch, 4 * resolution + 2)
     direct = np.interp(
-        np.hypot(centers[:, None], centers[None, :]), r_prof, _rate_curve(r_prof, phi, cfg)
+        np.hypot(centers[:, None], centers[None, :]), r_prof, _fringe(r_prof, phi, cfg)[0]
     )
     assert np.array_equal(image.values, direct)
     path = tmp_path_factory.mktemp("render") / "image.pgm"
     write_pgm(image, path)
     assert path.read_bytes() == _reference_pgm_bytes(image)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.floats(0.0, 0.5 * math.pi), st.floats(-10.0, 10.0), st.floats(-10.0, 10.0),
+       st.floats(-10.0, 10.0))
+def test_oracle_passes_for_any_source_amplitudes_and_phases(tmp_path_factory, angle, p1, p2, pb):
+    # the grid route puts the static phase in its a-phase table and the
+    # magnitudes in its phasor; the closed forms take both from source_fringe
+    out = tmp_path_factory.mktemp("oracle") / "oracle.json"
+    for model in CorrelationModel:
+        cfg = make_config(model, alpha1_mag=math.cos(angle), alpha2_mag=math.sin(angle),
+                          phi1=p1, phi2=p2, phi_b=pb)
+        run_oracle_check(cfg, 512, out)
 
 
 # Config keys in file units: key -> (config field, scale to SI units).

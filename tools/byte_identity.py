@@ -20,13 +20,14 @@ more configs, one per model with n_a 1.7, d_a 50 mm and sigma_theta
 9.37e-4, run only the oracle at 128, 512, 1024 and 4096 modes: their
 on-axis a-path phase, near 3.4e5 rad, is the longest here. Six more,
 the d_a 11.7 mm, sigma_theta 9.37e-4 config of each model with
-phi1_rad 0.5 and with alpha1_mag 0.8, alpha2_mag 0.6, run only the
-oracle at 512 modes: source phases and unequal amplitudes, which the
-closed forms do not model yet, so their exit codes and reports are
-compared as they stand. Every command is ``python -m twinfringes.cli``
-in a fresh interpreter with PYTHONPATH set to the tree. Exit codes and
-every output file are compared; manifests are compared without
-``started_at``, ``duration_s`` and output paths.
+phi1_rad 0.5 and with alpha1_mag 0.8, alpha2_mag 0.6, run the oracle at
+512 modes, simulate at 256 px with phi0 0.4, visibility with the rho
+list and invert at v0 0.9: a source phase shifts the scan phase and
+unequal amplitudes scale the fringe term in every route. Every command
+is ``python -m twinfringes.cli`` in a fresh interpreter with PYTHONPATH
+set to the tree. Exit codes and every output file are compared;
+manifests are compared without ``started_at``, ``duration_s`` and
+output paths.
 Prints each difference and exits 1 if there is any, else exits 0.
 Standard library only.
 """
@@ -81,9 +82,9 @@ LONG_COMMANDS = dict(
     oracle4096=["oracle", "--grid-points", "4096"],
 )
 
-# Oracle runs with source phases or unequal amplitudes (see the module docstring).
+# Runs with a source phase or unequal amplitudes (see the module docstring).
 SOURCE_CONFIGS = {"phi1": "phi1_rad = 0.5\n", "unbalanced": "alpha1_mag = 0.8\nalpha2_mag = 0.6\n"}
-SOURCE_COMMANDS = {"oracle": COMMANDS["oracle"]}
+SOURCE_COMMANDS = {name: COMMANDS[name] for name in ("oracle", "sim256", "vrho", "invert")}
 
 VOLATILE = ("started_at", "duration_s")
 

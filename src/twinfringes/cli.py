@@ -19,7 +19,6 @@ import json
 import math
 import sys
 import time
-from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
@@ -125,15 +124,16 @@ def run_visibility_scan(cfg: ExperimentConfig, out_csv, sigma_list=None, rho_lis
 
     Exactly one of ``sigma_list`` (dimensionless widths; emits
     ``sigma_theta,v0,hwhm_m`` rows, the HWHM column blank where the
-    visibility never falls to half) and ``rho_list`` (nonnegative camera
-    radii in meters; emits ``rho_m,visibility`` rows) must be a non-empty
-    sequence. The sigma list always tabulates the gaussian_partial model
-    at each listed width, whatever the configured model. Each scanned
-    width is checked as the config's own width is, except 0, the
-    perfect-correlation limit, which is reported as v0 = c, the source
-    contrast, with a blank HWHM. The rho list follows the configured
-    model: its rows are the visibility column that ``simulate`` writes
-    at the same radii. Nothing is written before the arguments validate.
+    visibility never falls to half or the source contrast is 0) and
+    ``rho_list`` (nonnegative camera radii in meters; emits
+    ``rho_m,visibility`` rows) must be a non-empty sequence. The sigma
+    list always tabulates the gaussian_partial model at each listed
+    width, whatever the configured model. Each scanned width is checked
+    as the config's own width is, except 0, the perfect-correlation
+    limit, which is reported as v0 = c, the source contrast, with a
+    blank HWHM. The rho list follows the configured model: its rows are
+    the visibility column that ``simulate`` writes at the same radii.
+    Nothing is written before the arguments validate.
     """
     if bool(sigma_list) == bool(rho_list):
         raise UsageError("provide exactly one non-empty scan list (sigma or rho)")
@@ -147,8 +147,9 @@ def run_visibility_scan(cfg: ExperimentConfig, out_csv, sigma_list=None, rho_lis
             if sigma != 0.0:
                 validate_sigma_theta(sigma)
             constants.append(derive_constants(cfg, sigma))
-        hwhms = analytics.visibility_hwhms(sigmas, constants)
         peak = 2.0 * source_fringe(cfg)[0]
+        # a zero visibility curve (one source dark) has no half point
+        hwhms = analytics.visibility_hwhms(sigmas, constants) if peak else [None] * len(sigmas)
         for sigma, c, hwhm in zip(sigmas, constants, hwhms):
             # 2 contrast / gamma is the central visibility at this width
             hwhm_text = "" if hwhm is None else f"{hwhm:.11e}"
@@ -343,7 +344,7 @@ def _dispatch(args) -> None:
     run manifest; a command that raises leaves no manifest.
     """
     cfg = parse_config(args.config)
-    started = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    started = time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
     t0 = time.perf_counter()
     base = Path(args.out) if args.out else None
     if base is None and args.command not in _TEXT_COMMANDS:

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -138,6 +139,20 @@ def test_visibility_sigma_scan(tmp_path, cfg_file):
     # both columns shrink as the correlation weakens
     assert float(rows[2][1]) < float(rows[1][1])
     assert float(rows[2][2]) < float(rows[1][2])
+
+
+def test_single_source_sigma_scan_has_no_half_point(tmp_path):
+    # one dark source: v0 = 0 at every width, so no HWHM either
+    cfg = _cfg(tmp_path, PARTIAL + "alpha1_mag = 1\nalpha2_mag = 0\n", "single.cfg")
+    out = tmp_path / "scan"
+    argv = ["visibility", "--config", cfg, "--out", str(out), "--sigma-list", "5e-4,9.37e-4,0"]
+    assert main(argv) == 0
+    assert (tmp_path / "scan.csv").read_text().splitlines() == [
+        "sigma_theta,v0,hwhm_m",
+        "5.00000000000e-04,0.00000000000e+00,",
+        "9.37000000000e-04,0.00000000000e+00,",
+        "0.00000000000e+00,0.00000000000e+00,",
+    ]
 
 
 def test_visibility_sigma_scan_evaluates_all_widths_together(tmp_path, cfg_file, monkeypatch):
@@ -480,6 +495,13 @@ def test_manifest_records_each_command(tmp_path, cfg_file, command, flags, suffi
     assert written == {f"run{s}" for s in suffixes} | {"run.manifest.json"}
 
 
+def test_manifest_started_at_is_utc_to_the_second(tmp_path, cfg_file):
+    assert main(["invert", "--config", cfg_file, "--out", str(tmp_path / "run"),
+                 "--v0", "0.9"]) == 0
+    manifest = json.loads((tmp_path / "run.manifest.json").read_text())
+    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00", manifest["started_at"])
+
+
 def test_dotted_out_base_keeps_its_whole_name(tmp_path, cfg_file):
     # two bases that differ only after their first dot write separate files
     for base, rho_list in (("s0.0005_vrho", "0,0.5"), ("s0.002_vrho", "0,1,1.5")):
@@ -670,6 +692,18 @@ def test_cli_import_leaves_quadrature_unloaded():
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, twinfringes.cli; print('scipy.integrate' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_datetime_unloaded():
+    # the manifest stamps its start time with the time module alone
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, twinfringes.cli; print('datetime' in sys.modules)"],
         capture_output=True,
         text=True,
         timeout=120,

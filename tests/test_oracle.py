@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twinfringes import (
     CorrelationModel,
@@ -18,7 +20,7 @@ from twinfringes import (
     visibility_closed_form,
     visibility_scan,
 )
-from twinfringes.oracle import _phasor
+from twinfringes.oracle import _phasor, _row_sums
 
 from conftest import make_config
 
@@ -196,7 +198,9 @@ def _four_term_rate(state, k_b, phi_0):
 
 
 AMPLITUDES = pytest.mark.parametrize(
-    "amplitudes", [{}, {"alpha1_mag": 0.8, "alpha2_mag": 0.6}], ids=["balanced", "unbalanced"]
+    "amplitudes",
+    [{}, {"alpha1_mag": 0.8, "alpha2_mag": 0.6}, {"alpha1_mag": 1.0, "alpha2_mag": 0.0}],
+    ids=["balanced", "unbalanced", "single"],
 )
 PHASES = (0.0, 0.4, 0.5 * math.pi, 2.1, math.pi, 1.5 * math.pi, -3.0)
 
@@ -211,9 +215,9 @@ def test_batched_oracle_is_bit_identical_to_per_column_sums(model, n_modes, ampl
     a, re_s, im_s = np.array([_reference_phasor(state, k) for k in range(16)]).T
     for phi_0 in PHASES:
         reference = a + (re_s * math.cos(phi_0) + im_s * math.sin(phi_0))
-        assert np.array_equal(counting_rate_reduced(state, phi_0), reference)
+        assert counting_rate_reduced(state, phi_0).tobytes() == reference.tobytes()
     reference = np.clip(np.abs(re_s + 1j * im_s) / a, 0.0, 1.0)
-    assert np.array_equal(visibility_scan(state)[0], reference)
+    assert visibility_scan(state)[0].tobytes() == reference.tobytes()
 
 
 @pytest.mark.parametrize("model", list(CorrelationModel), ids=lambda m: m.value)
@@ -270,3 +274,75 @@ def test_sweep_visibility_applies_the_formula_per_column():
         sweep_visibility(lambda p: np.array([1.0 + math.cos(p), 0.0]))
     with pytest.raises(ValueError, match="second harmonic"):
         sweep_visibility(lambda p: np.array([2.0, 1.0 + math.cos(2.0 * p)]))
+
+
+def _fsum_rows(x):
+    return np.array([math.fsum(row) for row in x.tolist()])
+
+
+def _domain_exponent(n):
+    """e of the _row_sums domain |x| < 2^e for rows of n entries."""
+    return 1023 - (n + 1).bit_length()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.one_of(st.integers(1, 4096), st.sampled_from([1, 2, 3, 511, 512, 1000, 1024, 4095, 4096])),
+    st.integers(-1074, 1022),
+    st.integers(0, 2100),
+    st.integers(0, 2**32 - 1),
+)
+def test_row_sums_are_fsum_bit_for_bit(n, lo, span, seed):
+    # five row shapes at one length, with entries 2^e times (-1, 1) for
+    # e drawn from [lo, lo + span] clipped to the domain bound
+    rng = np.random.default_rng(seed)
+    top = _domain_exponent(n)
+    lo = min(lo, top)
+    hi = min(lo + span, top)
+
+    def wide(size):
+        mantissa = rng.uniform(-1.0, 1.0, size) * (1.0 - 2.0**-53)
+        return np.ldexp(mantissa, rng.integers(lo, hi + 1, size))
+
+    # negated copies plus a small residue, shuffled
+    k = (n - 1) // 2
+    cancelling = np.zeros(n)
+    cancelling[:k] = wide(k)
+    cancelling[k:2 * k] = -cancelling[:k]
+    cancelling[-1] = math.ldexp(rng.choice([-1.0, 1.0]), int(rng.integers(-1074, lo + 1)))
+    # an exact tie between two neighbours of 2^e, broken or not by a tail
+    tie = np.zeros(n)
+    tie[0] = math.ldexp(1.0, hi - 1)
+    tie[1:2] = math.ldexp(rng.choice([-1.0, 1.0]), hi - 54)
+    tie[2:3] = rng.choice([0.0, math.ldexp(1.0, max(hi - 200, -1074)), -5e-324])
+    # signed zeros
+    zeros = rng.choice([0.0, -0.0], n)
+    # one nonzero entry, the maximal model's column
+    single = np.zeros(n)
+    single[rng.integers(n)] = wide(1)[0]
+    x = np.array([wide(n), rng.permutation(cancelling), rng.permutation(tie), zeros, single])
+    before = x.tobytes()
+    assert _row_sums(x).tobytes() == _fsum_rows(x).tobytes()
+    assert x.tobytes() == before
+
+
+@pytest.mark.parametrize("row", [
+    [1.0, 2.0**-53], [1.0, -2.0**-54], [1.0 + 2.0**-52, 2.0**-53], [2.0**-53, 1.0, 2.0**-105],
+    [0.0], [-0.0], [-0.0, -0.0], [5e-324, -5e-324], [5e-324] * 3, [1e300, -1e300, 1e-300],
+])
+def test_row_sums_ties_and_zeros(row):
+    x = np.array([row])
+    assert _row_sums(x).tobytes() == _fsum_rows(x).tobytes()
+
+
+@pytest.mark.parametrize("n", (1, 2, 510, 4096))
+def test_row_sums_domain_ends_below_sigma_overflow(n):
+    bound = math.ldexp(1.0, _domain_exponent(n))
+    inside = np.full((2, n), np.nextafter(bound, 0.0))
+    inside[1] *= -1.0
+    assert _row_sums(inside).tobytes() == _fsum_rows(inside).tobytes()
+    for value in (bound, -bound, math.inf, math.nan):
+        outside = np.zeros((2, n))
+        outside[1, -1] = value
+        with pytest.raises(ValueError, match="finite entries below"):
+            _row_sums(outside)

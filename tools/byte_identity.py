@@ -23,11 +23,15 @@ the d_a 11.7 mm, sigma_theta 9.37e-4 config of each model with
 phi1_rad 0.5 and with alpha1_mag 0.8, alpha2_mag 0.6, run the oracle at
 512 modes, simulate at 256 px with phi0 0.4, visibility with the rho
 list and invert at v0 0.9: a source phase shifts the scan phase and
-unequal amplitudes scale the fringe term in every route. Every command
-is ``python -m twinfringes.cli`` in a fresh interpreter with PYTHONPATH
-set to the tree. Exit codes and every output file are compared;
-manifests are compared without ``started_at``, ``duration_s`` and
-output paths.
+unequal amplitudes scale the fringe term in every route. Three more,
+the same config of each model with a single emitting source
+(alpha1_mag 1, alpha2_mag 0), run the oracle at 512 modes, simulate at
+256 px with phi0 0.4 and visibility with the rho list and both sigma
+lists: the fringe term is 0 in every route, and so is every
+visibility. Every command is ``python -m twinfringes.cli`` in a fresh
+interpreter with PYTHONPATH set to the tree. Exit codes and every
+output file are compared; manifests are compared without
+``started_at``, ``duration_s`` and output paths.
 Prints each difference and exits 1 if there is any, else exits 0.
 Standard library only.
 """
@@ -86,6 +90,12 @@ LONG_COMMANDS = dict(
 SOURCE_CONFIGS = {"phi1": "phi1_rad = 0.5\n", "unbalanced": "alpha1_mag = 0.8\nalpha2_mag = 0.6\n"}
 SOURCE_COMMANDS = {name: COMMANDS[name] for name in ("oracle", "sim256", "vrho", "invert")}
 
+# Runs with one dark source (see the module docstring).
+SINGLE_CONFIG = "alpha1_mag = 1\nalpha2_mag = 0\n"
+SINGLE_COMMANDS = {
+    name: COMMANDS[name] for name in ("oracle", "sim256", "vrho", "vsigma", "vsigma_mixed")
+}
+
 VOLATILE = ("started_at", "duration_s")
 
 
@@ -104,6 +114,7 @@ def _configs() -> dict[str, tuple[str, dict]]:
         reference = OPTICS + f"d_a_mm = 11.7\nsigma_theta = 0.000937\nmodel = {model}\n"
         for name, extra in SOURCE_CONFIGS.items():
             out[f"{model}_{name}"] = reference + extra, SOURCE_COMMANDS
+        out[f"{model}_single"] = reference + SINGLE_CONFIG, SINGLE_COMMANDS
     return out
 
 

@@ -108,9 +108,13 @@ class FringeImage:
             raise ValueError(
                 f"quadrant shape {quadrant.shape} != (ceil(height/2), ceil(width/2)) = {expected}"
             )
-        if np.any(quadrant < 0.0):
+        if not quadrant.size:
+            return
+        # one pass and no boolean temporary; fmin skips NaN, as the
+        # comparison x < 0 does, so a NaN frame fails on normalization
+        if np.fmin.reduce(quadrant, axis=None) < 0.0:
             raise ValueError("rate field must be nonnegative")
-        if quadrant.size and self.normalization != float(quadrant.max()):
+        if self.normalization != float(quadrant.max()):
             raise ValueError("normalization must equal the frame maximum")
 
     @property

@@ -1,8 +1,12 @@
 """Text of float arrays in Python's ``.11e`` format, by array operations.
 
 ``format_e11_rows`` builds the rows that ``fileio.write_profile_csv``
-writes. It is kept apart from ``fileio`` so that only a process that
-writes a profile imports, and compiles, it.
+writes. Positive finite fields and +0.0 (the whole visibility column of
+an uncorrelated profile) take array operations; Python's ``format``
+writes only the rest: -0.0 and other negatives, non-finite values,
+values outside the exact scale range and mantissas near a rounding tie.
+It is kept apart from ``fileio`` so that only a process that writes a
+profile imports, and compiles, it.
 """
 
 from __future__ import annotations
@@ -76,12 +80,14 @@ def format_e11_rows(columns: np.ndarray) -> bytes:
     ulp is at most 2^-14, so rounding m to an integer gives the
     correctly rounded 12 digits unless m lies within 2^-12 of a
     rounding tie; 10^12 carries into the exponent. The digits come from
-    tables of four-digit groups. A field goes to ``format(x, ".11e")``
-    instead when it is zero, negative or not finite, when its scale is
-    not exact (x below 1e-11 or from 1e34 on, which covers every
-    three-digit exponent) or when m is near a tie. A fallback text 17
-    bytes long is written into its field; a row with one of another
-    length is formatted whole in Python.
+    tables of four-digit groups. A field +0.0 is written as the
+    constant "0.00000000000e+00" by one masked assignment. A field goes
+    to ``format(x, ".11e")`` instead when it is -0.0, negative or not
+    finite, when its scale is not exact (x below 1e-11 or from 1e34 on,
+    which covers every three-digit exponent) or when m is near a tie. A
+    fallback text 17 bytes long is written into its field; a row with
+    one of another length (such as "-0.00000000000e+00") is formatted
+    whole in Python.
     """
     multiplier, divisor, exact, tails, groups, heads, record = _e11_tables()
     n_rows, n_cols = np.shape(columns)
@@ -117,8 +123,10 @@ def format_e11_rows(columns: np.ndarray) -> bytes:
     seps[:, -1] = b"\n"
 
     raw = fields.view(np.uint8).reshape(x.size, record.itemsize)
+    zero = (x == 0.0) & ~np.signbit(x)
+    raw[zero, :17] = np.frombuffer(b"0.00000000000e+00", dtype=np.uint8)
     odd_rows = set()
-    for i in np.flatnonzero(~fast).tolist():
+    for i in np.flatnonzero(~(fast | zero)).tolist():
         text = format(float(x[i]), ".11e").encode("ascii")
         if len(text) == 17:
             raw[i, :17] = np.frombuffer(text, dtype=np.uint8)

@@ -363,3 +363,17 @@ def test_fringe_image_invariants():
         FringeImage(4, 4, 1e-5, np.array([[1.0, -0.1], [0.0, 0.5]]), 1.0)
     with pytest.raises(ValueError, match="normalization"):
         FringeImage(4, 4, 1e-5, np.ones((2, 2)), 0.5)
+
+
+def test_fringe_image_sign_and_nan_checks():
+    quadrant = np.ones((3, 3))
+    quadrant[-1, -1] = -1e-300
+    with pytest.raises(ValueError, match="nonnegative"):
+        FringeImage(5, 5, 1e-5, quadrant, 1.0)
+    quadrant[-1, -1] = -0.0
+    assert np.signbit(FringeImage(5, 5, 1e-5, quadrant, 1.0).quadrant[-1, -1])
+    with pytest.raises(ValueError, match="normalization"):
+        FringeImage(4, 4, 1e-5, np.array([[1.0, np.nan], [0.0, 0.5]]), 1.0)
+    # a NaN does not hide a negative pixel
+    with pytest.raises(ValueError, match="nonnegative"):
+        FringeImage(4, 4, 1e-5, np.array([[np.nan, 1.0], [-0.5, 0.5]]), 1.0)

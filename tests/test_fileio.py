@@ -274,6 +274,21 @@ def test_format_e11_rows_non_finite_and_negative():
     assert format_e11_rows(values).decode("ascii") == _reference_e11_rows(values)
 
 
+def test_format_e11_rows_signed_zeros():
+    # +0.0 is written by a masked assignment, -0.0 (18 bytes) takes its row to Python
+    values = np.array([[0.0, -0.0, 1.0], [0.0, 0.5, 0.0], [-0.0, 0.0, 0.0]])
+    assert format_e11_rows(values).decode("ascii") == _reference_e11_rows(values)
+    assert format_e11_rows(values.T.copy()).decode("ascii") == _reference_e11_rows(values.T)
+
+
+def test_format_e11_rows_zero_column():
+    # the visibility column of an uncorrelated profile
+    values = np.zeros((1024, 1))
+    assert format_e11_rows(values).decode("ascii") == _reference_e11_rows(values)
+    values = np.stack([np.linspace(0.0, 2e-3, 1024), np.ones(1024), np.zeros(1024)], axis=1)
+    assert format_e11_rows(values).decode("ascii") == _reference_e11_rows(values)
+
+
 def test_manifest_requires_existing_outputs(tmp_path):
     target = tmp_path / "out.csv"
     target.write_text("data\n")

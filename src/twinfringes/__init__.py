@@ -31,7 +31,7 @@ _EXPORTS = {
         "validate_config",
     ),
     "fileio": (
-        "ParseError", "RunManifest", "UnknownKey", "config_to_dict", "parse_config", "read_pgm",
+        "ParseError", "UnknownKey", "config_to_dict", "parse_config", "read_pgm",
         "read_profile_csv", "write_manifest", "write_pgm", "write_profile_csv",
     ),
     "inverse": (

@@ -27,7 +27,6 @@ from .config import (
 )
 from .fileio import (
     ParseError,
-    RunManifest,
     config_to_dict,
     parse_config,
     write_manifest,
@@ -194,11 +193,12 @@ def run_eqwavelength(cfg: ExperimentConfig, data_path) -> str:
     """Regress first-ring radii over source separations to lambda_eq.
 
     ``data_path`` is a CSV with header ``d_a_mm,rho1_mm`` and one row
-    per separation; every value must be finite. Returns a text report
+    per separation; every value must be finite. A leading UTF-8
+    byte-order mark is ignored. Returns a text report
     of the fitted equivalent wavelength, its standard error, and the
     inferred undetected wavelength.
     """
-    lines = Path(data_path).read_text(encoding="ascii").splitlines()
+    lines = Path(data_path).read_text(encoding="utf-8-sig").splitlines()
     if not lines or lines[0].strip() != "d_a_mm,rho1_mm":
         raise ParseError(f"{data_path}: expected header 'd_a_mm,rho1_mm'")
     first_radii = []
@@ -371,14 +371,14 @@ def _dispatch(args) -> None:
             sys.stdout.write(report)
             return
         outputs[0].write_text(report, encoding="ascii")
-    manifest = RunManifest(
-        command=args.command,
-        config=config_to_dict(cfg),
-        outputs=outputs,
-        version=__version__,
-        duration_s=time.perf_counter() - t0,
-        started_at=started,
-    )
+    manifest = {
+        "command": args.command,
+        "config": config_to_dict(cfg),
+        "outputs": [str(path) for path in outputs],
+        "version": __version__,
+        "duration_s": time.perf_counter() - t0,
+        "started_at": started,
+    }
     write_manifest(manifest, base.with_name(base.name + ".manifest.json"))
 
 

@@ -2,14 +2,14 @@
 
 The config surface is a flat key-value text file; images go out as
 16-bit binary PGM and profiles as plain CSV, both with deterministic
-bytes for identical inputs (the run manifest carries the only
-timestamp). Only the image and profile readers and writers import
-numpy, on first call; the config and manifest half does not.
+bytes for identical inputs. The run manifest is a plain dict written
+as sorted JSON; it carries the only timestamp. Only the image and
+profile readers and writers import numpy, on first call; the config
+and manifest half does not.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -59,8 +59,9 @@ def parse_config(path) -> ExperimentConfig:
     Lines hold ``key = value`` (the ``=`` is optional); ``#`` starts a
     comment. Unknown and duplicate keys are hard errors, as is a missing
     required key. Values are range-checked through validate_config.
+    A leading UTF-8 byte-order mark is ignored.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")
     seen: dict[str, int] = {}
     values: dict[str, str] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
@@ -179,42 +180,21 @@ def read_profile_csv(path) -> RadialProfile:
     return RadialProfile(data[:, 0], data[:, 1], data[:, 2])
 
 
-@dataclasses.dataclass(frozen=True)
-class RunManifest:
-    """Record of one CLI run: inputs, outputs, version, timing."""
-
-    command: str
-    config: dict
-    outputs: tuple[str, ...]
-    version: str
-    duration_s: float
-    started_at: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "outputs", tuple(str(p) for p in self.outputs))
-        missing = [p for p in self.outputs if not Path(p).exists()]
-        if missing:
-            raise ValueError(f"manifest lists outputs that do not exist: {missing}")
-
-
-def _fields_dict(obj) -> dict:
-    """Field name -> value of a dataclass, without the deep copy of asdict.
-
-    Config and manifest fields are numbers, strings, None, the model
-    enum (which config_to_dict replaces by its token), a flat dict of
-    those and a tuple of strings, so they serialize to the same JSON as
-    the asdict copy.
-    """
-    return {field.name: getattr(obj, field.name) for field in dataclasses.fields(obj)}
-
-
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """JSON-ready view of a config (SI units, enum collapsed to its token)."""
-    out = _fields_dict(cfg)
-    out["correlation_model"] = cfg.correlation_model.value
-    return out
+    return {**vars(cfg), "correlation_model": cfg.correlation_model.value}
 
 
-def write_manifest(manifest: RunManifest, path) -> None:
-    payload = _fields_dict(manifest)
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+def write_manifest(manifest: dict, path) -> None:
+    """Write a run manifest as sorted, indented JSON.
+
+    ``manifest`` is a plain dict with the keys ``command``, ``config``
+    (a ``config_to_dict`` view), ``outputs`` (the data files the run
+    wrote, as strings), ``version``, ``duration_s`` and ``started_at``.
+    Every listed output must exist; otherwise ValueError is raised and
+    nothing is written.
+    """
+    missing = [p for p in manifest["outputs"] if not Path(p).exists()]
+    if missing:
+        raise ValueError(f"manifest lists outputs that do not exist: {missing}")
+    Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")

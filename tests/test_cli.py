@@ -16,6 +16,7 @@ from twinfringes import (
     CorrelationModel,
     ParaxialWarning,
     __version__,
+    config_to_dict,
     fringe_radius,
     parse_config,
     read_pgm,
@@ -23,7 +24,9 @@ from twinfringes import (
     visibility_closed_form,
 )
 from twinfringes import analytics
-from twinfringes.cli import build_parser, main, run_invert, run_oracle_check, run_simulate
+from twinfringes.cli import (
+    _SUFFIXES, build_parser, main, run_invert, run_oracle_check, run_simulate,
+)
 
 from conftest import make_config, mp_partial
 
@@ -415,6 +418,19 @@ def test_eqwavelength_end_to_end(tmp_path, cfg_file):
     assert float(report["lambda_a_nm"]) == pytest.approx(1550.0, abs=1e-3)
 
 
+def test_eqwavelength_reads_a_byte_order_mark(capsys, tmp_path, cfg_file):
+    # a spreadsheet's "CSV UTF-8" export starts with a BOM
+    plain = Path(_rings_csv(tmp_path))
+    marked = tmp_path / "rings_bom.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    reports = []
+    for data in (plain, marked):
+        assert main(["eqwavelength", "--config", cfg_file, "--data", str(data)]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0].startswith("n_separations = 3\n")
+    assert reports[1] == reports[0]
+
+
 def test_eqwavelength_rejects_bad_header(tmp_path, cfg_file):
     data = tmp_path / "rings.csv"
     data.write_text("separation,radius\n5,1.0\n")
@@ -487,12 +503,56 @@ def test_manifest_records_each_command(tmp_path, cfg_file, command, flags, suffi
     out = tmp_path / "run"
     assert main([command, "--config", cfg_file, "--out", str(out), *flags]) == 0
     manifest = json.loads((tmp_path / "run.manifest.json").read_text())
+    assert set(manifest) == {"command", "config", "outputs", "version", "duration_s", "started_at"}
     assert manifest["command"] == command
+    assert manifest["config"] == config_to_dict(parse_config(cfg_file))
     assert manifest["version"] == __version__
+    assert suffixes == _SUFFIXES[command]
     assert manifest["outputs"] == [str(out.with_suffix(s)) for s in suffixes]
     assert all(Path(path).exists() for path in manifest["outputs"])
     written = {p.name for p in tmp_path.iterdir()} - {"partial.cfg", "rings.csv"}
     assert written == {f"run{s}" for s in suffixes} | {"run.manifest.json"}
+
+
+# The manifest of `invert --v0 0.9 --out TMP/run` on the PARTIAL config,
+# with its start time and duration masked.
+MANIFEST_TEXT = """\
+{
+  "command": "invert",
+  "config": {
+    "alpha1_mag": 0.7071067811865476,
+    "alpha2_mag": 0.7071067811865476,
+    "correlation_model": "gaussian_partial",
+    "d_a": 0.0117,
+    "f0": 0.15,
+    "lambda_a": 1.5500000000000002e-06,
+    "lambda_b": 8.100000000000001e-07,
+    "lambda_p": 5.32e-07,
+    "n_a": 1.0,
+    "phi1": 0.0,
+    "phi2": 0.0,
+    "phi_b": 0.0,
+    "sigma_b": 0.0236,
+    "sigma_theta": 0.000937
+  },
+  "duration_s": DURATION,
+  "outputs": [
+    "TMP/run.txt"
+  ],
+  "started_at": "STARTED",
+  "version": "0.1.0"
+}
+"""
+
+
+def test_manifest_bytes_are_indented_sorted_json(tmp_path, cfg_file):
+    # pins the indent, the key order and the final newline
+    assert main(["invert", "--config", cfg_file, "--out", str(tmp_path / "run"),
+                 "--v0", "0.9"]) == 0
+    text = (tmp_path / "run.manifest.json").read_bytes().decode("utf-8")
+    text = re.sub(r'"duration_s": [^,]+,', '"duration_s": DURATION,', text)
+    text = re.sub(r'"started_at": "[^"]+"', '"started_at": "STARTED"', text)
+    assert text.replace(str(tmp_path), "TMP") == MANIFEST_TEXT.replace("0.1.0", __version__)
 
 
 def test_manifest_started_at_is_utc_to_the_second(tmp_path, cfg_file):

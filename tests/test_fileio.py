@@ -14,7 +14,6 @@ from twinfringes import (
     FringeImage,
     ParseError,
     RadialProfile,
-    RunManifest,
     UnknownKey,
     config_to_dict,
     parse_config,
@@ -61,6 +60,13 @@ def test_parse_config_accepts_bare_separator_and_comments(tmp_path):
     text = GOOD_CONFIG.replace("d_a_mm = 11.7", "d_a_mm 11.7  # inline note")
     cfg = parse_config(_write(tmp_path, text))
     assert cfg.d_a == pytest.approx(11.7e-3, rel=1e-14)
+
+
+def test_parse_config_reads_a_byte_order_mark(tmp_path):
+    # Windows editors save "UTF-8 with BOM"
+    marked = tmp_path / "bom.cfg"
+    marked.write_bytes(b"\xef\xbb\xbf" + GOOD_CONFIG.encode("utf-8"))
+    assert parse_config(marked) == parse_config(_write(tmp_path, GOOD_CONFIG))
 
 
 def test_parse_config_duplicate_key_names_both_lines(tmp_path):
@@ -289,46 +295,33 @@ def test_format_e11_rows_zero_column():
     assert format_e11_rows(values).decode("ascii") == _reference_e11_rows(values)
 
 
+def _manifest(outputs):
+    return {
+        "command": "simulate",
+        "config": {"d_a": 0.0117},
+        "outputs": outputs,
+        "version": "0.1.0",
+        "duration_s": 1.5,
+        "started_at": "2026-08-23T00:00:00+00:00",
+    }
+
+
 def test_manifest_requires_existing_outputs(tmp_path):
+    path = tmp_path / "run.manifest.json"
+    missing = str(tmp_path / "never-written.csv")
     target = tmp_path / "out.csv"
     target.write_text("data\n")
-    manifest = RunManifest(
-        command="visibility",
-        config={"model": "maximal"},
-        outputs=(str(target),),
-        version="0.0.1",
-        duration_s=0.25,
-        started_at="2026-08-23T00:00:00Z",
-    )
-    assert manifest.outputs == (str(target),)
     with pytest.raises(ValueError, match="do not exist"):
-        RunManifest(
-            command="visibility",
-            config={},
-            outputs=(str(tmp_path / "never-written.csv"),),
-            version="0.0.1",
-            duration_s=0.0,
-            started_at="2026-08-23T00:00:00Z",
-        )
+        write_manifest(_manifest([str(target), missing]), path)
+    assert not path.exists()
 
 
 def test_write_manifest_is_readable_json(tmp_path):
     target = tmp_path / "out.csv"
     target.write_text("data\n")
-    manifest = RunManifest(
-        command="simulate",
-        config={"d_a": 0.0117},
-        outputs=(str(target),),
-        version="0.1.0",
-        duration_s=1.5,
-        started_at="2026-08-23T00:00:00Z",
-    )
     path = tmp_path / "run.manifest.json"
-    write_manifest(manifest, path)
-    loaded = json.loads(path.read_text())
-    assert loaded["command"] == "simulate"
-    assert loaded["outputs"] == [str(target)]
-    assert loaded["duration_s"] == 1.5
+    write_manifest(_manifest([str(target)]), path)
+    assert json.loads(path.read_text()) == _manifest([str(target)])
 
 
 def test_config_to_dict_round_trips_model(partial_cfg):
@@ -338,23 +331,9 @@ def test_config_to_dict_round_trips_model(partial_cfg):
     assert d["sigma_theta"] == partial_cfg.sigma_theta
 
 
-def test_manifest_dicts_match_asdict(tmp_path, partial_cfg, maximal_cfg):
-    # the shallow field dicts serialize exactly as dataclasses.asdict did
-    target = tmp_path / "out.csv"
-    target.write_text("data\n")
+def test_manifest_dicts_match_asdict(partial_cfg, maximal_cfg):
+    # the shallow config view serializes exactly as dataclasses.asdict did
     for cfg in (partial_cfg, maximal_cfg):
         deep = dataclasses.asdict(cfg)
         deep["correlation_model"] = cfg.correlation_model.value
         assert config_to_dict(cfg) == deep
-        manifest = RunManifest(
-            command="simulate",
-            config=config_to_dict(cfg),
-            outputs=(target, str(target)),
-            version="0.1.0",
-            duration_s=0.125,
-            started_at="2026-08-23T00:00:00+00:00",
-        )
-        path = tmp_path / "run.manifest.json"
-        write_manifest(manifest, path)
-        expected = json.dumps(dataclasses.asdict(manifest), indent=2, sort_keys=True) + "\n"
-        assert path.read_bytes() == expected.encode("utf-8")

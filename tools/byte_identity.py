@@ -30,16 +30,18 @@ the same config of each model with a single emitting source
 lists: the fringe term is 0 in every route, and so is every
 visibility. Every command is ``python -m twinfringes.cli`` in a fresh
 interpreter with PYTHONPATH set to the tree. Exit codes and every
-output file are compared; manifests are compared without
-``started_at``, ``duration_s`` and output paths.
+output file are compared byte for byte; in a manifest the tree's work
+directory is first replaced by a placeholder and the values of
+``started_at`` and ``duration_s`` are masked, so its indent, key order
+and final newline are compared too.
 Prints each difference and exits 1 if there is any, else exits 0.
 Standard library only.
 """
 
 import itertools
-import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -96,7 +98,8 @@ SINGLE_COMMANDS = {
     name: COMMANDS[name] for name in ("oracle", "sim256", "vrho", "vsigma", "vsigma_mixed")
 }
 
-VOLATILE = ("started_at", "duration_s")
+# The manifest values that change from run to run.
+VOLATILE = re.compile(rb'"(started_at|duration_s)": ("[^"]*"|[^,\n]*)')
 
 
 def _configs() -> dict[str, tuple[str, dict]]:
@@ -140,12 +143,10 @@ def run_tree(src: Path, work: Path) -> dict[str, int]:
     return codes
 
 
-def _manifest_view(blob: bytes) -> dict:
-    payload = json.loads(blob)
-    for key in VOLATILE:
-        payload.pop(key, None)
-    payload["outputs"] = [Path(p).name for p in payload.get("outputs", [])]
-    return payload
+def _manifest_view(blob: bytes, work: Path) -> bytes:
+    """Manifest bytes with the work directory and the volatile values masked."""
+    blob = blob.replace(str(work).encode(), b"WORK")
+    return VOLATILE.sub(rb'"\1": 0', blob)
 
 
 def compare(parent: Path, change: Path, codes: tuple[dict, dict]) -> list[str]:
@@ -161,7 +162,7 @@ def compare(parent: Path, change: Path, codes: tuple[dict, dict]) -> list[str]:
             continue
         blob_a, blob_b = a.read_bytes(), b.read_bytes()
         if name.endswith(".manifest.json"):
-            if _manifest_view(blob_a) != _manifest_view(blob_b):
+            if _manifest_view(blob_a, parent) != _manifest_view(blob_b, change):
                 diffs.append(f"{name}: manifest differs")
         elif blob_a != blob_b:
             diffs.append(f"{name}: bytes differ ({len(blob_a)} vs {len(blob_b)} bytes)")

@@ -4,18 +4,19 @@ The three correlation regimes each get one explicit radial rate that
 takes a scalar or an array of radii; the partially correlated one is the
 parabolic-cylinder closed form, and its visibility is that form's
 modulus. The radial quadrature of the same rate is kept only as an
-independent reference route. Images are rendered from a 1D radial
-profile, so the circular symmetry of the patterns is exact by
-construction.
+independent reference route. The maximal and uncorrelated images are
+evaluated in closed form at every pixel from outer products of 1D
+factors over the pixel centres; only the partial model's image is
+interpolated from a 1D radial profile. Either way the circular symmetry
+of the patterns is exact by construction.
 
 A square image of N pixels is centred with c_{N-1-i} = -c_i bit for
 bit, so it is fixed by both flips and by transposition. A
 ``FringeImage`` therefore stores only its lower-right quadrant, the
 ceil(N/2) x ceil(N/2) block of nonnegative centres, and ``values``
 mirrors it out to the full frame on each access. ``render_pattern``
-evaluates that quadrant on one octant, its upper triangle, and fills
-the lower triangle by transposition; the PGM writer quantises the
-quadrant and mirrors the 16-bit samples.
+builds that quadrant, transpose-symmetric bit for bit; the PGM writer
+quantises the quadrant and mirrors the 16-bit samples.
 """
 
 from __future__ import annotations
@@ -414,6 +415,55 @@ def _fringe(rho: np.ndarray, phi_0: float, cfg: ExperimentConfig):
     return rate, np.clip(visibility, 0.0, 1.0)
 
 
+# _separable_rate fills the maximal rate in row blocks of about this
+# many samples, so that each block and its scratch stay in cache.
+_BLOCK_SAMPLES = 32768
+
+
+def _separable_rate(centers: np.ndarray, phi_0: float, cfg: ExperimentConfig) -> np.ndarray:
+    """Maximal or uncorrelated rate at (x, y) = (centers_i, centers_j), one array.
+
+    Both rates are functions of rho^2 = x^2 + y^2, so they factor into
+    outer products of 1D factors over the centers, with
+    E = exp(-2 c^2 / (f0 sigma_b)^2) the envelope of ``_envelope``:
+    - uncorrelated: E (x) E;
+    - maximal, by 1 + c cos(2 theta) = (1 - c) + 2 c cos^2(theta):
+      (1 - c) E (x) E + 2 c (a (x) a - b (x) b)^2, with
+      (a, b) = sqrt(E) (cos h, sin h), h = K c^2 / 2 - (phi_0 + static) / 4,
+      K = effective_curvature(cfg) and (c, static) = source_fringe(cfg),
+      so that a_i a_j - b_i b_j = sqrt(E_i E_j) cos(h_i + h_j).
+    Each term is a product of a factor at x and the same factor at y,
+    so the result is transpose-symmetric bit for bit, and each term is
+    nonnegative, so the rate is too, dark fringes included. The (1 - c)
+    term is 0 for equal source magnitudes and is then not formed. The
+    maximal rate is built in row blocks, next to one block of scratch.
+    """
+    envelope = _envelope(centers, cfg)
+    if cfg.correlation_model is CorrelationModel.UNCORRELATED:
+        return np.multiply.outer(envelope, envelope)
+    contrast, static = source_fringe(cfg)
+    half = 0.5 * effective_curvature(cfg) * centers * centers - 0.25 * (phi_0 + static)
+    root = np.sqrt(envelope)
+    a, b = root * np.cos(half), root * np.sin(half)
+    n = centers.size
+    rows = max(1, _BLOCK_SAMPLES // n)
+    rate = np.empty((n, n))
+    scratch = np.empty((min(rows, n), n))
+    for r0 in range(0, n, rows):
+        block = rate[r0:r0 + rows]
+        term = scratch[:len(block)]
+        np.multiply.outer(a[r0:r0 + rows], a, out=block)
+        np.multiply.outer(b[r0:r0 + rows], b, out=term)
+        np.subtract(block, term, out=block)
+        np.square(block, out=block)
+        block *= 2.0 * contrast
+        if contrast < 1.0:
+            np.multiply.outer(envelope[r0:r0 + rows], envelope, out=term)
+            term *= 1.0 - contrast
+            block += term
+    return rate
+
+
 def radial_profile(
     cfg: ExperimentConfig, rho_max: float, n_samples: int, phi_0: float
 ) -> RadialProfile:
@@ -424,8 +474,9 @@ def radial_profile(
     return RadialProfile(rho, *_fringe(rho, phi_0, cfg))
 
 
-# render_pattern evaluates the upper triangle of its quadrant in this
-# many row strips; fewer strips evaluate more of the lower triangle.
+# render_pattern evaluates the upper triangle of a partial-model
+# quadrant in this many row strips; fewer strips evaluate more of the
+# lower triangle.
 _RENDER_STRIPS = 8
 
 
@@ -434,19 +485,22 @@ def render_pattern(
 ) -> FringeImage:
     """Square fringe image on a screen of the given physical size.
 
-    The rate is computed on a radial profile oversampled 4x relative to
-    the pixel pitch and mapped to pixels by their center radius, which
-    keeps the pattern exactly circular and costs a fraction of a
-    per-pixel evaluation.
-
     Pixel i (row or column) of N has its center at
     c_i = (i - (N - 1) / 2) * pitch. The offset i - (N - 1) / 2 is an
     exact half-integer, so each center is one rounding of the exact
     value and c_{N-1-i} = -c_i holds bit for bit; for odd N the middle
     center is exactly 0. The image is therefore exactly symmetric under
     both flips and is stored as its ceil(N/2) x ceil(N/2) quadrant
-    i, j >= N // 2. The quadrant is symmetric too, since hypot(x, y) is
-    hypot(y, x), so only its upper triangle is evaluated, in
+    i, j >= N // 2, which is transpose-symmetric bit for bit as well.
+
+    The maximal and uncorrelated rates are evaluated in closed form at
+    every pixel center, from outer products of 1D factors over the
+    centers (``_separable_rate``). Only the partial rate, whose
+    Br(rho g) factor does not separate in x and y, is interpolated: it
+    is computed on a radial profile oversampled 4x relative to the
+    pixel pitch and mapped to pixels by their center radius, which costs
+    a fraction of a per-pixel evaluation. Since hypot(x, y) is
+    hypot(y, x), only the quadrant's upper triangle is interpolated, in
     _RENDER_STRIPS row strips (rows a0:a1, columns a0:), and each strip
     is also written transposed into columns a0:a1. Every pixel is the
     interpolated rate at its own center radius.
@@ -456,18 +510,20 @@ def render_pattern(
     if screen_size <= 0.0:
         raise ValueError("screen_size must be positive")
     pitch = screen_size / resolution
-    r_corner = 0.5 * screen_size * math.sqrt(2.0)
-    n_prof = 4 * resolution + 2
-    r_prof = np.linspace(0.0, r_corner + pitch, n_prof)
-    rates = _fringe(r_prof, phi_0, cfg)[0]
     centers = (np.arange(resolution // 2, resolution) - 0.5 * (resolution - 1)) * pitch
-    n = centers.size
-    quadrant = np.empty((n, n))
-    edges = [n * k // _RENDER_STRIPS for k in range(_RENDER_STRIPS + 1)]
-    for a0, a1 in zip(edges[:-1], edges[1:]):
-        strip = np.interp(np.hypot(centers[a0:a1, None], centers[None, a0:]), r_prof, rates)
-        quadrant[a0:a1, a0:] = strip
-        quadrant[a0:, a0:a1] = strip.T
+    if cfg.correlation_model is not CorrelationModel.GAUSSIAN_PARTIAL:
+        quadrant = _separable_rate(centers, phi_0, cfg)
+    else:
+        r_corner = 0.5 * screen_size * math.sqrt(2.0)
+        r_prof = np.linspace(0.0, r_corner + pitch, 4 * resolution + 2)
+        rates = _fringe(r_prof, phi_0, cfg)[0]
+        n = centers.size
+        quadrant = np.empty((n, n))
+        edges = [n * k // _RENDER_STRIPS for k in range(_RENDER_STRIPS + 1)]
+        for a0, a1 in zip(edges[:-1], edges[1:]):
+            strip = np.interp(np.hypot(centers[a0:a1, None], centers[None, a0:]), r_prof, rates)
+            quadrant[a0:a1, a0:] = strip
+            quadrant[a0:, a0:a1] = strip.T
     return FringeImage(
         width=resolution,
         height=resolution,

@@ -29,6 +29,7 @@ from .fileio import (
     ParseError,
     config_to_dict,
     parse_config,
+    read_text,
     write_manifest,
     write_pgm,
     write_profile_csv,
@@ -193,12 +194,12 @@ def run_eqwavelength(cfg: ExperimentConfig, data_path) -> str:
     """Regress first-ring radii over source separations to lambda_eq.
 
     ``data_path`` is a CSV with header ``d_a_mm,rho1_mm`` and one row
-    per separation; every value must be finite. A leading UTF-8
-    byte-order mark is ignored. Returns a text report
-    of the fitted equivalent wavelength, its standard error, and the
-    inferred undetected wavelength.
+    per separation; every value must be finite. The file is read with
+    ``fileio.read_text``. Returns a text report of the fitted
+    equivalent wavelength, its standard error, and the inferred
+    undetected wavelength.
     """
-    lines = Path(data_path).read_text(encoding="utf-8-sig").splitlines()
+    lines = read_text(data_path).splitlines()
     if not lines or lines[0].strip() != "d_a_mm,rho1_mm":
         raise ParseError(f"{data_path}: expected header 'd_a_mm,rho1_mm'")
     first_radii = []

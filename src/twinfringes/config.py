@@ -139,9 +139,12 @@ def source_fringe(cfg: ExperimentConfig) -> tuple[float, float]:
     contrast = 2|a1||a2| / (|a1|^2 + |a2|^2), exactly 1.0 for equal
     magnitudes, scales the term; the rate at scan phase phi_0 is that of
     in-phase sources at phi_0 + static, static = phi_b + phi2 - phi1.
+    The quotient rounds to 1 + 2^-52 for some nearly equal magnitudes;
+    contrast is capped at 1, its exact bound, so that no rate dips below
+    0 at a dark fringe and no visibility exceeds 1.
     """
     a1, a2 = cfg.alpha1_mag, cfg.alpha2_mag
-    return 2.0 * a1 * a2 / (a1 * a1 + a2 * a2), cfg.phi_b + cfg.phi2 - cfg.phi1
+    return min(2.0 * a1 * a2 / (a1 * a1 + a2 * a2), 1.0), cfg.phi_b + cfg.phi2 - cfg.phi1
 
 
 # Lower bounds of the range-checked parameters, in reporting order:

@@ -10,6 +10,7 @@ and manifest half does not.
 
 from __future__ import annotations
 
+import codecs
 import json
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -53,15 +54,32 @@ class UnknownKey(ParseError):
     """Config file contains a key outside the documented surface."""
 
 
+def read_text(path) -> str:
+    """The text of a UTF-8 file, with a leading byte-order mark dropped.
+
+    Bytes that are not UTF-8 raise ParseError naming the path and the
+    line that holds them.
+    """
+    blob = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
+    try:
+        return blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bytes before the bad one decode; number lines as splitlines does
+        lineno = len((blob[:exc.start] + b".").decode("utf-8").splitlines())
+        raise ParseError(
+            f"{path}:{lineno}: not UTF-8 text (byte 0x{blob[exc.start]:02x})"
+        ) from None
+
+
 def parse_config(path) -> ExperimentConfig:
     """Read and validate a flat key-value config file.
 
     Lines hold ``key = value`` (the ``=`` is optional); ``#`` starts a
     comment. Unknown and duplicate keys are hard errors, as is a missing
     required key. Values are range-checked through validate_config.
-    A leading UTF-8 byte-order mark is ignored.
+    The file is read with ``read_text``.
     """
-    text = Path(path).read_text(encoding="utf-8-sig")
+    text = read_text(path)
     seen: dict[str, int] = {}
     values: dict[str, str] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
@@ -113,7 +131,9 @@ def write_pgm(image: FringeImage, path) -> None:
     The physical rate corresponding to the full-scale sample is recorded
     in a comment line so the image is invertible to absolute units.
     Only the stored quadrant is scaled and rounded; its 16-bit samples
-    are mirrored out to the full frame.
+    are mirrored out to the full frame. A ``FringeImage`` quadrant is
+    nonnegative and peaks at its normalization, so every scaled sample
+    lies in [0, 65535.5) and rounds into [0, 65535] without a clip.
     """
     import numpy as np
 
@@ -122,7 +142,6 @@ def write_pgm(image: FringeImage, path) -> None:
     scale = PGM_MAXVAL / image.normalization if image.normalization > 0.0 else 0.0
     samples = np.multiply(image.quadrant, scale)
     np.rint(samples, out=samples)
-    np.clip(samples, 0, PGM_MAXVAL, out=samples)
     samples = samples.astype(">u2")
     header = (
         f"P5\n# rate_max {image.normalization:.12e}\n{image.width} {image.height}\n{PGM_MAXVAL}\n"

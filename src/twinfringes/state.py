@@ -48,7 +48,10 @@ class ModeGrid:
         object.__setattr__(self, "angles", angles)
         if angles.ndim != 1 or angles.size == 0:
             raise ValueError("angles must be a non-empty 1D array")
-        if np.unique(angles).size != angles.size:
+        # a sorted copy, not np.unique, which loads numpy.ma on its first
+        # call; NaNs sort last, and two of them repeat, as in np.unique
+        ordered = np.sort(angles)
+        if np.any(ordered[1:] == ordered[:-1]) or np.isnan(ordered[-2:]).sum() == 2:
             raise ValueError("angles must be distinct")
         if not np.all(np.abs(angles) < PARAXIAL_LIMIT):
             raise ValueError(f"angles must lie in (-{PARAXIAL_LIMIT}, {PARAXIAL_LIMIT})")

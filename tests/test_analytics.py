@@ -23,12 +23,15 @@ from twinfringes import (
     effective_curvature,
     fringe_radius,
     radial_profile,
+    read_pgm,
     render_pattern,
     sweep_visibility,
     visibility_closed_form,
     visibility_hwhm,
+    write_pgm,
 )
-from twinfringes.analytics import _fringe
+from twinfringes.analytics import _fringe, mirror_quadrant
+from twinfringes.config import source_fringe
 
 from conftest import make_config, mp_partial
 
@@ -317,21 +320,104 @@ def test_render_pattern_geometry(maximal_cfg):
         assert np.array_equal(image.values, image.values[:, ::-1])
 
 
+# The maximal and uncorrelated images are products of x and y factors;
+# against _fringe at each pixel's own radius they agree within this
+# fraction of the peak. Worst seen: 9.2e-15, maximal, d_a 50 mm, 6 mm
+# screen, 600 px; the fringe phase there reaches about 300 rad, and its
+# rounding dominates.
+SEPARABLE_TOL = 2e-14
+
+
+def _exact_quadrant(cfg, screen, resolution, phi_0):
+    """_fringe at the center radius of every pixel of the stored quadrant."""
+    pitch = screen / resolution
+    centers = (np.arange(resolution // 2, resolution) - 0.5 * (resolution - 1)) * pitch
+    return _fringe(np.hypot(centers[:, None], centers[None, :]), phi_0, cfg)[0]
+
+
 @pytest.mark.parametrize("model", list(CorrelationModel))
 @pytest.mark.parametrize("resolution", [64, 65, 255, 256, 1023])
 def test_render_pattern_equals_direct_per_pixel_evaluation(model, resolution):
-    # the quadrant-and-mirror image is bit-equal to interpolating every
-    # pixel's own radius, with centers c_i = (i - (N - 1) / 2) * pitch
+    # the quadrant-and-mirror image equals evaluating every pixel's own
+    # radius, with centers c_i = (i - (N - 1) / 2) * pitch: bit for bit
+    # the interpolated profile for the partial model, and the exact
+    # closed form within SEPARABLE_TOL of the peak for the other two
     cfg = make_config(model, sigma_theta=9.37e-4)
     screen, phi_0 = 2.5e-3, 0.7
     image = render_pattern(cfg, screen, resolution, phi_0)
     pitch = screen / resolution
     centers = (np.arange(resolution) - 0.5 * (resolution - 1)) * pitch
-    r_prof = np.linspace(0.0, 0.5 * screen * math.sqrt(2.0) + pitch, 4 * resolution + 2)
-    rates = _fringe(r_prof, phi_0, cfg)[0]
-    direct = np.interp(np.hypot(centers[:, None], centers[None, :]), r_prof, rates)
-    assert np.array_equal(image.values, direct)
-    assert image.normalization == direct.max()
+    radii = np.hypot(centers[:, None], centers[None, :])
+    if model is CorrelationModel.GAUSSIAN_PARTIAL:
+        r_prof = np.linspace(0.0, 0.5 * screen * math.sqrt(2.0) + pitch, 4 * resolution + 2)
+        direct = np.interp(radii, r_prof, _fringe(r_prof, phi_0, cfg)[0])
+        assert np.array_equal(image.values, direct)
+        assert image.normalization == direct.max()
+    else:
+        direct = _fringe(radii, phi_0, cfg)[0]
+        assert np.max(np.abs(image.values - direct)) <= SEPARABLE_TOL * direct.max()
+        assert image.normalization == image.values.max()
+
+
+@pytest.mark.parametrize("model", [CorrelationModel.MAXIMAL, CorrelationModel.UNCORRELATED],
+                         ids=lambda m: m.value)
+@pytest.mark.parametrize("d_a", [5e-3, 11.7e-3, 20e-3, 50e-3])
+@pytest.mark.parametrize("screen,resolution", [(3e-3, 600), (6e-3, 600), (2.5e-3, 1023),
+                                               (4e-3, 257)])
+@pytest.mark.parametrize("sources", [{}, {"alpha1_mag": 0.8, "alpha2_mag": 0.6, "phi1": 0.5}],
+                         ids=["balanced", "unbalanced_phi1"])
+def test_separable_render_is_the_exact_closed_form(tmp_path, model, d_a, screen, resolution,
+                                                   sources):
+    # the float quadrant is within SEPARABLE_TOL of the peak of the exact
+    # per-pixel rate, and the PGM within 1 LSB of that rate quantised.
+    # d_a 50 mm on a 6 mm screen at 600 px, where the corner phase steps
+    # 1.4 rad per pixel, is the case a 4x radial profile missed by 33 LSB
+    cfg = make_config(model, d_a=d_a, **sources)
+    image = render_pattern(cfg, screen, resolution, 0.4)
+    exact = _exact_quadrant(cfg, screen, resolution, 0.4)
+    assert np.max(np.abs(image.quadrant - exact)) <= SEPARABLE_TOL * exact.max()
+    path = tmp_path / "image.pgm"
+    write_pgm(image, path)
+    samples, _ = read_pgm(path)
+    quantised = np.rint(exact * (65535 / exact.max()))
+    full = mirror_quadrant(quantised, resolution, resolution)
+    assert np.max(np.abs(samples.astype(float) - full)) <= 1.0
+
+
+@pytest.mark.parametrize("resolution", [65, 600])
+@pytest.mark.parametrize("sources,contrast", [
+    ({}, 1.0),
+    ({"alpha1_mag": 0.8, "alpha2_mag": 0.6, "phi1": 0.5, "phi_b": 0.3}, 0.96),
+    # the contrast quotient rounds to 1 + 2^-52 here; it is capped at 1
+    ({"alpha1_mag": 0.7071067808051352, "alpha2_mag": 0.7071067815679599}, 1.0),
+])
+def test_maximal_render_is_nonnegative_on_exact_dark_fringes(resolution, sources, contrast):
+    # phi_0 puts a dark fringe exactly on the center of pixel (i, j) of
+    # the quadrant; there the rate is (1 - c) E, 0 for equal magnitudes
+    cfg = make_config(CorrelationModel.MAXIMAL, d_a=20e-3, **sources)
+    assert source_fringe(cfg)[0] == contrast
+    static = source_fringe(cfg)[1]
+    screen = 3e-3
+    pitch = screen / resolution
+    centers = (np.arange(resolution // 2, resolution) - 0.5 * (resolution - 1)) * pitch
+    for i, j in [(0, 0), (3, 7), (centers.size - 1, centers.size // 2)]:
+        rho_sq = centers[i] ** 2 + centers[j] ** 2
+        phi_0 = effective_curvature(cfg) * rho_sq - math.pi - static
+        image = render_pattern(cfg, screen, resolution, phi_0)
+        assert np.fmin.reduce(image.quadrant, axis=None) >= 0.0
+        dark = (1.0 - contrast) * float(np.exp(-2.0 * rho_sq / (cfg.f0 * cfg.sigma_b) ** 2))
+        assert image.quadrant[i, j] == pytest.approx(dark, abs=1e-12 * image.normalization)
+
+
+def test_contrast_is_capped_at_one():
+    cfg = make_config(CorrelationModel.MAXIMAL, alpha1_mag=0.7071067808051352,
+                      alpha2_mag=0.7071067815679599)
+    a1, a2 = cfg.alpha1_mag, cfg.alpha2_mag
+    assert 2.0 * a1 * a2 / (a1 * a1 + a2 * a2) > 1.0
+    assert source_fringe(cfg)[0] == 1.0
+    profile = radial_profile(cfg, 1.5e-3, 64, 0.0)
+    assert np.all(profile.visibility == 1.0)
+    assert central_visibility(make_config(alpha1_mag=a1, alpha2_mag=a2)) <= 1.0
 
 
 def test_render_pattern_reproduces_ring_structure(maximal_cfg):

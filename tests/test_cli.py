@@ -431,6 +431,15 @@ def test_eqwavelength_reads_a_byte_order_mark(capsys, tmp_path, cfg_file):
     assert reports[1] == reports[0]
 
 
+def test_eqwavelength_names_the_line_of_a_byte_that_is_not_utf8(capsys, tmp_path, cfg_file):
+    # a Latin-1 "\xb5m" typed after a row
+    data = tmp_path / "rings.csv"
+    data.write_bytes(b"d_a_mm,rho1_mm\n5,1.95\n11.7,1.27 \xb5m\n20,0.98\n")
+    assert main(["eqwavelength", "--config", cfg_file, "--data", str(data)]) == 1
+    err = capsys.readouterr().err
+    assert f"{data}:3: not UTF-8 text (byte 0xb5)" in err
+
+
 def test_eqwavelength_rejects_bad_header(tmp_path, cfg_file):
     data = tmp_path / "rings.csv"
     data.write_text("separation,radius\n5,1.0\n")
@@ -851,6 +860,14 @@ def test_scalar_commands_load_no_numpy(import_graph):
     for label, code, modules in import_graph[_SCALAR_STEPS:]:
         assert code == 0, label
         assert set(_ARRAY_MODULES) <= set(modules["twinfringes"]), label
+
+
+def test_no_cli_command_loads_numpy_ma(import_graph):
+    # np.unique imports numpy.ma on its first call, which every cold
+    # oracle paid for while ModeGrid used it to check distinct angles
+    for label, code, modules in import_graph:
+        assert code == 0, label
+        assert "numpy.ma" not in modules["numpy"], label
 
 
 def test_module_entry_point_runs_in_subprocess(cfg_file):

@@ -69,6 +69,19 @@ def test_parse_config_reads_a_byte_order_mark(tmp_path):
     assert parse_config(marked) == parse_config(_write(tmp_path, GOOD_CONFIG))
 
 
+def test_parse_config_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
+    # a Latin-1 "\xb5m" in a comment on line 3, after a byte-order mark,
+    # with each line ending that splitlines knows
+    lines = GOOD_CONFIG.encode("ascii").splitlines()
+    lines[2] += b"  # \xb5m"
+    path = tmp_path / "latin1.cfg"
+    for ending in (b"\n", b"\r\n", b"\r"):
+        path.write_bytes(b"\xef\xbb\xbf" + ending.join(lines) + ending)
+        with pytest.raises(ParseError) as excinfo:
+            parse_config(path)
+        assert str(excinfo.value) == f"{path}:3: not UTF-8 text (byte 0xb5)"
+
+
 def test_parse_config_duplicate_key_names_both_lines(tmp_path):
     text = GOOD_CONFIG + "f0_mm = 200\n"
     with pytest.raises(ParseError, match="f0_mm") as excinfo:

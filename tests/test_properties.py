@@ -20,6 +20,7 @@ from twinfringes import (
     derive_constants,
     estimate_sigma_theta,
     parse_config,
+    read_pgm,
     render_pattern,
     visibility_closed_form,
     visibility_hwhm,
@@ -30,6 +31,7 @@ from twinfringes.analytics import _fringe
 from twinfringes.cli import run_oracle_check
 
 from conftest import make_config
+from test_analytics import SEPARABLE_TOL
 from test_fileio import _reference_pgm_bytes
 
 # Deterministic draws keep the tier-1 run reproducible.
@@ -136,18 +138,28 @@ RENDER_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
 def test_octant_render_and_quadrant_pgm_match_full_frame_references(
     tmp_path_factory, resolution, screen, phi, model
 ):
+    # the partial image is bit-equal to interpolating its radial profile
+    # at every pixel's radius; the maximal and uncorrelated images are the
+    # exact closed form there, within SEPARABLE_TOL of the peak, and their
+    # PGMs within 1 LSB of that rate quantised
     cfg = make_config(model)
     image = render_pattern(cfg, screen, resolution, phi)
     pitch = screen / resolution
     centers = (np.arange(resolution) - 0.5 * (resolution - 1)) * pitch
-    r_prof = np.linspace(0.0, 0.5 * screen * math.sqrt(2.0) + pitch, 4 * resolution + 2)
-    direct = np.interp(
-        np.hypot(centers[:, None], centers[None, :]), r_prof, _fringe(r_prof, phi, cfg)[0]
-    )
-    assert np.array_equal(image.values, direct)
+    radii = np.hypot(centers[:, None], centers[None, :])
     path = tmp_path_factory.mktemp("render") / "image.pgm"
     write_pgm(image, path)
     assert path.read_bytes() == _reference_pgm_bytes(image)
+    if model is CorrelationModel.GAUSSIAN_PARTIAL:
+        r_prof = np.linspace(0.0, 0.5 * screen * math.sqrt(2.0) + pitch, 4 * resolution + 2)
+        direct = np.interp(radii, r_prof, _fringe(r_prof, phi, cfg)[0])
+        assert np.array_equal(image.values, direct)
+        return
+    direct = _fringe(radii, phi, cfg)[0]
+    assert np.max(np.abs(image.values - direct)) <= SEPARABLE_TOL * direct.max()
+    samples, _ = read_pgm(path)
+    quantised = np.rint(direct * (65535 / direct.max()))
+    assert np.max(np.abs(samples.astype(float) - quantised)) <= 1.0
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

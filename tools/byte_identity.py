@@ -33,11 +33,14 @@ interpreter with PYTHONPATH set to the tree. Exit codes and every
 output file are compared byte for byte; in a manifest the tree's work
 directory is first replaced by a placeholder and the values of
 ``started_at`` and ``duration_s`` are masked, so its indent, key order
-and final newline are compared too.
+and final newline are compared too. For two differing PGMs of the same
+size, the number of changed samples and the largest change in 16-bit
+LSB are printed as well.
 Prints each difference and exits 1 if there is any, else exits 0.
 Standard library only.
 """
 
+import array
 import itertools
 import math
 import os
@@ -149,6 +152,25 @@ def _manifest_view(blob: bytes, work: Path) -> bytes:
     return VOLATILE.sub(rb'"\1": 0', blob)
 
 
+def _pgm_change(blob_a: bytes, blob_b: bytes) -> str:
+    """'; N samples changed, largest by K LSB' for two PGMs of one size, else ''.
+
+    A twinfringes PGM has four header lines (magic, rate comment, size,
+    maxval) and then big-endian 16-bit samples.
+    """
+    parts_a, parts_b = blob_a.split(b"\n", 4), blob_b.split(b"\n", 4)
+    if len(parts_a) != 5 or len(parts_b) != 5 or parts_a[2] != parts_b[2]:
+        return ""
+    if len(parts_a[4]) != len(parts_b[4]) or len(parts_a[4]) % 2:
+        return ""
+    samples_a, samples_b = array.array("H", parts_a[4]), array.array("H", parts_b[4])
+    if sys.byteorder == "little":
+        samples_a.byteswap()
+        samples_b.byteswap()
+    changes = [abs(a - b) for a, b in zip(samples_a, samples_b) if a != b]
+    return f"; {len(changes)} samples changed, largest by {max(changes, default=0)} LSB"
+
+
 def compare(parent: Path, change: Path, codes: tuple[dict, dict]) -> list[str]:
     diffs = [
         f"{run}: exit code {codes[0][run]} -> {codes[1][run]}"
@@ -165,7 +187,8 @@ def compare(parent: Path, change: Path, codes: tuple[dict, dict]) -> list[str]:
             if _manifest_view(blob_a, parent) != _manifest_view(blob_b, change):
                 diffs.append(f"{name}: manifest differs")
         elif blob_a != blob_b:
-            diffs.append(f"{name}: bytes differ ({len(blob_a)} vs {len(blob_b)} bytes)")
+            pgm = _pgm_change(blob_a, blob_b) if name.endswith(".pgm") else ""
+            diffs.append(f"{name}: bytes differ ({len(blob_a)} vs {len(blob_b)} bytes{pgm})")
     return diffs
 
 

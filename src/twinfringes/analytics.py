@@ -12,9 +12,10 @@ of the patterns is exact by construction.
 
 A square image of N pixels is centred with c_{N-1-i} = -c_i bit for
 bit, so it is fixed by both flips and by transposition. A
-``FringeImage`` therefore stores only its lower-right quadrant, the
-ceil(N/2) x ceil(N/2) block of nonnegative centres, and ``values``
-mirrors it out to the full frame on each access. ``render_pattern``
+``FringeImage`` therefore stores only N and its lower-right quadrant,
+the ceil(N/2) x ceil(N/2) block of nonnegative centres; it computes the
+frame maximum from the quadrant once, and ``values`` mirrors the
+quadrant out to the full frame on each access. ``render_pattern``
 builds that quadrant, transpose-symmetric bit for bit; the PGM writer
 quantises the quadrant and mirrors the 16-bit samples.
 """
@@ -22,7 +23,7 @@ quantises the quadrant and mirrors the 16-bit samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -71,57 +72,56 @@ class RadialProfile:
             raise ValueError("visibility must lie in [0, 1]")
 
 
-def mirror_quadrant(quadrant: np.ndarray, height: int, width: int) -> np.ndarray:
-    """The (height, width) image whose lower-right quadrant is ``quadrant``.
+def mirror_quadrant(quadrant: np.ndarray, size: int) -> np.ndarray:
+    """The (size, size) image whose lower-right quadrant is ``quadrant``.
 
-    ``quadrant`` holds rows i >= height // 2 and columns j >= width // 2;
-    row i and column j of the image are copies of rows and columns
-    height - 1 - i and width - 1 - j. The result has the quadrant's dtype.
+    ``quadrant`` holds rows and columns i >= size // 2; row i and column
+    j of the image are copies of rows and columns size - 1 - i and
+    size - 1 - j. The result has the quadrant's dtype.
     """
-    top, left = height // 2, width // 2
-    image = np.empty((height, width), dtype=quadrant.dtype)
-    image[top:, left:] = quadrant
-    image[top:, :left] = quadrant[:, ::-1][:, :left]
-    image[:top] = image[top:][::-1][:top]
+    half = size // 2
+    image = np.empty((size, size), dtype=quadrant.dtype)
+    image[half:, half:] = quadrant
+    image[half:, :half] = quadrant[:, ::-1][:, :half]
+    image[:half] = image[half:][::-1][:half]
     return image
 
 
 @dataclass(frozen=True, eq=False)
 class FringeImage:
-    """Rendered counting-rate field with its normalization metadata.
+    """Rendered square counting-rate field and its maximum.
 
     The field is symmetric under both flips, so only its lower-right
-    quadrant, of shape (ceil(height / 2), ceil(width / 2)), is stored;
-    ``values`` builds the full (height, width) array on each access.
+    quadrant, of shape (ceil(resolution / 2), ceil(resolution / 2)), is
+    stored; ``values`` builds the full (resolution, resolution) array on
+    each access. ``normalization``, the frame maximum, is computed from
+    the quadrant, which must be nonnegative and finite.
     """
 
-    width: int
-    height: int
+    resolution: int
     pixel_pitch: float
     quadrant: np.ndarray
-    normalization: float
+    normalization: float = field(init=False)
 
     def __post_init__(self):
         quadrant = np.asarray(self.quadrant, dtype=float)
         object.__setattr__(self, "quadrant", quadrant)
-        expected = ((self.height + 1) // 2, (self.width + 1) // 2)
-        if quadrant.shape != expected:
-            raise ValueError(
-                f"quadrant shape {quadrant.shape} != (ceil(height/2), ceil(width/2)) = {expected}"
-            )
-        if not quadrant.size:
-            return
+        side = (self.resolution + 1) // 2
+        if quadrant.shape != (side, side):
+            raise ValueError(f"quadrant shape {quadrant.shape}, expected {(side, side)}")
         # one pass and no boolean temporary; fmin skips NaN, as the
-        # comparison x < 0 does, so a NaN frame fails on normalization
+        # comparison x < 0 does, so a NaN frame fails on finiteness
         if np.fmin.reduce(quadrant, axis=None) < 0.0:
             raise ValueError("rate field must be nonnegative")
-        if self.normalization != float(quadrant.max()):
-            raise ValueError("normalization must equal the frame maximum")
+        peak = float(quadrant.max())
+        if not math.isfinite(peak):
+            raise ValueError(f"rate field must be finite, its maximum is {peak!r}")
+        object.__setattr__(self, "normalization", peak)
 
     @property
     def values(self) -> np.ndarray:
-        """The full (height, width) rate field, mirrored from the quadrant."""
-        return mirror_quadrant(self.quadrant, self.height, self.width)
+        """The full (resolution, resolution) rate field, mirrored from the quadrant."""
+        return mirror_quadrant(self.quadrant, self.resolution)
 
 
 def _envelope(rho, cfg: ExperimentConfig):
@@ -507,6 +507,8 @@ def render_pattern(
     """
     if resolution < 64:
         raise ValueError("resolution must be at least 64 pixels")
+    if resolution > 8192:
+        raise ValueError(f"resolution must be at most 8192 pixels, got {resolution}")
     if screen_size <= 0.0:
         raise ValueError("screen_size must be positive")
     pitch = screen_size / resolution
@@ -524,10 +526,4 @@ def render_pattern(
             strip = np.interp(np.hypot(centers[a0:a1, None], centers[None, a0:]), r_prof, rates)
             quadrant[a0:a1, a0:] = strip
             quadrant[a0:, a0:a1] = strip.T
-    return FringeImage(
-        width=resolution,
-        height=resolution,
-        pixel_pitch=pitch,
-        quadrant=quadrant,
-        normalization=float(quadrant.max()),
-    )
+    return FringeImage(resolution, pitch, quadrant)

@@ -105,7 +105,7 @@ def run_simulate(
     screen_mm : float
         Physical edge length of the square screen, in millimeters.
     resolution : int
-        Image width and height in pixels (>= 64).
+        Image width and height in pixels, 64 to 8192.
     phi_0 : float
         Scan phase in radians, measured from the on-axis bright fringe.
     out_image, out_profile : path-like
@@ -228,13 +228,15 @@ def run_oracle_check(cfg: ExperimentConfig, grid_points: int, out) -> None:
     Samples 16 radii across the envelope, reads the exact grid
     visibility |S| / A and the phi_0 = 0 rate A + Re S off one fringe
     phasor per radius, and checks both against the analytic results for
-    the configured model. ``grid_points`` must be even and at least 128,
+    the configured model. ``grid_points`` must be even and in [128, 65536],
     whatever the model, or UsageError is raised. The JSON report is
     written even on failure; ToleranceExceeded is raised afterwards so
     the discrepancies stay inspectable.
     """
     if grid_points < 128 or grid_points % 2:
         raise UsageError(f"--grid-points must be an even number >= 128, got {grid_points}")
+    if grid_points > 65536:
+        raise UsageError(f"--grid-points must be at most 65536, got {grid_points}")
     _load_arrays()
     closed = analytics.radial_profile(cfg, 0.5 * cfg.f0 * cfg.sigma_b, 16, 0.0)
     # the b grid's columns are exactly these radii
@@ -303,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", parents=[common], help="render fringe image + profile")
     p.add_argument("--screen-mm", type=_finite_float, default=3.0, help="screen edge length (mm)")
-    p.add_argument("--resolution", type=int, default=600, help="image size in pixels")
+    p.add_argument("--resolution", type=int, default=600, help="image size in pixels (64-8192)")
     p.add_argument("--phi0", type=_finite_float, default=0.0, help="scan phase (rad)")
 
     p = sub.add_parser("visibility", parents=[common], help="scan V over sigma or radius")
@@ -322,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="CSV of d_a_mm,rho1_mm rows")
 
     p = sub.add_parser("oracle", parents=[common], help="grid vs closed-form consistency check")
-    p.add_argument("--grid-points", type=int, default=512, help="a-side modes (even, >= 128)")
+    p.add_argument("--grid-points", type=int, default=512, help="a-side modes (even, 128-65536)")
     return parser
 
 

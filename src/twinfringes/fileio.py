@@ -143,12 +143,11 @@ def write_pgm(image: FringeImage, path) -> None:
     samples = np.multiply(image.quadrant, scale)
     np.rint(samples, out=samples)
     samples = samples.astype(">u2")
-    header = (
-        f"P5\n# rate_max {image.normalization:.12e}\n{image.width} {image.height}\n{PGM_MAXVAL}\n"
-    )
+    size = image.resolution
+    header = f"P5\n# rate_max {image.normalization:.12e}\n{size} {size}\n{PGM_MAXVAL}\n"
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(mirror_quadrant(samples, image.height, image.width))
+        fh.write(mirror_quadrant(samples, size))
 
 
 def read_pgm(path) -> tuple[np.ndarray, float]:

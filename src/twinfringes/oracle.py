@@ -26,7 +26,7 @@ import numpy as np
 from .state import SuperposedState
 
 
-class ZeroRate(ArithmeticError):
+class ZeroRate(ValueError):
     """Visibility undefined: the rate vanished at every scan phase."""
 
 

@@ -1,7 +1,8 @@
 """Discretized biphoton states over signed transverse-mode lines.
 
-A mode grid holds the signed transverse angles of one photon's modes
-along a single line through the optical axis. The superposed state
+A mode grid holds only the signed transverse angles of one photon's
+modes along a single line through the optical axis; its place in
+``build_amplitudes`` says which photon it is. The superposed state
 stores the real amplitude table C over a pair of grids together with
 the phase of every a mode relative to the on-axis mode, from which
 :mod:`twinfringes.oracle` sums the counting rates. Only phase
@@ -36,12 +37,9 @@ class ModeGrid:
     ----------
     angles : array
         Distinct signed transverse angles, |angle| < 0.1 rad.
-    k_magnitude : float
-        Wavenumber of the photon species this grid represents [1/m].
     """
 
     angles: np.ndarray
-    k_magnitude: float
 
     def __post_init__(self):
         angles = np.asarray(self.angles, dtype=float)
@@ -55,16 +53,10 @@ class ModeGrid:
             raise ValueError("angles must be distinct")
         if not np.all(np.abs(angles) < PARAXIAL_LIMIT):
             raise ValueError(f"angles must lie in (-{PARAXIAL_LIMIT}, {PARAXIAL_LIMIT})")
-        if not self.k_magnitude > 0.0:
-            raise ValueError("k_magnitude must be positive")
 
     @property
     def n_modes(self) -> int:
         return self.angles.size
-
-    def transverse_x(self) -> np.ndarray:
-        """Signed transverse wavevector k sin(angle), paraxially k angle."""
-        return self.k_magnitude * self.angles
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,21 +103,20 @@ def camera_grid(rho_values, cfg: ExperimentConfig) -> ModeGrid:
     rho = np.asarray(rho_values, dtype=float)
     if np.any(rho < 0.0):
         raise ValueError("camera radii must be non-negative")
-    return ModeGrid(rho / cfg.f0, 2.0 * math.pi / cfg.lambda_b)
+    return ModeGrid(rho / cfg.f0)
 
 
 def conjugate_grid(grid_b: ModeGrid, cfg: ExperimentConfig) -> ModeGrid:
     """The a-side image of a b grid under the anti-correlated momentum map.
 
-    Transverse momenta cancel pairwise: k_a theta_a = -k_b theta_b.
-    Feeding this grid to the maximal model guarantees every b column
-    finds its partner.
+    Transverse momenta cancel pairwise: k_a theta_a = -k_b theta_b, so
+    mode j of this grid is the partner of column j of ``grid_b``. The
+    maximal model accepts no other a grid.
     """
-    angles = -(cfg.lambda_a / cfg.lambda_b) * grid_b.angles
-    return ModeGrid(angles, 2.0 * math.pi / cfg.lambda_a)
+    return ModeGrid(-(cfg.lambda_a / cfg.lambda_b) * grid_b.angles)
 
 
-def line_grid(cfg: ExperimentConfig, t_max: float, n_modes: int) -> ModeGrid:
+def line_grid(t_max: float, n_modes: int) -> ModeGrid:
     """Signed transverse line for photon a at midpoint angles.
 
     The 2 m modes sit at +(i + 1/2) t_max / m and -(i + 1/2) t_max / m,
@@ -137,7 +128,7 @@ def line_grid(cfg: ExperimentConfig, t_max: float, n_modes: int) -> ModeGrid:
         raise ValueError("n_modes must be an even number >= 4")
     half = n_modes // 2
     theta = (np.arange(half) + 0.5) * (t_max / half)
-    return ModeGrid(np.column_stack((theta, -theta)).ravel(), 2.0 * math.pi / cfg.lambda_a)
+    return ModeGrid(np.column_stack((theta, -theta)).ravel())
 
 
 def shell_line_grid(cfg: ExperimentConfig, rho_max: float, n_modes: int) -> ModeGrid:
@@ -154,7 +145,7 @@ def shell_line_grid(cfg: ExperimentConfig, rho_max: float, n_modes: int) -> Mode
     k_b = 2.0 * math.pi / cfg.lambda_b
     k0p = 2.0 * math.pi / cfg.lambda_p
     t_max = (6.0 * cfg.sigma_theta * k0p + k_b * rho_max / cfg.f0) / k_a
-    return line_grid(cfg, t_max, n_modes)
+    return line_grid(t_max, n_modes)
 
 
 def dephasing_grid(cfg: ExperimentConfig, n_modes: int) -> ModeGrid:
@@ -173,7 +164,7 @@ def dephasing_grid(cfg: ExperimentConfig, n_modes: int) -> ModeGrid:
             "phase dephases, so there is nothing to compare"
         )
     theta = np.sqrt(2.0 * math.pi * (np.arange(n_modes) + 0.5) / (n_modes * c2))
-    return ModeGrid(theta, 2.0 * math.pi / cfg.lambda_a)
+    return ModeGrid(theta)
 
 
 # ---------------------------------------------------------------------------
@@ -183,32 +174,25 @@ def dephasing_grid(cfg: ExperimentConfig, n_modes: int) -> ModeGrid:
 def build_amplitudes(grid_a: ModeGrid, grid_b: ModeGrid, cfg: ExperimentConfig) -> SuperposedState:
     """Construct the normalized state for the config's correlation model.
 
-    Maximal: one nonzero entry per b column, at the a mode whose
-    transverse momentum cancels it (GridMismatch if a column has no
-    partner). Uncorrelated: product of a uniform a marginal and the
-    Gaussian b envelope. Gaussian partial: the pump-shell conditional,
-    with the radial delta resolved analytically; each node carries the
-    ring measure |theta'| times the Gaussian in the shell angle
-    theta' = |k_a + k_b| transverse / k0'. The phase of every a mode,
-    relative to the on-axis mode, is attached as well.
+    Maximal: diagonal, since mode j of ``conjugate_grid(grid_b)`` cancels
+    the momentum of b column j; any other grid_a raises GridMismatch.
+    Uncorrelated: product of a uniform a marginal and the Gaussian b
+    envelope. Gaussian partial: the pump-shell conditional, with the
+    radial delta resolved analytically; each node carries the ring
+    measure |theta'| times the Gaussian in the shell angle
+    theta' = |x_a + x_b| / k0', x = (2 pi / lambda) angle. The phase of
+    every a mode, relative to the on-axis mode, is attached as well.
     """
     model = cfg.correlation_model
-    x_a = grid_a.transverse_x()
-    x_b = grid_b.transverse_x()
     p_b = np.exp(-2.0 * grid_b.angles**2 / cfg.sigma_b**2)
 
     if model is CorrelationModel.MAXIMAL:
-        target = -x_b
-        distance = np.abs(x_a[:, None] - target[None, :])
-        nearest = distance.argmin(axis=0)
-        scale = max(float(np.max(np.abs(x_a))), grid_a.k_magnitude * 1e-12)
-        if np.any(distance[nearest, np.arange(grid_b.n_modes)] > 1e-9 * scale):
+        if not np.array_equal(grid_a.angles, conjugate_grid(grid_b, cfg).angles):
             raise GridMismatch(
                 "grid_a is not the anti-correlated image of grid_b; "
                 "build it with conjugate_grid()"
             )
-        weights = np.zeros((grid_a.n_modes, grid_b.n_modes))
-        weights[nearest, np.arange(grid_b.n_modes)] = p_b
+        weights = np.diag(p_b)
     elif model is CorrelationModel.UNCORRELATED:
         u_a = np.full(grid_a.n_modes, 1.0 / grid_a.n_modes)
         weights = np.outer(u_a, p_b)
@@ -216,6 +200,8 @@ def build_amplitudes(grid_a: ModeGrid, grid_b: ModeGrid, cfg: ExperimentConfig) 
         if cfg.sigma_theta is None or cfg.lambda_p is None:
             raise ValueError("gaussian_partial model requires sigma_theta and lambda_p")
         k0p = 2.0 * math.pi / cfg.lambda_p
+        x_a = (2.0 * math.pi / cfg.lambda_a) * grid_a.angles
+        x_b = (2.0 * math.pi / cfg.lambda_b) * grid_b.angles
         theta_prime = (x_a[:, None] + x_b[None, :]) / k0p
         weights = (
             p_b[None, :]

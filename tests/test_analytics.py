@@ -380,7 +380,7 @@ def test_separable_render_is_the_exact_closed_form(tmp_path, model, d_a, screen,
     write_pgm(image, path)
     samples, _ = read_pgm(path)
     quantised = np.rint(exact * (65535 / exact.max()))
-    full = mirror_quadrant(quantised, resolution, resolution)
+    full = mirror_quadrant(quantised, resolution)
     assert np.max(np.abs(samples.astype(float) - full)) <= 1.0
 
 
@@ -440,26 +440,29 @@ def test_render_pattern_validates_arguments(maximal_cfg):
 
 
 def test_fringe_image_invariants():
-    # the image stores its (ceil(h/2), ceil(w/2)) lower-right quadrant
+    # the image stores its (ceil(n/2), ceil(n/2)) lower-right quadrant
     with pytest.raises(ValueError, match="shape"):
-        FringeImage(4, 4, 1e-5, np.zeros((3, 4)), 0.0)
+        FringeImage(4, 1e-5, np.zeros((3, 4)))
     with pytest.raises(ValueError, match="shape"):
-        FringeImage(4, 4, 1e-5, np.zeros((4, 4)), 0.0)
+        FringeImage(4, 1e-5, np.zeros((4, 4)))
+    with pytest.raises(ValueError):  # an empty frame has no maximum
+        FringeImage(0, 1e-5, np.zeros((0, 0)))
     with pytest.raises(ValueError, match="nonnegative"):
-        FringeImage(4, 4, 1e-5, np.array([[1.0, -0.1], [0.0, 0.5]]), 1.0)
-    with pytest.raises(ValueError, match="normalization"):
-        FringeImage(4, 4, 1e-5, np.ones((2, 2)), 0.5)
+        FringeImage(4, 1e-5, np.array([[1.0, -0.1], [0.0, 0.5]]))
+    # the normalization is the frame maximum, computed, not passed in
+    assert FringeImage(3, 1e-5, np.array([[0.5, 0.25], [2.0, 0.0]])).normalization == 2.0
 
 
 def test_fringe_image_sign_and_nan_checks():
     quadrant = np.ones((3, 3))
     quadrant[-1, -1] = -1e-300
     with pytest.raises(ValueError, match="nonnegative"):
-        FringeImage(5, 5, 1e-5, quadrant, 1.0)
+        FringeImage(5, 1e-5, quadrant)
     quadrant[-1, -1] = -0.0
-    assert np.signbit(FringeImage(5, 5, 1e-5, quadrant, 1.0).quadrant[-1, -1])
-    with pytest.raises(ValueError, match="normalization"):
-        FringeImage(4, 4, 1e-5, np.array([[1.0, np.nan], [0.0, 0.5]]), 1.0)
+    assert np.signbit(FringeImage(5, 1e-5, quadrant).quadrant[-1, -1])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            FringeImage(4, 1e-5, np.array([[1.0, bad], [0.0, 0.5]]))
     # a NaN does not hide a negative pixel
     with pytest.raises(ValueError, match="nonnegative"):
-        FringeImage(4, 4, 1e-5, np.array([[np.nan, 1.0], [-0.5, 0.5]]), 1.0)
+        FringeImage(4, 1e-5, np.array([[np.nan, 1.0], [-0.5, 0.5]]))

@@ -756,6 +756,42 @@ def test_non_finite_flag_is_usage_error(capsys, tmp_path, cfg_file, argv, writte
     assert not (tmp_path / written).exists()
 
 
+# Inputs a run must refuse with one error line, exit 1 and no data
+# file: a shell too narrow for any grid mode to see it, an image or a
+# grid too large to allocate, a separation whose frame overflows to NaN,
+# and ring radii whose squares underflow to a zero slope.
+HOSTILE = {
+    "narrow_shell": (PARTIAL.replace("9.37e-4", "1e-7"), ["oracle"],
+                     "rate is zero at every scan phase"),
+    "huge_image": (PARTIAL, ["simulate", "--resolution", "100000000000"],
+                   "resolution must be at most 8192 pixels"),
+    "huge_grid": (PARTIAL, ["oracle", "--grid-points", "100000000000"],
+                  "--grid-points must be at most 65536"),
+    "overflowing_frame": (PARTIAL.replace("d_a_mm = 11.7", "d_a_mm = 1e30"), ["simulate"],
+                          "rate field must be finite"),
+    "underflowing_rings": (PARTIAL, ["eqwavelength", "--data", "RINGS"],
+                           "fitted slope 0.0 is not positive"),
+}
+
+
+@pytest.mark.parametrize("text,argv,message", HOSTILE.values(), ids=HOSTILE.keys())
+def test_hostile_input_exits_with_one_error_line(tmp_path, text, argv, message):
+    cfg = _cfg(tmp_path, text, "hostile.cfg")
+    rings = _cfg(tmp_path, "d_a_mm,rho1_mm\n5,1e-170\n8,1e-170\n11.7,1e-170\n", "rings.csv")
+    argv = [rings if arg == "RINGS" else arg for arg in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "twinfringes.cli", argv[0], "--config", cfg,
+         "--out", str(tmp_path / "x"), *argv[1:]],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith(f"twinfringes: error: {message}")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["hostile.cfg", "rings.csv"]
+
+
 def test_cli_import_leaves_quadrature_unloaded():
     # the quadrature is a reference route only; no command needs scipy.integrate
     proc = subprocess.run(

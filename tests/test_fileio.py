@@ -194,7 +194,8 @@ def _reference_pgm_bytes(image):
     """The one-line PGM writer the in-place quantisation replaced."""
     scale = 65535 / image.normalization if image.normalization > 0.0 else 0.0
     samples = np.rint(image.values * scale).clip(0, 65535).astype(">u2")
-    header = f"P5\n# rate_max {image.normalization:.12e}\n{image.width} {image.height}\n65535\n"
+    size = image.resolution
+    header = f"P5\n# rate_max {image.normalization:.12e}\n{size} {size}\n65535\n"
     return header.encode("ascii") + samples.tobytes()
 
 
@@ -208,20 +209,16 @@ def _reference_profile_text(profile):
     return "\n".join(lines) + "\n"
 
 
-def _fringe_image(quadrant, height, width):
-    quadrant = np.asarray(quadrant, dtype=float)
-    return FringeImage(width, height, 1e-5, quadrant, float(quadrant.max()))
-
-
 def _pgm_cases(cfgs):
     rng = np.random.default_rng(7)
     images = [render_pattern(cfg, 3e-3, n, 0.4) for cfg in cfgs for n in (64, 257)]
-    images.append(_fringe_image(rng.random((35, 45)) * 3.7e-9, 70, 90))
-    # samples on exact half granules, where rint rounds half to even;
-    # the quadrant of an odd-width image keeps every one of them
-    half_granules = np.arange(0.0, 65535.5, 0.5).reshape(1, -1)
-    images.append(_fringe_image(half_granules, 1, 2 * half_granules.size - 1))
-    images.append(_fringe_image(np.zeros((32, 32)), 64, 64))
+    images.append(FringeImage(90, 1e-5, rng.random((45, 45)) * 3.7e-9))
+    # samples on exact half granules, where rint rounds half to even,
+    # in a 363 x 363 quadrant padded with zeros
+    half_granules = np.zeros(363 * 363)
+    half_granules[:131071] = np.arange(0.0, 65535.5, 0.5)
+    images.append(FringeImage(725, 1e-5, half_granules.reshape(363, 363)))
+    images.append(FringeImage(64, 1e-5, np.zeros((32, 32))))
     return images
 
 

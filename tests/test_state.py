@@ -26,37 +26,32 @@ RHO = np.linspace(0.0, 1.5e-3, 24)
 
 
 @pytest.mark.parametrize(
-    "angles,k",
+    "angles",
     [
-        ([[0.001]], 1.0),                 # not 1D
-        ([], 1.0),                        # empty
-        ([0.002, 0.001, 0.002], 1.0),     # repeated angle
-        ([-0.001, float("nan")], 1.0),    # not a number
-        ([0.001, 0.2], 1.0),              # beyond paraxial window
-        ([-0.1, 0.001], 1.0),             # beyond paraxial window, negative side
-        ([0.001], 0.0),                   # k not positive
+        [[0.001]],                   # not 1D
+        [],                          # empty
+        [0.002, 0.001, 0.002],       # repeated angle
+        [-0.001, float("nan")],      # not a number
+        [0.001, 0.2],                # beyond paraxial window
+        [-0.1, 0.001],               # beyond paraxial window, negative side
     ],
 )
-def test_mode_grid_rejects_bad_inputs(angles, k):
+def test_mode_grid_rejects_bad_inputs(angles):
     with pytest.raises(ValueError):
-        ModeGrid(np.asarray(angles), k)
+        ModeGrid(np.asarray(angles))
 
 
 def test_mode_grid_flattening_is_theta_major():
     # a line grid lists each |theta| with both signs before the next one
-    grid = line_grid(make_config(), 4e-3, n_modes=4)
+    grid = line_grid(4e-3, n_modes=4)
     assert grid.n_modes == 4
     assert np.allclose(grid.angles, [1e-3, -1e-3, 3e-3, -3e-3], rtol=1e-15)
     assert np.array_equal(grid.angles[1::2], -grid.angles[0::2])
-    x = grid.transverse_x()
-    assert x[0] == pytest.approx(1e-3 * grid.k_magnitude, rel=1e-12)
-    assert x[1] == -x[0]
 
 
 def test_camera_grid_maps_radius_to_angle(partial_cfg):
     grid = camera_grid(RHO, partial_cfg)
     assert np.allclose(grid.angles, RHO / partial_cfg.f0, rtol=1e-14)
-    assert grid.k_magnitude == pytest.approx(2.0 * math.pi / partial_cfg.lambda_b, rel=1e-14)
 
 
 def test_camera_grid_rejects_negative_radius(partial_cfg):
@@ -70,26 +65,26 @@ def test_conjugate_grid_cancels_transverse_momentum(partial_cfg):
     grid_a = conjugate_grid(grid_b, partial_cfg)
     # pairwise momentum cancellation: k_a theta_a = -k_b theta_b
     assert np.allclose(
-        grid_a.k_magnitude * grid_a.angles,
-        -grid_b.k_magnitude * grid_b.angles,
+        grid_a.angles / partial_cfg.lambda_a,
+        -grid_b.angles / partial_cfg.lambda_b,
         rtol=1e-13,
     )
     assert np.all(grid_a.angles < 0.0)
 
 
-def test_line_grid_midpoints(partial_cfg):
-    grid = line_grid(partial_cfg, 1e-3, n_modes=8)
+def test_line_grid_midpoints():
+    grid = line_grid(1e-3, n_modes=8)
     assert grid.n_modes == 8
     midpoints = (np.arange(4) + 0.5) * 0.25e-3
     assert np.allclose(grid.angles[0::2], midpoints, rtol=1e-14)
     assert np.array_equal(grid.angles[1::2], -grid.angles[0::2])
 
 
-def test_line_grid_rejects_odd_or_tiny(partial_cfg):
+def test_line_grid_rejects_odd_or_tiny():
     with pytest.raises(ValueError):
-        line_grid(partial_cfg, 1e-3, n_modes=7)
+        line_grid(1e-3, n_modes=7)
     with pytest.raises(ValueError):
-        line_grid(partial_cfg, 1e-3, n_modes=2)
+        line_grid(1e-3, n_modes=2)
 
 
 def test_shell_line_grid_covers_every_column(partial_cfg):
@@ -148,13 +143,21 @@ def test_maximal_table_is_one_to_one(maximal_cfg):
     state = build_amplitudes(grid_a, grid_b, maximal_cfg)
     occupancy = np.count_nonzero(state.amplitudes**2, axis=0)
     assert np.array_equal(occupancy, np.ones(grid_b.n_modes, dtype=int))
+    # mode j of the conjugate grid is the partner of column j
+    assert np.count_nonzero(np.diag(state.amplitudes)) == grid_b.n_modes
 
 
 def test_maximal_table_rejects_foreign_grid(maximal_cfg):
+    # the conjugate grid fixes each partner by position, so the same
+    # modes reordered, one angle one ulp off, or an extra mode fail too
     grid_b = camera_grid(RHO[1:], maximal_cfg)
-    stranger = line_grid(maximal_cfg, 1e-4, n_modes=8)
-    with pytest.raises(GridMismatch):
-        build_amplitudes(stranger, grid_b, maximal_cfg)
+    angles = conjugate_grid(grid_b, maximal_cfg).angles
+    nudged = angles.copy()
+    nudged[3] = np.nextafter(nudged[3], 0.0)
+    for stranger in (line_grid(1e-4, n_modes=8).angles, angles[::-1], nudged,
+                     np.append(angles, 1e-3)):
+        with pytest.raises(GridMismatch):
+            build_amplitudes(ModeGrid(stranger), grid_b, maximal_cfg)
 
 
 def test_uncorrelated_table_is_a_product(uncorrelated_cfg):
@@ -174,7 +177,9 @@ def test_partial_conditional_follows_ring_gaussian(partial_cfg):
     k0p = 2.0 * math.pi / partial_cfg.lambda_p
     sigma = partial_cfg.sigma_theta
     j = grid_b.n_modes - 1
-    x_shift = grid_a.transverse_x() + grid_b.transverse_x()[j]
+    k_a = 2.0 * math.pi / partial_cfg.lambda_a
+    k_b = 2.0 * math.pi / partial_cfg.lambda_b
+    x_shift = k_a * grid_a.angles + k_b * grid_b.angles[j]
     theta_prime = x_shift / k0p
     expect = np.abs(theta_prime) * np.exp(-2.0 * theta_prime**2 / sigma**2)
     expect /= expect.sum()
@@ -194,7 +199,7 @@ def test_empty_support_is_an_error(partial_cfg):
     grid_b = camera_grid(RHO, partial_cfg)
     # a-line ~90 shell widths out: exp(-2 theta'^2 / sigma^2) underflows to
     # exactly zero for every node, leaving no probability mass at all
-    grid_a = ModeGrid(np.array([0.08, 0.09]), 2.0 * math.pi / partial_cfg.lambda_a)
+    grid_a = ModeGrid(np.array([0.08, 0.09]))
     with pytest.raises(ValueError, match="underflowed"):
         build_amplitudes(grid_a, grid_b, partial_cfg)
 
@@ -223,7 +228,7 @@ def test_superposed_state_validates_inputs(partial_cfg):
 
 
 def test_two_photon_state_validates_shape_and_norm(partial_cfg):
-    grid = ModeGrid(np.array([0.001]), 1.0)
+    grid = ModeGrid(np.array([0.001]))
     with pytest.raises(ValueError, match="shape"):
         SuperposedState(grid, grid, np.ones((2, 2)), np.zeros(1), partial_cfg)
     with pytest.raises(ValueError, match="normalized"):

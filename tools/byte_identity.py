@@ -28,7 +28,13 @@ the same config of each model with a single emitting source
 (alpha1_mag 1, alpha2_mag 0), run the oracle at 512 modes, simulate at
 256 px with phi0 0.4 and visibility with the rho list and both sigma
 lists: the fringe term is 0 in every route, and so is every
-visibility. Every command is ``python -m twinfringes.cli`` in a fresh
+visibility. Five hostile runs on the reference partial config should
+each exit 1 and write no data file: the oracle at 512 modes with
+sigma_theta 1e-7, whose shell no grid mode sees; simulate at 10^11 px
+and the oracle at 10^11 modes, which no machine can allocate; simulate
+at 600 px with d_a 1e30 mm, whose frame overflows to NaN; and
+eqwavelength on ring radii of 1e-170 mm, whose squares underflow to a
+zero slope. Every command is ``python -m twinfringes.cli`` in a fresh
 interpreter with PYTHONPATH set to the tree. Exit codes and every
 output file are compared byte for byte; in a manifest the tree's work
 directory is first replaced by a placeholder and the values of
@@ -101,6 +107,21 @@ SINGLE_COMMANDS = {
     name: COMMANDS[name] for name in ("oracle", "sim256", "vrho", "vsigma", "vsigma_mixed")
 }
 
+# Hostile runs on the reference partial config (see the module docstring).
+REFERENCE = OPTICS + "d_a_mm = 11.7\nsigma_theta = 0.000937\nmodel = gaussian_partial\n"
+TINY_RINGS = "d_a_mm,rho1_mm\n5,1e-170\n8,1e-170\n11.7,1e-170\n"
+HOSTILE = {
+    "hostile_narrow": (REFERENCE.replace("0.000937", "1e-7"), {"oracle": COMMANDS["oracle"]}),
+    "hostile_far": (
+        REFERENCE.replace("d_a_mm = 11.7", "d_a_mm = 1e30"), {"sim600": COMMANDS["sim600"]}
+    ),
+    "hostile_huge": (REFERENCE, {
+        "sim": ["simulate", "--resolution", "100000000000"],
+        "oracle": ["oracle", "--grid-points", "100000000000"],
+        "eqwl": ["eqwavelength", "--data", "TINY_RINGS"],
+    }),
+}
+
 # The manifest values that change from run to run.
 VOLATILE = re.compile(rb'"(started_at|duration_s)": ("[^"]*"|[^,\n]*)')
 
@@ -121,14 +142,16 @@ def _configs() -> dict[str, tuple[str, dict]]:
         for name, extra in SOURCE_CONFIGS.items():
             out[f"{model}_{name}"] = reference + extra, SOURCE_COMMANDS
         out[f"{model}_single"] = reference + SINGLE_CONFIG, SINGLE_COMMANDS
+    out.update(HOSTILE)
     return out
 
 
 def run_tree(src: Path, work: Path) -> dict[str, int]:
     """Run every command against one tree; return exit codes by run name."""
     work.mkdir(parents=True)
-    rings = work / "rings.csv"
-    rings.write_text(RINGS, encoding="ascii")
+    data = {"RINGS": work / "rings.csv", "TINY_RINGS": work / "tiny_rings.csv"}
+    data["RINGS"].write_text(RINGS, encoding="ascii")
+    data["TINY_RINGS"].write_text(TINY_RINGS, encoding="ascii")
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
     codes = {}
     for cfg_name, (text, commands) in _configs().items():
@@ -136,7 +159,7 @@ def run_tree(src: Path, work: Path) -> dict[str, int]:
         cfg.write_text(text, encoding="ascii")
         for cmd_name, args in commands.items():
             run = f"{cfg_name}_{cmd_name}"
-            argv = [str(rings) if a == "RINGS" else a for a in args]
+            argv = [str(data[a]) if a in data else a for a in args]
             argv[1:1] = ["--config", str(cfg), "--out", str(work / run)]
             proc = subprocess.run(
                 [sys.executable, "-m", "twinfringes.cli", *argv],

@@ -499,8 +499,10 @@ def render_pattern(
     Br(rho g) factor does not separate in x and y, is interpolated: it
     is computed on a radial profile oversampled 4x relative to the
     pixel pitch and mapped to pixels by their center radius, which costs
-    a fraction of a per-pixel evaluation. Since hypot(x, y) is
-    hypot(y, x), only the quadrant's upper triangle is interpolated, in
+    a fraction of a per-pixel evaluation. A pixel's center radius is
+    sqrt(c_i^2 + c_j^2), from the squared centers formed once; it is
+    within an ulp of hypot(c_i, c_j). A sum of squares commutes, so
+    only the quadrant's upper triangle is interpolated, in
     _RENDER_STRIPS row strips (rows a0:a1, columns a0:), and each strip
     is also written transposed into columns a0:a1. Every pixel is the
     interpolated rate at its own center radius.
@@ -519,11 +521,14 @@ def render_pattern(
         r_corner = 0.5 * screen_size * math.sqrt(2.0)
         r_prof = np.linspace(0.0, r_corner + pitch, 4 * resolution + 2)
         rates = _fringe(r_prof, phi_0, cfg)[0]
+        square = centers * centers
         n = centers.size
         quadrant = np.empty((n, n))
         edges = [n * k // _RENDER_STRIPS for k in range(_RENDER_STRIPS + 1)]
         for a0, a1 in zip(edges[:-1], edges[1:]):
-            strip = np.interp(np.hypot(centers[a0:a1, None], centers[None, a0:]), r_prof, rates)
+            radius = np.add.outer(square[a0:a1], square[a0:])
+            np.sqrt(radius, out=radius)
+            strip = np.interp(radius, r_prof, rates)
             quadrant[a0:a1, a0:] = strip
             quadrant[a0:, a0:a1] = strip.T
     return FringeImage(resolution, pitch, quadrant)

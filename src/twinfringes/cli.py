@@ -113,8 +113,10 @@ def run_simulate(
     """
     _load_arrays()
     screen = screen_mm * 1e-3
-    image = analytics.render_pattern(cfg, screen, resolution, phi_0)
-    profile = analytics.radial_profile(cfg, 0.5 * screen, resolution, phi_0)
+    # an overflow leaves a non-finite frame, which FringeImage rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        image = analytics.render_pattern(cfg, screen, resolution, phi_0)
+        profile = analytics.radial_profile(cfg, 0.5 * screen, resolution, phi_0)
     write_pgm(image, out_image)
     write_profile_csv(profile, out_profile)
 
@@ -132,7 +134,8 @@ def run_visibility_scan(cfg: ExperimentConfig, out_csv, sigma_list=None, rho_lis
     as the config's own width is, except 0, the perfect-correlation
     limit, which is reported as v0 = c, the source contrast, with a
     blank HWHM. The rho list follows the configured model: its rows are
-    the visibility column that ``simulate`` writes at the same radii.
+    the visibility column that ``simulate`` writes at the same radii; a
+    radius at which the closed-form rate overflows raises UsageError.
     Nothing is written before the arguments validate.
     """
     if bool(sigma_list) == bool(rho_list):
@@ -159,7 +162,15 @@ def run_visibility_scan(cfg: ExperimentConfig, out_csv, sigma_list=None, rho_lis
             raise UsageError("scanned radii must be nonnegative")
         lines.append("rho_m,visibility")
         radii = np.array(rho_list, dtype=float)
-        for rho, vis in zip(radii.tolist(), analytics._fringe(radii, 0.0, cfg)[1].tolist()):
+        # a radius so large that the fringe phase or Br(rho g) overflows
+        # leaves a non-finite rate; it is named instead of warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            rate, visibility = analytics._fringe(radii, 0.0, cfg)
+        overflowed = ~np.isfinite(rate)
+        if overflowed.any():
+            rho_mm = radii[overflowed][0] * 1e3
+            raise UsageError(f"the closed form overflows at scanned radius {rho_mm:g} mm")
+        for rho, vis in zip(radii.tolist(), visibility.tolist()):
             lines.append(f"{rho:.11e},{vis:.11e}")
     Path(out_csv).write_text("\n".join(lines) + "\n", encoding="ascii")
 
@@ -185,8 +196,15 @@ def run_invert(cfg: ExperimentConfig, v0: float, rho1: float | None = None) -> s
         if rho1 <= 0.0:
             raise UsageError("first-ring radius must be positive")
         lambda_eq = ring_law_lambda_eq(rho1 * rho1 * cfg.d_a, cfg)
+        # rho_1^2 d_a underflows to 0, or lambda_a = lambda_b^2 / lambda_eq
+        # overflows in nm
+        lambda_a_nm = infer_lambda_a(lambda_eq, cfg.lambda_b) * 1e9 if lambda_eq > 0.0 else math.inf
+        if math.isinf(lambda_a_nm):
+            raise UsageError(
+                f"first-ring radius {rho1 * 1e3:g} mm is too small: rho_1^2 d_a underflows"
+            )
         lines.append(f"lambda_eq_nm = {lambda_eq * 1e9:.6f}")
-        lines.append(f"lambda_a_nm = {infer_lambda_a(lambda_eq, cfg.lambda_b) * 1e9:.6f}")
+        lines.append(f"lambda_a_nm = {lambda_a_nm:.6f}")
     return "\n".join(lines) + "\n"
 
 
@@ -229,16 +247,23 @@ def run_oracle_check(cfg: ExperimentConfig, grid_points: int, out) -> None:
     visibility |S| / A and the phi_0 = 0 rate A + Re S off one fringe
     phasor per radius, and checks both against the analytic results for
     the configured model. ``grid_points`` must be even and in [128, 65536],
-    whatever the model, or UsageError is raised. The JSON report is
-    written even on failure; ToleranceExceeded is raised afterwards so
-    the discrepancies stay inspectable.
+    whatever the model, or UsageError is raised. A closed form that
+    overflows on the config raises ValueError before anything is
+    written. Otherwise the JSON report is written even on failure;
+    ToleranceExceeded is raised afterwards so the discrepancies stay
+    inspectable.
     """
     if grid_points < 128 or grid_points % 2:
         raise UsageError(f"--grid-points must be an even number >= 128, got {grid_points}")
     if grid_points > 65536:
         raise UsageError(f"--grid-points must be at most 65536, got {grid_points}")
     _load_arrays()
-    closed = analytics.radial_profile(cfg, 0.5 * cfg.f0 * cfg.sigma_b, 16, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        closed = analytics.radial_profile(cfg, 0.5 * cfg.f0 * cfg.sigma_b, 16, 0.0)
+    if not (np.isfinite(closed.rate).all() and np.isfinite(closed.visibility).all()):
+        raise ValueError(
+            "the closed form overflows on this config: its rate or visibility is not finite"
+        )
     # the b grid's columns are exactly these radii
     grid_state = state.assemble_state(cfg, closed.rho, grid_points)
     vis_grid, rate_grid = oracle.visibility_scan(grid_state)
@@ -261,7 +286,7 @@ def run_oracle_check(cfg: ExperimentConfig, grid_points: int, out) -> None:
         "rate_tolerance": rate_tol,
         "passed": passed,
     }
-    Path(out).write_text(json.dumps(report, indent=2) + "\n", encoding="ascii")
+    Path(out).write_text(json.dumps(report, indent=2, allow_nan=False) + "\n", encoding="ascii")
     if not passed:
         raise ToleranceExceeded(
             f"visibility discrepancy {vis_err:.3e} (tol {vis_tol:.1e}), "

@@ -75,18 +75,29 @@ def _w_from_iz(iz: np.ndarray) -> np.ndarray:
     Estrin's scheme (pairs of terms, then pairs of pairs in Z^2, Z^4,
     ...) in about 20 array operations where Horner takes 80: on a short
     array each operation costs about the same whatever its length, so
-    their number sets the time. Every step is elementwise, so an
-    element's bits do not depend on the length of the array.
+    their number sets the time. Each level of pairs is one product into
+    a fresh block of half the rows (20, 10, 5, then 2), to which the
+    other half is added in place, so a long array allocates one block
+    per level; the same products and sums in another operand order
+    give the same bits. The one-row steps after that stay out of place:
+    numpy 2 runs an in-place operation on a one-element array at about
+    twice the cost of a new one, and scalars come through here. Every
+    step is elementwise, so an element's bits do not depend on the
+    length of the array.
     """
     denom = _L_ARRAY - iz
     big_z = (_L_ARRAY + iz) / denom
     z2 = big_z * big_z
     z4 = z2 * z2
     z8 = z4 * z4
-    p = _WEIDEMAN_EVEN + _WEIDEMAN_ODD * big_z  # 20 rows, degree 1 in Z
-    p = p[0::2] + p[1::2] * z2  # 10 rows, degree 3
-    p = p[0::2] + p[1::2] * z4  # 5 rows, degree 7, in Z^0, Z^8, ..., Z^32
-    q = p[0:4:2] + p[1:4:2] * z8  # 2 rows, degree 15, in Z^0 and Z^16
+    p = _WEIDEMAN_ODD * big_z  # 20 rows, degree 1 in Z
+    p += _WEIDEMAN_EVEN
+    q = p[1::2] * z2  # 10 rows, degree 3
+    q += p[0::2]
+    p = q[1::2] * z4  # 5 rows, degree 7, in Z^0, Z^8, ..., Z^32
+    p += q[0::2]
+    q = p[1:4:2] * z8  # 2 rows, degree 15, in Z^0 and Z^16
+    q += p[0:4:2]
     z16 = z8 * z8
     poly = q[0] + (q[1] + p[4] * z16) * z16
     return (poly / denom + _INV_SQRT_PI_ARRAY) / denom
@@ -254,6 +265,14 @@ def integrate_radial(
     cannot get there within the refinement budget, ToleranceNotReached
     is raised instead of silently returning a worse value.
 
+    QUADPACK starts from one panel per unit of the variable, with a
+    breakpoint at every integer strictly inside (lower, upper): the
+    integrands here are shell Gaussians of unit width in u = theta' /
+    sigma. From a single panel, a 21-point Gauss-Kronrod pair can agree
+    on an oscillating integrand and stop with an error estimate 50x
+    below its true error (3.2e-11 against 1.8e-9 on one partial-model
+    rate); with the breakpoints, that rate is exact to rounding.
+
     Parameters
     ----------
     f : callable
@@ -269,7 +288,9 @@ def integrate_radial(
         raise ValueError("abs_tol must be positive")
     from scipy import integrate
 
-    out = integrate.quad(f, lower, upper, epsabs=abs_tol, epsrel=0.0, limit=_QUAD_LIMIT, full_output=1)
+    points = list(range(math.floor(lower) + 1, math.ceil(upper))) or None
+    out = integrate.quad(f, lower, upper, epsabs=abs_tol, epsrel=0.0, limit=_QUAD_LIMIT,
+                         points=points, full_output=1)
     value, estimate = out[0], out[1]
     if len(out) > 3:  # QUADPACK appended a warning message
         raise ToleranceNotReached(

@@ -136,6 +136,16 @@ def test_partial_rate_matches_quadrature(sigma):
     assert worst <= 1e-9
 
 
+def test_quadrature_does_not_stop_on_one_false_panel():
+    # a render-workload request on which QUADPACK, started from one
+    # 21-point panel on [0, 6], reported an error of 3.2e-11 and was
+    # 1.8e-9 off; its unit-width panels give the rate to rounding
+    cfg = make_config(d_a=13.676531330592502e-3, sigma_theta=1.0581348608163475e-3)
+    phi_0, rho = 2.2085900119408275, 4.4893563987119897e-4
+    exact = mp_partial(rho, phi_0, cfg)[0]
+    assert abs(counting_rate_partial_quadrature(rho, phi_0, cfg) - exact) <= 1e-12 * exact
+
+
 @pytest.mark.parametrize("sigma,d_a,n_a", [
     (1e-4, 11.7e-3, 1.0),
     (9.37e-4, 11.7e-3, 1.0),
@@ -335,6 +345,19 @@ def _exact_quadrant(cfg, screen, resolution, phi_0):
     return _fringe(np.hypot(centers[:, None], centers[None, :]), phi_0, cfg)[0]
 
 
+def pixel_radii(centers):
+    """Center radius sqrt(c_i^2 + c_j^2) of every pixel, formed as render_pattern forms it.
+
+    Asserts that each radius is within 1 ulp of hypot(c_i, c_j), which
+    pins the geometry to the exact one.
+    """
+    square = centers * centers
+    radii = np.sqrt(square[:, None] + square[None, :])
+    exact = np.hypot(centers[:, None], centers[None, :])
+    assert np.all(np.abs(radii - exact) <= np.spacing(exact))
+    return radii
+
+
 @pytest.mark.parametrize("model", list(CorrelationModel))
 @pytest.mark.parametrize("resolution", [64, 65, 255, 256, 1023])
 def test_render_pattern_equals_direct_per_pixel_evaluation(model, resolution):
@@ -347,7 +370,7 @@ def test_render_pattern_equals_direct_per_pixel_evaluation(model, resolution):
     image = render_pattern(cfg, screen, resolution, phi_0)
     pitch = screen / resolution
     centers = (np.arange(resolution) - 0.5 * (resolution - 1)) * pitch
-    radii = np.hypot(centers[:, None], centers[None, :])
+    radii = pixel_radii(centers)
     if model is CorrelationModel.GAUSSIAN_PARTIAL:
         r_prof = np.linspace(0.0, 0.5 * screen * math.sqrt(2.0) + pitch, 4 * resolution + 2)
         direct = np.interp(radii, r_prof, _fringe(r_prof, phi_0, cfg)[0])

@@ -771,6 +771,12 @@ HOSTILE = {
                           "rate field must be finite"),
     "underflowing_rings": (PARTIAL, ["eqwavelength", "--data", "RINGS"],
                            "fitted slope 0.0 is not positive"),
+    "overflowing_oracle": (PARTIAL.replace("d_a_mm = 11.7", "d_a_mm = 1e30"), ["oracle"],
+                           "the closed form overflows on this config"),
+    "overflowing_radius": (PARTIAL, ["visibility", "--rho-mm-list", "0,1e300"],
+                           "the closed form overflows at scanned radius 1e+300 mm"),
+    "underflowing_ring": (PARTIAL, ["invert", "--v0", "0.5", "--rho1-mm", "1e-200"],
+                          "first-ring radius 1e-200 mm is too small"),
 }
 
 
@@ -788,7 +794,8 @@ def test_hostile_input_exits_with_one_error_line(tmp_path, text, argv, message):
     )
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
-    assert proc.stderr.splitlines()[-1].startswith(f"twinfringes: error: {message}")
+    (line,) = proc.stderr.splitlines()  # no numpy RuntimeWarning either
+    assert line.startswith(f"twinfringes: error: {message}")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["hostile.cfg", "rings.csv"]
 
 

@@ -31,7 +31,7 @@ from twinfringes.analytics import _fringe
 from twinfringes.cli import run_oracle_check
 
 from conftest import make_config
-from test_analytics import SEPARABLE_TOL
+from test_analytics import SEPARABLE_TOL, pixel_radii
 from test_fileio import _reference_pgm_bytes
 
 # Deterministic draws keep the tier-1 run reproducible.
@@ -146,7 +146,7 @@ def test_octant_render_and_quadrant_pgm_match_full_frame_references(
     image = render_pattern(cfg, screen, resolution, phi)
     pitch = screen / resolution
     centers = (np.arange(resolution) - 0.5 * (resolution - 1)) * pitch
-    radii = np.hypot(centers[:, None], centers[None, :])
+    radii = pixel_radii(centers)
     path = tmp_path_factory.mktemp("render") / "image.pgm"
     write_pgm(image, path)
     assert path.read_bytes() == _reference_pgm_bytes(image)

@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 from twinfringes import ToleranceNotReached, dm2_pair_scaled, faddeeva, integrate_radial
-from twinfringes.special import dm2_pair_slope, two_product
+from twinfringes.special import (
+    _INV_SQRT_PI_ARRAY, _L_ARRAY, _WEIDEMAN_EVEN, _WEIDEMAN_ODD, _w_from_iz, dm2_pair_slope,
+    two_product,
+)
 
 # Frozen from an independent 50-digit evaluation.
 W_REF = {
@@ -185,3 +188,30 @@ def test_integrate_radial_flags_unreachable_tolerance():
     with pytest.raises(ToleranceNotReached) as excinfo:
         integrate_radial(lambda x: math.cos(3.0e6 * x), 0.0, 1.0, 1e-13)
     assert hasattr(excinfo.value, "estimate")
+
+
+def _w_from_iz_out_of_place(iz):
+    """The earlier Estrin evaluation of _w_from_iz, every step a new array."""
+    denom = _L_ARRAY - iz
+    big_z = (_L_ARRAY + iz) / denom
+    z2 = big_z * big_z
+    z4 = z2 * z2
+    z8 = z4 * z4
+    p = _WEIDEMAN_EVEN + _WEIDEMAN_ODD * big_z
+    p = p[0::2] + p[1::2] * z2
+    p = p[0::2] + p[1::2] * z4
+    q = p[0:4:2] + p[1:4:2] * z8
+    z16 = z8 * z8
+    poly = q[0] + (q[1] + p[4] * z16) * z16
+    return (poly / denom + _INV_SQRT_PI_ARRAY) / denom
+
+
+@pytest.mark.parametrize("n", [1, 16, 65, 650, 2562, 4098])
+def test_estrin_levels_in_place_keep_every_bit(n):
+    # one product per level and an in-place sum take the same operations
+    # as the out-of-place form, with operands swapped under + and *
+    rng = np.random.default_rng(n)
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, n)
+    iz = scale * (-np.abs(rng.standard_normal(n)) + 1j * rng.standard_normal(n))
+    got, want = _w_from_iz(iz), _w_from_iz_out_of_place(iz)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -28,17 +28,20 @@ the same config of each model with a single emitting source
 (alpha1_mag 1, alpha2_mag 0), run the oracle at 512 modes, simulate at
 256 px with phi0 0.4 and visibility with the rho list and both sigma
 lists: the fringe term is 0 in every route, and so is every
-visibility. Five hostile runs on the reference partial config should
+visibility. Eight hostile runs on the reference partial config should
 each exit 1 and write no data file: the oracle at 512 modes with
 sigma_theta 1e-7, whose shell no grid mode sees; simulate at 10^11 px
 and the oracle at 10^11 modes, which no machine can allocate; simulate
-at 600 px with d_a 1e30 mm, whose frame overflows to NaN; and
-eqwavelength on ring radii of 1e-170 mm, whose squares underflow to a
-zero slope. Every command is ``python -m twinfringes.cli`` in a fresh
-interpreter with PYTHONPATH set to the tree. Exit codes and every
-output file are compared byte for byte; in a manifest the tree's work
-directory is first replaced by a placeholder and the values of
-``started_at`` and ``duration_s`` are masked, so its indent, key order
+at 600 px and the oracle at 512 modes with d_a 1e30 mm, whose closed
+form overflows to NaN; visibility at radii 0 and 1e300 mm, whose
+fringe phase overflows; invert with a first-ring radius of 1e-200 mm,
+whose rho_1^2 d_a underflows to 0; and eqwavelength on ring radii of
+1e-170 mm, whose squares underflow to a zero slope. Every command is
+``python -m twinfringes.cli`` in a fresh interpreter with PYTHONPATH
+set to the tree. Exit codes and every output file are compared byte
+for byte; in a manifest the tree's work directory is first replaced by
+a placeholder and the values of ``started_at`` and ``duration_s`` are
+masked, so its indent, key order
 and final newline are compared too. For two differing PGMs of the same
 size, the number of changed samples and the largest change in 16-bit
 LSB are printed as well.
@@ -113,11 +116,14 @@ TINY_RINGS = "d_a_mm,rho1_mm\n5,1e-170\n8,1e-170\n11.7,1e-170\n"
 HOSTILE = {
     "hostile_narrow": (REFERENCE.replace("0.000937", "1e-7"), {"oracle": COMMANDS["oracle"]}),
     "hostile_far": (
-        REFERENCE.replace("d_a_mm = 11.7", "d_a_mm = 1e30"), {"sim600": COMMANDS["sim600"]}
+        REFERENCE.replace("d_a_mm = 11.7", "d_a_mm = 1e30"),
+        {name: COMMANDS[name] for name in ("sim600", "oracle")},
     ),
     "hostile_huge": (REFERENCE, {
         "sim": ["simulate", "--resolution", "100000000000"],
         "oracle": ["oracle", "--grid-points", "100000000000"],
+        "vrho": ["visibility", "--rho-mm-list", "0,1e300"],
+        "invert": ["invert", "--v0", "0.5", "--rho1-mm", "1e-200"],
         "eqwl": ["eqwavelength", "--data", "TINY_RINGS"],
     }),
 }

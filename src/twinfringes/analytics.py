@@ -220,35 +220,44 @@ def _partial_fringe(rho, phi_0: float, cfg: ExperimentConfig):
     return rate, contrast * np.abs(br) / constants.gamma
 
 
-def counting_rate_partial_quadrature(rho: float, phi_0: float, cfg: ExperimentConfig) -> float:
+def counting_rate_partial_quadrature(rho, phi_0: float, cfg: ExperimentConfig):
     """Partially correlated rate as the radial shell integral (reference route).
 
     Integrates
-    theta' exp(-2 theta'^2 / sigma^2) {2 + c cos[nA (B theta' - rho)^2 - phi]
-    + c cos[nA (B theta' + rho)^2 - phi]}
-    over the shell angle theta' (substituted u = theta' / sigma, truncated
-    at QUADRATURE_SPAN widths), times the camera envelope, with (c, static)
-    = ``source_fringe(cfg)`` and phi = phi_0 + static. The radial delta
-    of the shell model is resolved analytically beforehand; nothing here
-    approximates a delta numerically. No production path calls
+    theta' exp(-2 theta'^2 / sigma^2) {2 + c cos[C (B theta' - rho)^2 - phi]
+    + c cos[C (B theta' + rho)^2 - phi]}
+    over the shell angle theta', times the camera envelope, with
+    (c, static) = ``source_fringe(cfg)`` and phi = phi_0 + static.
+    C = n_a pi d_a lambda_a / (f0 lambda_b)^2 and B = f0 lambda_b /
+    lambda_p are formed here from the config fields, not taken from
+    ``derive_constants``, so that a fault there cannot cancel between
+    this route and the closed form. In u = theta' / sigma, truncated at
+    QUADRATURE_SPAN widths, with b = B sigma and kappa = C b^2, the two
+    cosines sum to 2 Re[e^{i(C rho^2 - phi)} e^{i kappa u^2}] cos(2 C b rho u),
+    and the rest integrates to 1/2 (to within e^{-72}). So
+    ``special.integrate_radial`` integrates u e^{(i kappa - 2) u^2}
+    cos(2 C b rho u), for every radius at once, and the large phase
+    C rho^2 - phi is applied once per radius, never added to a node's.
+    The radial delta of the shell model is resolved analytically
+    beforehand; nothing here approximates a delta numerically. ``rho``
+    is a radius, giving a float, or an array of radii. No command calls
     this; it is the independent check on counting_rate_partial.
     """
     _require_nonnegative(rho)
-    if cfg.sigma_theta is None:
-        raise ValueError("partial-correlation rate requires sigma_theta")
-    constants = derive_constants(cfg)
-    curvature = cfg.n_a * constants.A
-    b_sigma = constants.B * cfg.sigma_theta
+    if cfg.sigma_theta is None or cfg.lambda_p is None:
+        raise ValueError("partial-correlation rate requires sigma_theta and lambda_p")
+    curvature = cfg.n_a * (math.pi * cfg.d_a * cfg.lambda_a / (cfg.f0 * cfg.lambda_b) ** 2)
+    b_sigma = cfg.f0 * cfg.lambda_b / cfg.lambda_p * cfg.sigma_theta
+    exponent = complex(-2.0, curvature * b_sigma * b_sigma)
+    beat = 2.0 * curvature * b_sigma * rho
     contrast, static = source_fringe(cfg)
-    phi = phi_0 + static
 
-    def integrand(u: float) -> float:
-        lobe_minus = contrast * math.cos(curvature * (b_sigma * u - rho) ** 2 - phi)
-        lobe_plus = contrast * math.cos(curvature * (b_sigma * u + rho) ** 2 - phi)
-        return u * math.exp(-2.0 * u * u) * (2.0 + lobe_minus + lobe_plus)
+    def integrand(u):
+        return u * np.exp(exponent * (u * u)) * np.cos(np.multiply.outer(beat, u))
 
     value = integrate_radial(integrand, 0.0, QUADRATURE_SPAN, QUADRATURE_ABS_TOL)
-    return cfg.sigma_theta**2 * float(_envelope(rho, cfg)) * value
+    fringe = np.exp(1j * (curvature * rho * rho - (phi_0 + static))) * value
+    return cfg.sigma_theta**2 * _envelope(rho, cfg) * (0.5 + 2.0 * contrast * fringe.real)
 
 
 def visibility_closed_form(rho, cfg: ExperimentConfig):

@@ -23,7 +23,8 @@ from pathlib import Path
 
 from . import __version__
 from .config import (
-    CorrelationModel, ExperimentConfig, derive_constants, source_fringe, validate_sigma_theta,
+    PARAXIAL_LIMIT, CorrelationModel, ExperimentConfig, derive_constants, source_fringe,
+    validate_sigma_theta,
 )
 from .fileio import (
     ParseError,
@@ -202,6 +203,15 @@ def run_invert(cfg: ExperimentConfig, v0: float, rho1: float | None = None) -> s
         if math.isinf(lambda_a_nm):
             raise UsageError(
                 f"first-ring radius {rho1 * 1e3:g} mm is too small: rho_1^2 d_a underflows"
+            )
+        # the ring's angle at the camera, and its partner's at the a source
+        ring_angle = rho1 / cfg.f0
+        partner_angle = lambda_a_nm * 1e-9 / cfg.lambda_b * ring_angle
+        if max(ring_angle, partner_angle) >= PARAXIAL_LIMIT:
+            raise UsageError(
+                f"first-ring radius {rho1 * 1e3:g} mm is not paraxial: ring angle "
+                f"{ring_angle:.3g} rad, partner angle {partner_angle:.3g} rad "
+                f"(limit {PARAXIAL_LIMIT} rad)"
             )
         lines.append(f"lambda_eq_nm = {lambda_eq * 1e9:.6f}")
         lines.append(f"lambda_a_nm = {lambda_a_nm:.6f}")

@@ -145,6 +145,16 @@ def shell_line_grid(cfg: ExperimentConfig, rho_max: float, n_modes: int) -> Mode
     k_b = 2.0 * math.pi / cfg.lambda_b
     k0p = 2.0 * math.pi / cfg.lambda_p
     t_max = (6.0 * cfg.sigma_theta * k0p + k_b * rho_max / cfg.f0) / k_a
+    # line_grid's outermost node, with its bits: where ModeGrid would
+    # reject the grid, say which inputs put it there
+    half = n_modes // 2
+    outermost = (half - 0.5) * (t_max / half) if half else 0.0
+    if outermost >= PARAXIAL_LIMIT:
+        raise ValueError(
+            f"the shell grid reaches {outermost:.3g} rad, past the paraxial "
+            f"limit {PARAXIAL_LIMIT} rad: sigma_theta = {cfg.sigma_theta!r} and "
+            f"rho_max = {rho_max * 1e3:g} mm are too large for the partial-model oracle"
+        )
     return line_grid(t_max, n_modes)
 
 

@@ -103,12 +103,7 @@ def test_criterion_3_three_way_consistency():
 
     state = assemble_state(cfg, radii, n_modes=512)
     v_grid = visibility_scan(state)[0]
-    v_quad = np.array(
-        [
-            sweep_visibility(lambda p, rr=float(r): counting_rate_partial_quadrature(rr, p, cfg))
-            for r in radii
-        ]
-    )
+    v_quad = sweep_visibility(lambda p: counting_rate_partial_quadrature(radii, p, cfg))
     v_closed = np.array([visibility_closed_form(float(r), cfg) for r in radii])
 
     worst = max(

@@ -30,6 +30,7 @@ from twinfringes import (
     visibility_hwhm,
     write_pgm,
 )
+from twinfringes import analytics
 from twinfringes.analytics import _fringe, mirror_quadrant
 from twinfringes.config import source_fringe
 
@@ -54,7 +55,8 @@ def test_maxcorr_rate_bright_and_dark(maximal_cfg):
     assert counting_rate_maxcorr(0.0, math.pi, maximal_cfg) == 0.0
     r1 = fringe_radius(1, maximal_cfg)
     envelope = math.exp(-2.0 * r1**2 / (maximal_cfg.f0 * maximal_cfg.sigma_b) ** 2)
-    assert counting_rate_maxcorr(r1, 0.0, maximal_cfg) == pytest.approx(2.0 * envelope, rel=1e-9)
+    rate = counting_rate_maxcorr(r1, 0.0, maximal_cfg)
+    assert rate == pytest.approx(2.0 * envelope, rel=1e-9, abs=0)
 
 
 def test_maxcorr_rate_rejects_negative_radius(maximal_cfg):
@@ -65,16 +67,16 @@ def test_maxcorr_rate_rejects_negative_radius(maximal_cfg):
 def test_fringe_radius_reference_and_scaling(maximal_cfg):
     assert fringe_radius(0, maximal_cfg) == 0.0
     r1 = fringe_radius(1, maximal_cfg)
-    assert r1 == pytest.approx(RHO_1_REF, rel=1e-11)
+    assert r1 == pytest.approx(RHO_1_REF, rel=1e-11, abs=0)
     for n in range(2, 11):
-        assert fringe_radius(n, maximal_cfg) == pytest.approx(r1 * math.sqrt(n), rel=1e-13)
+        assert fringe_radius(n, maximal_cfg) == pytest.approx(r1 * math.sqrt(n), rel=1e-13, abs=0)
 
 
 def test_fringe_radius_equivalent_wavelength_form(maximal_cfg):
     cfg = maximal_cfg
     lam_eq = cfg.lambda_b**2 / cfg.lambda_a
     expect = math.sqrt(2.0 * lam_eq * cfg.f0**2 / (cfg.n_a * cfg.d_a))
-    assert fringe_radius(1, cfg) == pytest.approx(expect, rel=1e-13)
+    assert fringe_radius(1, cfg) == pytest.approx(expect, rel=1e-13, abs=0)
 
 
 def test_fringe_radius_errors(maximal_cfg):
@@ -88,7 +90,8 @@ def test_uncorrelated_rate_is_bare_envelope(uncorrelated_cfg):
     scale = (uncorrelated_cfg.f0 * uncorrelated_cfg.sigma_b) ** 2
     for rho in (0.0, 0.5e-3, 1.5e-3):
         expect = math.exp(-2.0 * rho**2 / scale)
-        assert counting_rate_uncorrelated(rho, uncorrelated_cfg) == pytest.approx(expect, rel=1e-13)
+        rate = counting_rate_uncorrelated(rho, uncorrelated_cfg)
+        assert rate == pytest.approx(expect, rel=1e-13, abs=0)
 
 
 def test_partial_rate_dc_level(partial_cfg):
@@ -98,19 +101,21 @@ def test_partial_rate_dc_level(partial_cfg):
     for phi_0 in (0.0, 0.7, 2.2):
         total = counting_rate_partial_quadrature(0.0, phi_0, partial_cfg)
         total += counting_rate_partial_quadrature(0.0, phi_0 + math.pi, partial_cfg)
-        assert total == pytest.approx(sigma2, rel=1e-9)
+        assert total == pytest.approx(sigma2, rel=1e-9, abs=0)
 
 
 def test_partial_rate_phase_sweep_matches_closed_form(partial_cfg):
-    for rho in (0.0, 0.6e-3, 1.276e-3):
-        v = sweep_visibility(lambda p: counting_rate_partial_quadrature(rho, p, partial_cfg))
-        assert v == pytest.approx(visibility_closed_form(rho, partial_cfg), abs=1e-9)
+    rho = np.array([0.0, 0.6e-3, 1.276e-3])
+    v = sweep_visibility(lambda p: counting_rate_partial_quadrature(rho, p, partial_cfg))
+    assert v == pytest.approx(visibility_closed_form(rho, partial_cfg), abs=1e-9)
 
 
 def test_partial_rate_requires_sigma_theta():
     cfg = make_config(CorrelationModel.MAXIMAL)
     with pytest.raises(ValueError):
         counting_rate_partial_quadrature(0.0, 0.0, cfg)
+    with pytest.raises(ValueError, match="lambda_p"):
+        counting_rate_partial_quadrature(0.0, 0.0, dataclasses.replace(make_config(), lambda_p=None))
     with pytest.raises(ValueError):
         counting_rate_partial(0.0, 0.0, cfg)
 
@@ -124,13 +129,13 @@ def test_partial_rate_rejects_negative_radius(partial_cfg):
 def test_partial_rate_matches_quadrature(sigma):
     # closed form vs the independent quadrature route, peak-relative,
     # across the revival region; the quadrature certifies 1e-10 absolute
-    # on an O(0.5) integral (measured worst 4e-14)
+    # on an O(0.5) integral (measured worst 1e-15)
     rho = np.linspace(0.0, 10e-3, 26)
     worst = 0.0
     grid = itertools.product((5e-3, 11.7e-3, 20e-3), (1.0, 1.5), (0.0, 0.7, 2.5, -1.0))
     for d_a, n_a, phi_0 in grid:
         cfg = make_config(sigma_theta=sigma, d_a=d_a, n_a=n_a)
-        quad = np.array([counting_rate_partial_quadrature(float(r), phi_0, cfg) for r in rho])
+        quad = counting_rate_partial_quadrature(rho, phi_0, cfg)
         closed = counting_rate_partial(rho, phi_0, cfg)
         worst = max(worst, float(np.max(np.abs(closed - quad)) / quad.max()))
     assert worst <= 1e-9
@@ -139,12 +144,34 @@ def test_partial_rate_matches_quadrature(sigma):
 def test_quadrature_does_not_stop_on_one_false_panel():
     # a render-workload request on which QUADPACK, started from one
     # 21-point panel on [0, 6], reported an error of 3.2e-11 and was
-    # 1.8e-9 off; its unit-width panels give the rate to rounding
+    # 1.8e-9 off; the rule compares two panel counts, each at least one
+    # panel per unit width, and gives the rate to rounding
     cfg = make_config(d_a=13.676531330592502e-3, sigma_theta=1.0581348608163475e-3)
     phi_0, rho = 2.2085900119408275, 4.4893563987119897e-4
     exact = mp_partial(rho, phi_0, cfg)[0]
     assert abs(counting_rate_partial_quadrature(rho, phi_0, cfg) - exact) <= 1e-12 * exact
 
+
+
+def test_quadrature_takes_a_radius_or_an_array(partial_cfg):
+    rho = np.array([[0.0, 0.4e-3], [1.1e-3, 2.5e-3]])
+    rates = counting_rate_partial_quadrature(rho, 0.3, partial_cfg)
+    assert rates.shape == rho.shape
+    one = counting_rate_partial_quadrature(1.1e-3, 0.3, partial_cfg)
+    assert isinstance(one, float)
+    assert one == pytest.approx(rates[1, 0], rel=1e-14, abs=0)
+
+
+def test_quadrature_forms_its_own_constants(partial_cfg, monkeypatch):
+    # a fault in derive_constants must not reach the reference route
+    expected = counting_rate_partial_quadrature(np.array([0.0, 1e-3]), 0.3, partial_cfg)
+
+    def broken(*args, **kwargs):
+        raise AssertionError("the quadrature read derive_constants")
+
+    monkeypatch.setattr(analytics, "derive_constants", broken)
+    got = counting_rate_partial_quadrature(np.array([0.0, 1e-3]), 0.3, partial_cfg)
+    assert np.array_equal(got, expected)
 
 @pytest.mark.parametrize("sigma,d_a,n_a", [
     (1e-4, 11.7e-3, 1.0),
@@ -190,7 +217,7 @@ def test_rates_take_scalars_and_arrays(request, cfg_name):
 
 @pytest.mark.parametrize("rho,want", sorted(V_REF.items()))
 def test_visibility_closed_form_reference(partial_cfg, rho, want):
-    assert visibility_closed_form(rho, partial_cfg) == pytest.approx(want, rel=1e-10)
+    assert visibility_closed_form(rho, partial_cfg) == pytest.approx(want, rel=1e-10, abs=0)
 
 
 def test_visibility_depends_only_on_radius(partial_cfg):
@@ -201,7 +228,7 @@ def test_visibility_depends_only_on_radius(partial_cfg):
 
 def test_central_visibility_identities(partial_cfg):
     v0 = central_visibility(partial_cfg)
-    assert v0 == pytest.approx(0.996118297317, rel=1e-10)
+    assert v0 == pytest.approx(0.996118297317, rel=1e-10, abs=0)
     assert v0 == 2.0 / derive_constants(partial_cfg).gamma
     # rho = 0 closed form collapses to the same number bit-exactly
     assert visibility_closed_form(0.0, partial_cfg) == v0
@@ -214,9 +241,9 @@ def test_perfect_correlation_visibility_is_unity(maximal_cfg):
 
 def test_hwhm_reference_and_half_property(partial_cfg):
     r0 = visibility_hwhm(partial_cfg)
-    assert r0 == pytest.approx(HWHM_REF, rel=1e-7)
+    assert r0 == pytest.approx(HWHM_REF, rel=1e-7, abs=0)
     v0 = central_visibility(partial_cfg)
-    assert visibility_closed_form(r0, partial_cfg) == pytest.approx(0.5 * v0, rel=1e-8)
+    assert visibility_closed_form(r0, partial_cfg) == pytest.approx(0.5 * v0, rel=1e-8, abs=0)
 
 
 def test_hwhm_against_mpmath_root():
@@ -289,18 +316,20 @@ def test_static_source_phase_adds_to_the_scan_phase(model):
     rho = np.linspace(0.0, 2e-3, 33)
     for phi_0 in (0.0, 0.4, -2.0):
         got = _fringe(rho, phi_0, shifted)[0]
-        assert got == pytest.approx(_fringe(rho, phi_0 + 0.9, make_config(model))[0], rel=1e-13)
+        want = _fringe(rho, phi_0 + 0.9, make_config(model))[0]
+        assert got == pytest.approx(want, rel=1e-13, abs=0)
 
 
 def test_quadrature_carries_the_source_factor(partial_cfg):
     # contrast 0.96 on the visibility, and phi2 = 0.7 added to the scan phase
     in_phase = make_config(alpha1_mag=0.8, alpha2_mag=0.6)
     cfg = dataclasses.replace(in_phase, phi2=0.7)
-    for rho in (0.0, 0.6e-3, 1.3e-3):
-        v = sweep_visibility(lambda p: counting_rate_partial_quadrature(rho, p, cfg))
-        assert v == pytest.approx(0.96 * visibility_closed_form(rho, partial_cfg), rel=1e-9)
-        expected = float(counting_rate_partial(rho, 1.1, in_phase))
-        assert counting_rate_partial_quadrature(rho, 0.4, cfg) == pytest.approx(expected, rel=1e-9)
+    rho = np.array([0.0, 0.6e-3, 1.3e-3])
+    v = sweep_visibility(lambda p: counting_rate_partial_quadrature(rho, p, cfg))
+    assert v == pytest.approx(0.96 * visibility_closed_form(rho, partial_cfg), rel=1e-9, abs=0)
+    expected = counting_rate_partial(rho, 1.1, in_phase)
+    got = counting_rate_partial_quadrature(rho, 0.4, cfg)
+    assert got == pytest.approx(expected, rel=1e-9, abs=0)
 
 
 def test_radial_profile_needs_two_samples(partial_cfg):

@@ -135,10 +135,10 @@ def test_visibility_sigma_scan(tmp_path, cfg_file):
     # perfect correlation: v0 = 1 and no half point, so a blank hwhm field
     assert float(rows[0][1]) == 1.0
     assert rows[0][2] == ""
-    assert float(rows[1][1]) == pytest.approx(0.996118297317, rel=1e-10)
-    assert float(rows[1][2]) == pytest.approx(9.5023261e-4, rel=1e-7)
-    assert float(rows[2][1]) == pytest.approx(0.928929436300, rel=1e-10)
-    assert float(rows[2][2]) == pytest.approx(4.87081099408e-4, rel=1e-10)
+    assert float(rows[1][1]) == pytest.approx(0.996118297317, rel=1e-10, abs=0)
+    assert float(rows[1][2]) == pytest.approx(9.5023261e-4, rel=1e-7, abs=0)
+    assert float(rows[2][1]) == pytest.approx(0.928929436300, rel=1e-10, abs=0)
+    assert float(rows[2][2]) == pytest.approx(4.87081099408e-4, rel=1e-10, abs=0)
     # both columns shrink as the correlation weakens
     assert float(rows[2][1]) < float(rows[1][1])
     assert float(rows[2][2]) < float(rows[1][2])
@@ -183,9 +183,9 @@ def test_visibility_rho_scan(tmp_path, cfg_file):
     lines = (tmp_path / "rho.csv").read_text().splitlines()
     assert lines[0] == "rho_m,visibility"
     values = [float(line.split(",")[1]) for line in lines[1:]]
-    assert values[0] == pytest.approx(0.996118297317, rel=1e-10)
-    assert values[1] == pytest.approx(0.772281240225, rel=1e-10)
-    assert values[2] == pytest.approx(0.0718633085399, rel=1e-10)
+    assert values[0] == pytest.approx(0.996118297317, rel=1e-10, abs=0)
+    assert values[1] == pytest.approx(0.772281240225, rel=1e-10, abs=0)
+    assert values[2] == pytest.approx(0.0718633085399, rel=1e-10, abs=0)
 
 
 def test_visibility_rho_scan_rows_match_scalar_evaluations(tmp_path, cfg_file):
@@ -328,9 +328,9 @@ def test_invert_reports_width_and_cross_check(capsys, cfg_file):
     report = dict(
         line.split(" = ") for line in capsys.readouterr().out.strip().splitlines()
     )
-    assert float(report["sigma_theta_rad"]) == pytest.approx(9.37e-4, rel=1e-9)
+    assert float(report["sigma_theta_rad"]) == pytest.approx(9.37e-4, rel=1e-9, abs=0)
     assert float(report["conditional_gaussian_std_rad"]) == pytest.approx(
-        0.5 * 9.37e-4, rel=1e-9
+        0.5 * 9.37e-4, rel=1e-9, abs=0
     )
     assert float(report["cross_check_rel"]) < 1e-9
 
@@ -387,6 +387,22 @@ def test_invert_rejects_overflowing_ring_radius(capsys, tmp_path, cfg_file):
     assert main(["invert", "--config", cfg_file, "--out", str(out), *argv]) == 1
     assert "ring law gives lambda_eq = inf" in capsys.readouterr().err
     assert not (tmp_path / "inv.txt").exists()
+
+
+
+@pytest.mark.parametrize("rho1_mm,accepted", [
+    (14.9, True),  # ring angle 0.0993 rad
+    (15.0, False),  # ring angle 0.1 rad, the limit
+    (0.21, True),  # partner angle 0.0989 rad at lambda_a / lambda_b = 71
+    (0.2, False),  # partner angle 0.104 rad
+])
+def test_invert_refuses_a_ring_or_partner_angle_at_the_paraxial_limit(rho1_mm, accepted):
+    cfg = make_config()
+    if accepted:
+        assert "lambda_a_nm" in run_invert(cfg, 0.8, rho1_mm * 1e-3)
+    else:
+        with pytest.raises(ValueError, match=f"first-ring radius {rho1_mm:g} mm is not paraxial"):
+            run_invert(cfg, 0.8, rho1_mm * 1e-3)
 
 
 def test_invert_writes_file_when_out_given(tmp_path, cfg_file):
@@ -777,6 +793,13 @@ HOSTILE = {
                            "the closed form overflows at scanned radius 1e+300 mm"),
     "underflowing_ring": (PARTIAL, ["invert", "--v0", "0.5", "--rho1-mm", "1e-200"],
                           "first-ring radius 1e-200 mm is too small"),
+    "wide_shell": (PARTIAL.replace("9.37e-4", "5e-3"), ["oracle"],
+                   "the shell grid reaches 0.11 rad, past the paraxial limit 0.1 rad: "
+                   "sigma_theta = 0.005 and rho_max = 1.77 mm"),
+    "nonparaxial_ring": (PARTIAL, ["invert", "--v0", "0.5", "--rho1-mm", "1e150"],
+                         "first-ring radius 1e+150 mm is not paraxial"),
+    "nonparaxial_partner": (PARTIAL, ["invert", "--v0", "0.5", "--rho1-mm", "1e-150"],
+                            "first-ring radius 1e-150 mm is not paraxial"),
 }
 
 
@@ -800,7 +823,7 @@ def test_hostile_input_exits_with_one_error_line(tmp_path, text, argv, message):
 
 
 def test_cli_import_leaves_quadrature_unloaded():
-    # the quadrature is a reference route only; no command needs scipy.integrate
+    # no command needs scipy; the reference quadrature is numpy alone
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, twinfringes.cli; print('scipy.integrate' in sys.modules)"],
@@ -891,6 +914,55 @@ def test_no_cli_command_loads_scipy(import_graph):
     for label, code, modules in import_graph:
         assert code == 0, label
         assert modules["scipy"] == [], label
+
+
+def test_no_cli_command_loads_numpy_polynomial(import_graph):
+    # the quadrature's Legendre nodes are built on its first call, not
+    # when special is imported
+    for label, code, modules in import_graph:
+        assert code == 0, label
+        assert not [m for m in modules["numpy"] if m.startswith("numpy.polynomial")], label
+
+
+# Blocks scipy, then runs the quadrature on 16 radii and every command
+# given as JSON, and prints one exit code per step.
+_SCIPY_BLOCKED_RUNNER = """\
+import json, sys
+sys.modules["scipy"] = None  # every scipy import now raises ImportError
+import numpy as np
+import twinfringes
+from twinfringes import cli
+
+cfg = twinfringes.parse_config(sys.argv[2])
+rates = twinfringes.counting_rate_partial_quadrature(np.linspace(0.0, 5e-3, 16), 0.3, cfg)
+codes = [0 if rates.shape == (16,) and np.isfinite(rates).all() else 1]
+codes += [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps(codes))
+"""
+
+
+def test_quadrature_and_every_command_run_without_scipy(tmp_path):
+    cfgs = {name: _cfg(tmp_path, text, f"{name}.cfg")
+            for name, text in (("partial", PARTIAL), ("maximal", MAXIMAL),
+                               ("uncorrelated", UNCORRELATED))}
+    data = _cfg(tmp_path, "d_a_mm,rho1_mm\n5,1.95\n11.7,1.27\n20,0.98\n", "rings.csv")
+    out = str(tmp_path / "run")
+    argvs = [
+        ["invert", "--config", cfgs["partial"], "--v0", "0.9", "--out", out],
+        ["eqwavelength", "--config", cfgs["partial"], "--data", data, "--out", out],
+        ["visibility", "--config", cfgs["partial"], "--out", out, "--sigma-list", "0,9.37e-4"],
+    ]
+    for model in ("partial", "maximal", "uncorrelated"):
+        argvs.append(["simulate", "--config", cfgs[model], "--out", out, "--resolution", "64"])
+        argvs.append(["oracle", "--config", cfgs[model], "--out", out])
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_BLOCKED_RUNNER, json.dumps(argvs), cfgs["partial"]],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0] * (1 + len(argvs))
 
 
 def test_scalar_commands_load_no_numpy(import_graph):

@@ -34,12 +34,12 @@ def _kinds(excinfo):
 
 def test_derived_constants_match_reference(partial_cfg):
     c = derive_constants(partial_cfg)
-    assert c.A == pytest.approx(A_REF, rel=1e-10)
-    assert c.B == pytest.approx(B_REF, rel=1e-10)
-    assert c.gamma == pytest.approx(GAMMA_REF, rel=1e-10)
-    assert c.chi == pytest.approx(CHI_REF, rel=1e-10)
-    assert c.g.real == pytest.approx(G_REF.real, rel=1e-10)
-    assert c.g.imag == pytest.approx(G_REF.imag, rel=1e-10)
+    assert c.A == pytest.approx(A_REF, rel=1e-10, abs=0)
+    assert c.B == pytest.approx(B_REF, rel=1e-10, abs=0)
+    assert c.gamma == pytest.approx(GAMMA_REF, rel=1e-10, abs=0)
+    assert c.chi == pytest.approx(CHI_REF, rel=1e-10, abs=0)
+    assert c.g.real == pytest.approx(G_REF.real, rel=1e-10, abs=0)
+    assert c.g.imag == pytest.approx(G_REF.imag, rel=1e-10, abs=0)
 
 
 def test_effective_curvature_formula(partial_cfg):
@@ -48,15 +48,15 @@ def test_effective_curvature_formula(partial_cfg):
     assert effective_curvature(cfg) == expect
     # scales linearly with the refractive index of the a path
     scaled = make_config(n_a=1.5)
-    assert effective_curvature(scaled) == pytest.approx(1.5 * expect, rel=1e-14)
+    assert effective_curvature(scaled) == pytest.approx(1.5 * expect, rel=1e-14, abs=0)
 
 
 def test_gamma_definition_holds_at_other_index():
     cfg = make_config(n_a=1.45)
     c = derive_constants(cfg)
     d = cfg.sigma_theta**2 * effective_curvature(cfg) * c.B**2
-    assert c.gamma == pytest.approx(math.sqrt(4.0 + d * d), rel=1e-14)
-    assert c.chi == pytest.approx(c.gamma / (effective_curvature(cfg) * c.B), rel=1e-14)
+    assert c.gamma == pytest.approx(math.sqrt(4.0 + d * d), rel=1e-14, abs=0)
+    assert c.chi == pytest.approx(c.gamma / (effective_curvature(cfg) * c.B), rel=1e-14, abs=0)
 
 
 def test_perfect_correlation_limits(maximal_cfg):

@@ -48,10 +48,10 @@ def _write(tmp_path, text, name="run.cfg"):
 
 def test_parse_config_units_and_model(tmp_path):
     cfg = parse_config(_write(tmp_path, GOOD_CONFIG))
-    assert cfg.lambda_a == pytest.approx(1550e-9, rel=1e-14)
-    assert cfg.d_a == pytest.approx(11.7e-3, rel=1e-14)
-    assert cfg.f0 == pytest.approx(0.150, rel=1e-14)
-    assert cfg.sigma_theta == pytest.approx(9.37e-4, rel=1e-14)
+    assert cfg.lambda_a == pytest.approx(1550e-9, rel=1e-14, abs=0)
+    assert cfg.d_a == pytest.approx(11.7e-3, rel=1e-14, abs=0)
+    assert cfg.f0 == pytest.approx(0.150, rel=1e-14, abs=0)
+    assert cfg.sigma_theta == pytest.approx(9.37e-4, rel=1e-14, abs=0)
     assert cfg.correlation_model is CorrelationModel.GAUSSIAN_PARTIAL
     assert cfg.n_a == 1.0  # defaulted
 
@@ -59,7 +59,7 @@ def test_parse_config_units_and_model(tmp_path):
 def test_parse_config_accepts_bare_separator_and_comments(tmp_path):
     text = GOOD_CONFIG.replace("d_a_mm = 11.7", "d_a_mm 11.7  # inline note")
     cfg = parse_config(_write(tmp_path, text))
-    assert cfg.d_a == pytest.approx(11.7e-3, rel=1e-14)
+    assert cfg.d_a == pytest.approx(11.7e-3, rel=1e-14, abs=0)
 
 
 def test_parse_config_reads_a_byte_order_mark(tmp_path):
@@ -151,7 +151,7 @@ def test_pgm_round_trip(tmp_path):
     assert samples.shape == (64, 64)
     assert samples.dtype == np.dtype(">u2")
     assert samples.max() == 65535
-    assert rate_max == pytest.approx(image.normalization, rel=1e-11)
+    assert rate_max == pytest.approx(image.normalization, rel=1e-11, abs=0)
     # quantization bound: half a granule of the 16-bit scale
     restored = samples.astype(float) * (image.normalization / 65535.0)
     assert np.max(np.abs(restored - image.values)) <= 0.5 * image.normalization / 65535.0
@@ -187,7 +187,7 @@ def test_profile_csv_round_trip(tmp_path, partial_cfg):
     back = read_profile_csv(path)
     assert np.allclose(back.rho, profile.rho, rtol=1e-11)
     assert np.allclose(back.visibility, profile.visibility, rtol=1e-10, atol=1e-12)
-    assert back.rate.max() == pytest.approx(1.0, rel=1e-11)
+    assert back.rate.max() == pytest.approx(1.0, rel=1e-11, abs=0)
 
 
 def _reference_pgm_bytes(image):

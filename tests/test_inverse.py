@@ -30,15 +30,15 @@ V0_REF = 0.996118297317
 
 def test_round_trip_through_visibility(partial_cfg):
     v0 = central_visibility(partial_cfg)
-    assert v0 == pytest.approx(V0_REF, rel=1e-10)
-    assert estimate_sigma_theta(v0, partial_cfg) == pytest.approx(SIGMA_THETA, rel=1e-12)
+    assert v0 == pytest.approx(V0_REF, rel=1e-10, abs=0)
+    assert estimate_sigma_theta(v0, partial_cfg) == pytest.approx(SIGMA_THETA, rel=1e-12, abs=0)
 
 
 def test_round_trip_other_widths(partial_cfg):
     for sigma in (2e-4, 6.16e-4, 1.99e-3, 8e-3):
         cfg = make_config(sigma_theta=sigma)
         v0 = central_visibility(cfg)
-        assert estimate_sigma_theta(v0, cfg) == pytest.approx(sigma, rel=1e-9)
+        assert estimate_sigma_theta(v0, cfg) == pytest.approx(sigma, rel=1e-9, abs=0)
 
 
 def test_perfect_visibility_means_zero_width(partial_cfg):
@@ -58,10 +58,10 @@ def test_unbalanced_sources_invert_v0_over_their_contrast(partial_cfg):
     # the central visibility is 2 c / gamma, c = 0.96 for magnitudes 0.8, 0.6
     cfg = make_config(alpha1_mag=0.8, alpha2_mag=0.6)
     v0 = central_visibility(cfg)
-    assert v0 == pytest.approx(0.96 * V0_REF, rel=1e-10)
+    assert v0 == pytest.approx(0.96 * V0_REF, rel=1e-10, abs=0)
     for estimate in (estimate_sigma_theta, estimate_sigma_theta_bisect):
-        assert estimate(v0, cfg) == pytest.approx(SIGMA_THETA, rel=1e-9)
-        assert estimate(0.9, cfg) == pytest.approx(estimate(0.9375, partial_cfg), rel=1e-9)
+        assert estimate(v0, cfg) == pytest.approx(SIGMA_THETA, rel=1e-9, abs=0)
+        assert estimate(0.9, cfg) == pytest.approx(estimate(0.9375, partial_cfg), rel=1e-9, abs=0)
         assert estimate(2.0 * 0.8 * 0.6 / (0.8**2 + 0.6**2), cfg) == 0.0
         for bad in (0.97, 1.0):
             with pytest.raises(DegenerateVisibility, match=r"outside \(0, 0.96\]"):
@@ -121,7 +121,7 @@ def test_bisect_agrees_with_closed_inverse(partial_cfg):
     for v0 in (0.05, 0.3, 0.7, 0.9961, 0.99999):
         direct = estimate_sigma_theta(v0, partial_cfg)
         scanned = estimate_sigma_theta_bisect(v0, partial_cfg)
-        assert scanned == pytest.approx(direct, rel=1e-10)
+        assert scanned == pytest.approx(direct, rel=1e-10, abs=0)
 
 
 def test_bisect_rejects_unreachable_visibility(partial_cfg):
@@ -197,10 +197,10 @@ def test_ring_regression_recovers_equivalent_wavelength(maximal_cfg):
     obs = _observations(maximal_cfg, [5e-3, 8e-3, 11.7e-3, 15e-3, 20e-3])
     est = estimate_equivalent_wavelength(obs, maximal_cfg)
     lam_eq = maximal_cfg.lambda_b**2 / maximal_cfg.lambda_a
-    assert est.lambda_eq == pytest.approx(lam_eq, rel=1e-12)
+    assert est.lambda_eq == pytest.approx(lam_eq, rel=1e-12, abs=0)
     assert est.stderr == pytest.approx(0.0, abs=1e-18)
     assert infer_lambda_a(est.lambda_eq, maximal_cfg.lambda_b) == pytest.approx(
-        maximal_cfg.lambda_a, rel=1e-12
+        maximal_cfg.lambda_a, rel=1e-12, abs=0
     )
 
 
@@ -262,4 +262,4 @@ def test_ring_law_inverts_fringe_radius(d_a, n_a):
     cfg = make_config(d_a=d_a, n_a=n_a)
     rho1 = fringe_radius(1, cfg)
     lambda_eq = ring_law_lambda_eq(rho1 * rho1 * d_a, cfg)
-    assert lambda_eq == pytest.approx(cfg.lambda_b**2 / cfg.lambda_a, rel=1e-12)
+    assert lambda_eq == pytest.approx(cfg.lambda_b**2 / cfg.lambda_a, rel=1e-12, abs=0)

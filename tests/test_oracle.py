@@ -41,7 +41,7 @@ def test_phase_a_on_axis_value(partial_cfg):
 def test_phase_a_quadratic_increment(partial_cfg):
     theta = 8e-3
     inc = phase_a(theta, partial_cfg) - phase_a(0.0, partial_cfg)
-    assert inc == pytest.approx(0.5 * PHASE_A_AXIS * theta**2, rel=1e-9)
+    assert inc == pytest.approx(0.5 * PHASE_A_AXIS * theta**2, rel=1e-9, abs=0)
 
 
 def test_phase_a_array_shape_and_scalar_type(partial_cfg):
@@ -67,7 +67,7 @@ def test_map_kb_to_theta_a(partial_cfg):
     def theta_a(rho):
         return -conjugate_grid(camera_grid([rho], partial_cfg), partial_cfg).angles[0]
 
-    assert theta_a(1.276e-3) == pytest.approx(THETA_A_REF, rel=1e-11)
+    assert theta_a(1.276e-3) == pytest.approx(THETA_A_REF, rel=1e-11, abs=0)
     assert theta_a(0.0) == 0.0
     with pytest.raises(ValueError):
         theta_a(-1e-3)
@@ -76,7 +76,7 @@ def test_map_kb_to_theta_a(partial_cfg):
 def test_map_is_identity_for_equal_wavelengths():
     cfg = make_config(CorrelationModel.MAXIMAL, lambda_a=810e-9)
     grid = conjugate_grid(camera_grid([1e-3], cfg), cfg)
-    assert grid.angles[0] == pytest.approx(-1e-3 / cfg.f0, rel=1e-14)
+    assert grid.angles[0] == pytest.approx(-1e-3 / cfg.f0, rel=1e-14, abs=0)
 
 
 def test_full_rate_matches_reduced_for_balanced_sources(partial_cfg):
@@ -88,7 +88,7 @@ def test_full_rate_matches_reduced_for_balanced_sources(partial_cfg):
         for k_b in (0, 7, 15):
             weights = state.amplitudes[:, k_b] ** 2
             balanced = math.fsum(weights * (1.0 + np.cos(state.phase_a - phi_0)))
-            assert rates[k_b] == pytest.approx(balanced, rel=1e-12)
+            assert rates[k_b] == pytest.approx(balanced, rel=1e-12, abs=0)
 
 
 def test_single_source_rate_is_phase_independent(partial_cfg):
@@ -97,7 +97,7 @@ def test_single_source_rate_is_phase_independent(partial_cfg):
     rates = [counting_rate_reduced(state, phi)[5] for phi in np.linspace(0.0, 6.0, 9)]
     assert np.ptp(rates) <= 1e-15 * rates[0]
     marginal = np.sum(state.amplitudes[:, 5] ** 2)
-    assert rates[0] == pytest.approx(marginal, rel=1e-12)
+    assert rates[0] == pytest.approx(marginal, rel=1e-12, abs=0)
 
 
 def test_unbalanced_rate_has_reduced_visibility():

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -60,3 +61,25 @@ def test_benchmark_checks_import_only_public_names():
     }
     assert imported
     assert imported <= set(twinfringes.__all__)
+
+
+SOURCE = Path(twinfringes.__file__).resolve().parent
+
+
+def _imported_roots(path: Path) -> set[str]:
+    """Top-level names of every absolute import in a module, nested ones included."""
+    roots = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    return roots
+
+
+@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda p: p.name)
+def test_package_imports_only_stdlib_and_numpy(path):
+    # the runtime needs numpy alone: scipy and the other test extras
+    # stay out of every module, function-level imports included
+    allowed = set(sys.stdlib_module_names) | {"numpy", "twinfringes"}
+    assert _imported_roots(path) <= allowed

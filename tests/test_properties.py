@@ -15,7 +15,9 @@ from twinfringes import (
     NoHalfPoint,
     central_visibility,
     counting_rate_maxcorr,
+    ToleranceNotReached,
     counting_rate_partial,
+    counting_rate_partial_quadrature,
     counting_rate_uncorrelated,
     derive_constants,
     estimate_sigma_theta,
@@ -65,6 +67,23 @@ def test_model_rates_are_nonnegative(sigma, d, n, r, phi):
     for rate in rates:
         assert math.isfinite(rate)
         assert rate >= 0.0
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(sigma_theta, d_a, n_a, phi_0)
+def test_quadrature_meets_the_closed_form_or_refuses(sigma, d, n, phi):
+    # where the rule certifies its gap it lies within 1e-13 of the rate
+    # scale sigma^2 P(rho); it may refuse only on shell chirps far past
+    # any rendered config (kappa >= 1e3, against at most 10 there)
+    cfg = make_config(sigma_theta=sigma, d_a=d, n_a=n)
+    radii = np.linspace(0.0, 5e-3, 16)
+    try:
+        quad = counting_rate_partial_quadrature(radii, phi, cfg)
+    except ToleranceNotReached:
+        assert derive_constants(cfg).kappa >= 1e3
+        return
+    scale = sigma * sigma * counting_rate_uncorrelated(radii, cfg)
+    assert np.max(np.abs(quad - counting_rate_partial(radii, phi, cfg)) / scale) <= 1e-13
 
 
 @PROPERTY_SETTINGS

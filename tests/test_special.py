@@ -108,8 +108,11 @@ def test_dm2_pair_scaled_against_mpmath():
 
 def test_dm2_pair_scaled_scalar_and_symmetry():
     assert dm2_pair_scaled(0j) == 2.0
+    # on the imaginary axis (4j) Br is real and neither z nor -z is
+    # reflected; each keeps an imaginary part of a few ulp of the 2 in
+    # 2 + z sqrt(2 pi) [...] (7.6e-16 at 4j), hence the floor of 2e-15
     for z in (0.3 + 1.1j, -2.0 + 0.7j, 4.0j):
-        assert dm2_pair_scaled(-z) == pytest.approx(dm2_pair_scaled(z), rel=1e-15)
+        assert dm2_pair_scaled(-z) == pytest.approx(dm2_pair_scaled(z), rel=1e-15, abs=2e-15)
         assert dm2_pair_scaled(z) == dm2_pair_scaled(np.array([z]))[0]
     assert np.isnan(dm2_pair_scaled(complex(math.nan, 0.0)))
 
@@ -162,13 +165,35 @@ def test_two_product_is_exact():
 
 def test_integrate_radial_polynomial():
     value = integrate_radial(lambda x: x * x, 0.0, 1.0, 1e-12)
-    assert value == pytest.approx(1.0 / 3.0, rel=1e-12)
+    assert value == pytest.approx(1.0 / 3.0, rel=1e-12, abs=0)
 
 
 def test_integrate_radial_gaussian_ring():
     # integral of u exp(-2 u^2) over [0, 6]: (1 - e^{-72}) / 4
-    value = integrate_radial(lambda u: u * math.exp(-2.0 * u * u), 0.0, 6.0, 1e-12)
-    assert value == pytest.approx(0.25, rel=1e-12)
+    value = integrate_radial(lambda u: u * np.exp(-2.0 * u * u), 0.0, 6.0, 1e-12)
+    assert value == pytest.approx(0.25, rel=1e-12, abs=0)
+
+
+def test_integrate_radial_integrates_a_family_in_one_call():
+    # integral of cos(k u) over [0, 3]: sin(3k) / k, for a (2, 3) array of k
+    k = np.array([[0.5, 1.0, 2.0], [4.0, 8.0, 16.0]])
+    value = integrate_radial(lambda u: np.cos(np.multiply.outer(k, u)), 0.0, 3.0, 1e-13)
+    assert value.shape == k.shape
+    assert np.max(np.abs(value - np.sin(3.0 * k) / k)) <= 1e-14
+
+
+def test_integrate_radial_compares_two_panel_counts():
+    # one panel per unit of [0, 2], then two: the rule evaluates the
+    # integrand at both counts before it accepts the finer estimate
+    sizes = []
+
+    def integrand(u):
+        sizes.append(u.size)
+        return np.exp(u)
+
+    value = integrate_radial(integrand, 0.0, 2.0, 1e-12)
+    assert sizes == [40, 80]
+    assert value == pytest.approx(math.expm1(2.0), rel=1e-15, abs=0)
 
 
 def test_integrate_radial_rejects_bad_interval():
@@ -184,10 +209,25 @@ def test_integrate_radial_rejects_bad_tolerance():
 
 
 def test_integrate_radial_flags_unreachable_tolerance():
-    # oscillation far beyond what 200 subdivisions can resolve
-    with pytest.raises(ToleranceNotReached) as excinfo:
-        integrate_radial(lambda x: math.cos(3.0e6 * x), 0.0, 1.0, 1e-13)
-    assert hasattr(excinfo.value, "estimate")
+    # about 5e5 periods, far beyond what the panel budget can resolve
+    with pytest.raises(ToleranceNotReached, match="4096 panels") as excinfo:
+        integrate_radial(lambda x: np.cos(3.0e6 * x), 0.0, 1.0, 1e-13)
+    assert excinfo.value.estimate > 1e-13
+
+
+def test_integrate_radial_matches_scipy_quad():
+    # scipy is a test-only dependency: QUADPACK is a second reference
+    # for the rule, on shell integrands of growing chirp
+    integrate = pytest.importorskip("scipy.integrate")
+    for kappa, beat in ((0.0, 0.0), (0.5, 3.0), (5.0, 20.0), (40.0, 60.0)):
+        got = integrate_radial(
+            lambda u: u * np.exp(-2.0 * u * u) * np.cos(kappa * u * u + beat * u), 0.0, 6.0, 1e-13
+        )
+        want = integrate.quad(
+            lambda u: u * math.exp(-2.0 * u * u) * math.cos(kappa * u * u + beat * u), 0.0, 6.0,
+            epsabs=1e-14, epsrel=0.0, limit=400, points=[1, 2, 3, 4, 5],
+        )[0]
+        assert abs(got - want) <= 1e-13, (kappa, beat)
 
 
 def _w_from_iz_out_of_place(iz):

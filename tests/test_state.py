@@ -105,6 +105,36 @@ def test_shell_line_grid_needs_partial_parameters():
         shell_line_grid(cfg, 1e-3, 64)
 
 
+@pytest.mark.parametrize("n_modes", [4, 512, 1024])
+def test_shell_line_grid_refuses_exactly_where_the_mode_grid_would(n_modes):
+    # widths within 100 ulp of the edge: shell_line_grid names the width
+    # wherever line_grid's ModeGrid would reject its angles, and nowhere else
+    cfg, rho_max = make_config(), 1.5e-3
+    k_a, k_b, k0p = (2.0 * math.pi / lam for lam in (cfg.lambda_a, cfg.lambda_b, cfg.lambda_p))
+    half = n_modes // 2
+    edge = (0.1 * half / (half - 0.5) * k_a - k_b * rho_max / cfg.f0) / (6.0 * k0p)
+    sigma = edge
+    for _ in range(100):
+        sigma = np.nextafter(sigma, 0.0)
+    outcomes = set()
+    for _ in range(200):
+        sigma = float(np.nextafter(sigma, 1.0))
+        t_max = (6.0 * sigma * k0p + k_b * rho_max / cfg.f0) / k_a
+        try:
+            line_grid(t_max, n_modes)
+            rejected = False
+        except ValueError:
+            rejected = True
+        wide = dataclasses.replace(cfg, sigma_theta=sigma)
+        if rejected:
+            with pytest.raises(ValueError, match=f"sigma_theta = {sigma!r} and rho_max = 1.5 mm"):
+                shell_line_grid(wide, rho_max, n_modes)
+        else:
+            assert shell_line_grid(wide, rho_max, n_modes).n_modes == n_modes
+        outcomes.add(rejected)
+    assert outcomes == {False, True}
+
+
 def test_dephasing_grid_phases_cancel():
     n = 256
     roots = 2.0 * math.pi * (np.arange(n) + 0.5) / n

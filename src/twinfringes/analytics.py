@@ -16,8 +16,10 @@ bit, so it is fixed by both flips and by transposition. A
 the ceil(N/2) x ceil(N/2) block of nonnegative centres; it computes the
 frame maximum from the quadrant once, and ``values`` mirrors the
 quadrant out to the full frame on each access. ``render_pattern``
-builds that quadrant, transpose-symmetric bit for bit; the PGM writer
-quantises the quadrant and mirrors the 16-bit samples.
+builds that quadrant, transpose-symmetric bit for bit, together with
+the radial profile that ``simulate`` writes; the PGM writer quantises
+the quadrant and writes the frame from its 16-bit samples in mirrored
+row blocks.
 """
 
 from __future__ import annotations
@@ -424,7 +426,8 @@ def _fringe(rho: np.ndarray, phi_0: float, cfg: ExperimentConfig):
     return rate, np.clip(visibility, 0.0, 1.0)
 
 
-# _separable_rate fills the maximal rate in row blocks of about this
+# _separable_rate fills the maximal rate, render_pattern the partial
+# quadrant and write_pgm its 16-bit samples in row blocks of about this
 # many samples, so that each block and its scratch stay in cache.
 _BLOCK_SAMPLES = 32768
 
@@ -484,23 +487,30 @@ def radial_profile(
 
 
 # render_pattern evaluates the upper triangle of a partial-model
-# quadrant in this many row strips; fewer strips evaluate more of the
-# lower triangle.
+# quadrant in at least this many row strips, and in more of about
+# _BLOCK_SAMPLES samples each where the quadrant is larger; fewer
+# strips evaluate more of the lower triangle.
 _RENDER_STRIPS = 8
 
 
 def render_pattern(
     cfg: ExperimentConfig, screen_size: float, resolution: int, phi_0: float
-) -> FringeImage:
-    """Square fringe image on a screen of the given physical size.
+) -> tuple[FringeImage, RadialProfile]:
+    """Square fringe image on a screen of the given physical size, and its profile.
+
+    Returns the image and the radial profile that
+    ``radial_profile(cfg, screen_size / 2, resolution, phi_0)`` gives,
+    bit for bit: both come from one closed-form call on the partial
+    model's image-profile radii and the profile's radii together, made
+    before the image is allocated.
 
     Pixel i (row or column) of N has its center at
     c_i = (i - (N - 1) / 2) * pitch. The offset i - (N - 1) / 2 is an
     exact half-integer, so each center is one rounding of the exact
     value and c_{N-1-i} = -c_i holds bit for bit; for odd N the middle
     center is exactly 0. The image is therefore exactly symmetric under
-    both flips and is stored as its ceil(N/2) x ceil(N/2) quadrant
-    i, j >= N // 2, which is transpose-symmetric bit for bit as well.
+    both flips and is stored as its n x n quadrant i, j >= N // 2,
+    n = ceil(N/2), which is transpose-symmetric bit for bit as well.
 
     The maximal and uncorrelated rates are evaluated in closed form at
     every pixel center, from outer products of 1D factors over the
@@ -512,9 +522,10 @@ def render_pattern(
     sqrt(c_i^2 + c_j^2), from the squared centers formed once; it is
     within an ulp of hypot(c_i, c_j). A sum of squares commutes, so
     only the quadrant's upper triangle is interpolated, in
-    _RENDER_STRIPS row strips (rows a0:a1, columns a0:), and each strip
-    is also written transposed into columns a0:a1. Every pixel is the
-    interpolated rate at its own center radius.
+    max(_RENDER_STRIPS, ceil(n^2 / _BLOCK_SAMPLES)) row strips (rows
+    a0:a1, columns a0:), and each strip is also written transposed into
+    columns a0:a1. Every pixel is the interpolated rate at its own
+    center radius, whatever the strips.
     """
     if resolution < 64:
         raise ValueError("resolution must be at least 64 pixels")
@@ -524,20 +535,25 @@ def render_pattern(
         raise ValueError("screen_size must be positive")
     pitch = screen_size / resolution
     centers = (np.arange(resolution // 2, resolution) - 0.5 * (resolution - 1)) * pitch
+    rho = np.linspace(0.0, 0.5 * screen_size, resolution)
     if cfg.correlation_model is not CorrelationModel.GAUSSIAN_PARTIAL:
+        rate, visibility = _fringe(rho, phi_0, cfg)
         quadrant = _separable_rate(centers, phi_0, cfg)
     else:
         r_corner = 0.5 * screen_size * math.sqrt(2.0)
         r_prof = np.linspace(0.0, r_corner + pitch, 4 * resolution + 2)
-        rates = _fringe(r_prof, phi_0, cfg)[0]
+        rates, visibility = _fringe(np.concatenate([r_prof, rho]), phi_0, cfg)
+        rates, rate = np.split(rates, [r_prof.size])
+        visibility = visibility[r_prof.size:]
         square = centers * centers
         n = centers.size
+        strips = max(_RENDER_STRIPS, math.ceil(n * n / _BLOCK_SAMPLES))
         quadrant = np.empty((n, n))
-        edges = [n * k // _RENDER_STRIPS for k in range(_RENDER_STRIPS + 1)]
+        edges = [n * k // strips for k in range(strips + 1)]
         for a0, a1 in zip(edges[:-1], edges[1:]):
             radius = np.add.outer(square[a0:a1], square[a0:])
             np.sqrt(radius, out=radius)
             strip = np.interp(radius, r_prof, rates)
             quadrant[a0:a1, a0:] = strip
             quadrant[a0:, a0:a1] = strip.T
-    return FringeImage(resolution, pitch, quadrant)
+    return FringeImage(resolution, pitch, quadrant), RadialProfile(rho, rate, visibility)

@@ -99,6 +99,10 @@ def run_simulate(
 ) -> None:
     """Render the fringe image and its radial profile CSV.
 
+    One ``render_pattern`` call gives both the image and the profile
+    of ``resolution`` radii out to half the screen, from one closed-form
+    evaluation.
+
     Parameters
     ----------
     cfg : ExperimentConfig
@@ -116,8 +120,7 @@ def run_simulate(
     screen = screen_mm * 1e-3
     # an overflow leaves a non-finite frame, which FringeImage rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        image = analytics.render_pattern(cfg, screen, resolution, phi_0)
-        profile = analytics.radial_profile(cfg, 0.5 * screen, resolution, phi_0)
+        image, profile = analytics.render_pattern(cfg, screen, resolution, phi_0)
     write_pgm(image, out_image)
     write_profile_csv(profile, out_profile)
 

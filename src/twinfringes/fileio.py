@@ -24,6 +24,10 @@ if TYPE_CHECKING:
 
 PGM_MAXVAL = 65535
 
+# write_pgm builds the mirrored frame in blocks of rows of about this
+# many samples.
+_FRAME_BLOCK_SAMPLES = 1 << 17
+
 PROFILE_HEADER = "rho_m,rate_norm,visibility"
 
 # Config file keys: name -> (config field, scale to SI units).
@@ -130,39 +134,64 @@ def write_pgm(image: FringeImage, path) -> None:
 
     The physical rate corresponding to the full-scale sample is recorded
     in a comment line so the image is invertible to absolute units.
-    Only the stored quadrant is scaled and rounded; its 16-bit samples
-    are mirrored out to the full frame. A ``FringeImage`` quadrant is
-    nonnegative and peaks at its normalization, so every scaled sample
-    lies in [0, 65535.5) and rounds into [0, 65535] without a clip.
+    Only the stored quadrant is scaled and rounded, in row blocks, into
+    a 16-bit quadrant. A ``FringeImage`` quadrant is nonnegative and
+    peaks at its normalization, so every scaled sample lies in
+    [0, 65535.5) and rounds into [0, 65535] without a clip. The frame
+    then goes out in blocks of rows, mirrored as ``mirror_quadrant``
+    mirrors them, from one reused buffer: the top half from the 16-bit
+    quadrant's rows in reverse order, the bottom half from its rows in
+    order. Beyond the 16-bit quadrant no array larger than about
+    2^17 samples is held.
     """
     import numpy as np
 
-    from .analytics import mirror_quadrant
+    from .analytics import _BLOCK_SAMPLES
 
     scale = PGM_MAXVAL / image.normalization if image.normalization > 0.0 else 0.0
-    samples = np.multiply(image.quadrant, scale)
-    np.rint(samples, out=samples)
-    samples = samples.astype(">u2")
+    quadrant = image.quadrant
+    side = len(quadrant)
+    samples = np.empty(quadrant.shape, dtype=">u2")
+    rows = max(1, _BLOCK_SAMPLES // side)
+    scaled = np.empty((min(rows, side), side))
+    for r0 in range(0, side, rows):
+        block = scaled[:min(rows, side - r0)]
+        np.multiply(quadrant[r0:r0 + rows], scale, out=block)
+        np.rint(block, out=block)
+        samples[r0:r0 + rows] = block
     size = image.resolution
+    half = size // 2
     header = f"P5\n# rate_max {image.normalization:.12e}\n{size} {size}\n{PGM_MAXVAL}\n"
+    frame = np.empty((min(max(1, _FRAME_BLOCK_SAMPLES // size), side), size), dtype=">u2")
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(mirror_quadrant(samples, size))
+        # the top half is the quadrant's rows in reverse order, the bottom half its rows
+        for half_rows in (samples[::-1][:half], samples):
+            for r0 in range(0, len(half_rows), len(frame)):
+                block = half_rows[r0:r0 + len(frame)]
+                out = frame[:len(block)]
+                out[:, half:] = block
+                out[:, :half] = block[:, ::-1][:, :half]
+                fh.write(out)
 
 
 def read_pgm(path) -> tuple[np.ndarray, float]:
-    """Read back a PGM written by write_pgm: (uint16 samples, rate_max)."""
+    """Read back a PGM written by write_pgm: (uint16 samples, rate_max).
+
+    The four header lines are read one by one and the samples straight
+    into the returned array, so nothing else the size of the file is held.
+    """
     import numpy as np
 
-    blob = Path(path).read_bytes()
-    parts = blob.split(b"\n", 4)
-    if parts[0] != b"P5" or not parts[1].startswith(b"# rate_max "):
-        raise ParseError(f"{path}: not a twinfringes PGM")
-    rate_max = float(parts[1].split(b" ", 2)[2])
-    width, height = (int(tok) for tok in parts[2].split())
-    if int(parts[3]) != PGM_MAXVAL:
-        raise ParseError(f"{path}: expected maxval {PGM_MAXVAL}")
-    samples = np.frombuffer(parts[4], dtype=">u2", count=width * height)
+    with open(path, "rb") as fh:
+        parts = [fh.readline() for _ in range(4)]
+        if parts[0] != b"P5\n" or not parts[1].startswith(b"# rate_max "):
+            raise ParseError(f"{path}: not a twinfringes PGM")
+        rate_max = float(parts[1].split(b" ", 2)[2])
+        width, height = (int(tok) for tok in parts[2].split())
+        if int(parts[3]) != PGM_MAXVAL:
+            raise ParseError(f"{path}: expected maxval {PGM_MAXVAL}")
+        samples = np.fromfile(fh, dtype=">u2", count=width * height)
     return samples.reshape(height, width), rate_max
 
 

@@ -200,7 +200,9 @@ def faddeeva(z: complex) -> complex:
 def dm2_pair_scaled(z, tail=None):
     """Br(z) = e^{z^2/4} [D_{-2}(z) + D_{-2}(-z)], for a scalar or an array.
 
-    Br is even, so z is first reflected into Re z <= 0. There,
+    Br is even, so z is first reflected into Re z <= 0, and on the
+    imaginary axis into Im z >= 0, so that z and -z share one path and
+    Br(-z) == Br(z) bit for bit. There,
     u = -iz / sqrt 2 lies in the upper half-plane, and the erfc form of
     D_{-2} with w(-u) = 2 e^{-u^2} - w(u) gives
 
@@ -225,7 +227,7 @@ def dm2_pair_scaled(z, tail=None):
     """
     z = np.asarray(z, dtype=complex)
     s = z.reshape(-1)
-    flip = s.real > 0.0
+    flip = (s.real > 0.0) | ((s.real == 0.0) & (s.imag < 0.0))
     if flip.any():
         s = np.where(flip, -s, s)
         if tail is not None:

@@ -154,7 +154,7 @@ def test_criterion_5_ring_law_and_rendered_ring():
         abs(fringe_radius(n, cfg) / r1 - math.sqrt(n)) for n in range(1, 11)
     )
 
-    image = render_pattern(cfg, 3e-3, 600, 0.0)
+    image, _ = render_pattern(cfg, 3e-3, 600, 0.0)
     half_pixel = 0.5 * image.pixel_pitch
     centers = (np.arange(600) + 0.5) * image.pixel_pitch - 1.5e-3
     row = image.values[300]

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -348,7 +349,7 @@ def test_radial_profile_validates_arrays():
 
 def test_render_pattern_geometry(maximal_cfg):
     for resolution in (64, 65):
-        image = render_pattern(maximal_cfg, 3e-3, resolution, 0.0)
+        image, _ = render_pattern(maximal_cfg, 3e-3, resolution, 0.0)
         assert image.values.shape == (resolution, resolution)
         assert image.pixel_pitch == pytest.approx(3e-3 / resolution)
         assert image.normalization == image.values.max()
@@ -396,7 +397,7 @@ def test_render_pattern_equals_direct_per_pixel_evaluation(model, resolution):
     # closed form within SEPARABLE_TOL of the peak for the other two
     cfg = make_config(model, sigma_theta=9.37e-4)
     screen, phi_0 = 2.5e-3, 0.7
-    image = render_pattern(cfg, screen, resolution, phi_0)
+    image, _ = render_pattern(cfg, screen, resolution, phi_0)
     pitch = screen / resolution
     centers = (np.arange(resolution) - 0.5 * (resolution - 1)) * pitch
     radii = pixel_radii(centers)
@@ -425,7 +426,7 @@ def test_separable_render_is_the_exact_closed_form(tmp_path, model, d_a, screen,
     # d_a 50 mm on a 6 mm screen at 600 px, where the corner phase steps
     # 1.4 rad per pixel, is the case a 4x radial profile missed by 33 LSB
     cfg = make_config(model, d_a=d_a, **sources)
-    image = render_pattern(cfg, screen, resolution, 0.4)
+    image, _ = render_pattern(cfg, screen, resolution, 0.4)
     exact = _exact_quadrant(cfg, screen, resolution, 0.4)
     assert np.max(np.abs(image.quadrant - exact)) <= SEPARABLE_TOL * exact.max()
     path = tmp_path / "image.pgm"
@@ -455,7 +456,7 @@ def test_maximal_render_is_nonnegative_on_exact_dark_fringes(resolution, sources
     for i, j in [(0, 0), (3, 7), (centers.size - 1, centers.size // 2)]:
         rho_sq = centers[i] ** 2 + centers[j] ** 2
         phi_0 = effective_curvature(cfg) * rho_sq - math.pi - static
-        image = render_pattern(cfg, screen, resolution, phi_0)
+        image, _ = render_pattern(cfg, screen, resolution, phi_0)
         assert np.fmin.reduce(image.quadrant, axis=None) >= 0.0
         dark = (1.0 - contrast) * float(np.exp(-2.0 * rho_sq / (cfg.f0 * cfg.sigma_b) ** 2))
         assert image.quadrant[i, j] == pytest.approx(dark, abs=1e-12 * image.normalization)
@@ -472,8 +473,32 @@ def test_contrast_is_capped_at_one():
     assert central_visibility(make_config(alpha1_mag=a1, alpha2_mag=a2)) <= 1.0
 
 
+@pytest.mark.parametrize("model", list(CorrelationModel), ids=lambda m: m.value)
+@pytest.mark.parametrize("resolution", [256, 257])
+@pytest.mark.parametrize("sources", [{}, {"alpha1_mag": 0.8, "alpha2_mag": 0.6}])
+def test_render_pattern_profile_is_radial_profile(model, resolution, sources):
+    # the profile comes out of the image's closed-form call, bit for bit
+    cfg = make_config(model, sigma_theta=9.37e-4, **sources)
+    _, profile = render_pattern(cfg, 2.5e-3, resolution, 0.4)
+    want = radial_profile(cfg, 1.25e-3, resolution, 0.4)
+    for name in ("rho", "rate", "visibility"):
+        assert getattr(profile, name).tobytes() == getattr(want, name).tobytes()
+
+
+def test_partial_render_peaks_near_its_quadrant(partial_cfg):
+    # the closed form runs before the quadrant is allocated, and each
+    # strip of its upper triangle holds about 32768 radii
+    tracemalloc.start()
+    try:
+        image, _ = render_pattern(partial_cfg, 3e-3, 2048, 0.4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= image.quadrant.nbytes + 1.5 * 2**20
+
+
 def test_render_pattern_reproduces_ring_structure(maximal_cfg):
-    image = render_pattern(maximal_cfg, 3e-3, 128, 0.0)
+    image, _ = render_pattern(maximal_cfg, 3e-3, 128, 0.0)
     row = image.values[64]
     centers = (np.arange(128) + 0.5) * image.pixel_pitch - 1.5e-3
     # dark fringe between center and first ring: the minimum along the row

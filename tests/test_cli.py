@@ -88,8 +88,8 @@ def test_simulate_is_deterministic(tmp_path, cfg_file):
 
 @pytest.mark.parametrize("model", list(CorrelationModel), ids=lambda m: m.value)
 def test_simulate_peaks_below_one_full_float_image(tmp_path, model):
-    # the frame is rendered, stored and quantised as one quadrant; only
-    # the 16-bit samples are ever mirrored out to the full frame
+    # the frame is rendered, stored and quantised as one quadrant, and
+    # written out in mirrored row blocks
     cfg, resolution = make_config(model), 1024
     outputs = (tmp_path / "image.pgm", tmp_path / "profile.csv")
     run_simulate(cfg, 3.0, resolution, 0.4, *outputs)
@@ -100,6 +100,21 @@ def test_simulate_peaks_below_one_full_float_image(tmp_path, model):
     finally:
         tracemalloc.stop()
     assert peak < resolution * resolution * np.dtype(float).itemsize
+
+
+@pytest.mark.parametrize("text", [PARTIAL, MAXIMAL, UNCORRELATED])
+def test_simulate_takes_its_profile_from_render_pattern(tmp_path, monkeypatch, text):
+    cfg = _cfg(tmp_path, text, "run.cfg")
+    args = ["simulate", "--config", cfg, "--resolution", "65", "--phi0", "0.4"]
+    assert main(args + ["--out", str(tmp_path / "a")]) == 0
+
+    def refuse(*args):
+        raise AssertionError("simulate evaluated the closed form a second time")
+
+    monkeypatch.setattr(analytics, "radial_profile", refuse)
+    assert main(args + ["--out", str(tmp_path / "b")]) == 0
+    for suffix in (".pgm", ".csv"):
+        assert (tmp_path / f"a{suffix}").read_bytes() == (tmp_path / f"b{suffix}").read_bytes()
 
 
 def test_simulate_requires_out(cfg_file):

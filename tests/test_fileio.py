@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,7 +138,7 @@ def _maximal_cfg_file(tmp_path):
 
 def test_pgm_round_trip(tmp_path):
     cfg = _maximal_cfg_file(tmp_path)
-    image = render_pattern(cfg, 1e-3, 64, 0.0)
+    image, _ = render_pattern(cfg, 1e-3, 64, 0.0)
     path = tmp_path / "image.pgm"
     write_pgm(image, path)
 
@@ -159,7 +160,7 @@ def test_pgm_round_trip(tmp_path):
 
 def test_pgm_big_endian_on_disk(tmp_path):
     cfg = _maximal_cfg_file(tmp_path)
-    image = render_pattern(cfg, 1e-3, 64, 0.0)
+    image, _ = render_pattern(cfg, 1e-3, 64, 0.0)
     path = tmp_path / "image.pgm"
     write_pgm(image, path)
     payload = path.read_bytes().split(b"\n", 4)[4]
@@ -211,7 +212,9 @@ def _reference_profile_text(profile):
 
 def _pgm_cases(cfgs):
     rng = np.random.default_rng(7)
-    images = [render_pattern(cfg, 3e-3, n, 0.4) for cfg in cfgs for n in (64, 257)]
+    images = [render_pattern(cfg, 3e-3, n, 0.4)[0] for cfg in cfgs for n in (64, 257)]
+    # several quantise and write blocks, at both parities
+    images += [render_pattern(cfgs[0], 3e-3, n, 0.4)[0] for n in (2048, 2049)]
     images.append(FringeImage(90, 1e-5, rng.random((45, 45)) * 3.7e-9))
     # samples on exact half granules, where rint rounds half to even,
     # in a 363 x 363 quadrant padded with zeros
@@ -220,6 +223,34 @@ def _pgm_cases(cfgs):
     images.append(FringeImage(725, 1e-5, half_granules.reshape(363, 363)))
     images.append(FringeImage(64, 1e-5, np.zeros((32, 32))))
     return images
+
+
+@pytest.mark.parametrize("resolution", [2048, 2049])
+def test_write_pgm_holds_the_16_bit_quadrant_and_small_blocks(tmp_path, partial_cfg, resolution):
+    # no float copy of the quadrant and no full frame: the 16-bit
+    # quadrant is a quarter of the float one, and the blocks stay small
+    image, _ = render_pattern(partial_cfg, 3e-3, resolution, 0.4)
+    tracemalloc.start()
+    try:
+        write_pgm(image, tmp_path / "image.pgm")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= image.quadrant.nbytes / 4 + 2**20
+
+
+def test_read_pgm_holds_only_its_samples(tmp_path, partial_cfg):
+    image, _ = render_pattern(partial_cfg, 3e-3, 2048, 0.4)
+    path = tmp_path / "image.pgm"
+    write_pgm(image, path)
+    tracemalloc.start()
+    try:
+        samples, _ = read_pgm(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert samples.shape == (2048, 2048)
+    assert peak <= samples.nbytes + 2**20
 
 
 def test_write_pgm_matches_reference_bytes(tmp_path, partial_cfg, maximal_cfg, uncorrelated_cfg):

@@ -162,7 +162,7 @@ def test_octant_render_and_quadrant_pgm_match_full_frame_references(
     # exact closed form there, within SEPARABLE_TOL of the peak, and their
     # PGMs within 1 LSB of that rate quantised
     cfg = make_config(model)
-    image = render_pattern(cfg, screen, resolution, phi)
+    image, _ = render_pattern(cfg, screen, resolution, phi)
     pitch = screen / resolution
     centers = (np.arange(resolution) - 0.5 * (resolution - 1)) * pitch
     radii = pixel_radii(centers)

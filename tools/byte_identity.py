@@ -15,7 +15,10 @@ and 1024 modes (a partial check that misses its gate at 128 modes
 exits 2 and still writes its report). The d_a 11.7 mm, sigma_theta
 9.37e-4 config of each model also runs simulate at 256 px on a 100 mm
 screen, whose profile reaches rates below 1e-11 and with three-digit
-exponents, the fields the CSV writer leaves to Python's format. Three
+exponents, the fields the CSV writer leaves to Python's format, and
+simulate at 2049 px on a 3 mm screen, a frame past 1024 px whose
+partial quadrant is split into more than 8 render strips and whose PGM
+is quantised and written in several row blocks. Three
 more configs, one per model with n_a 1.7, d_a 50 mm and sigma_theta
 9.37e-4, run only the oracle at 128, 512, 1024 and 4096 modes: their
 on-axis a-path phase, near 3.4e5 rad, is the longest here. Six more,
@@ -36,7 +39,8 @@ at 600 px and the oracle at 512 modes with d_a 1e30 mm, whose closed
 form overflows to NaN; visibility at radii 0 and 1e300 mm, whose
 fringe phase overflows; invert with a first-ring radius of 1e-200 mm,
 whose rho_1^2 d_a underflows to 0; and eqwavelength on ring radii of
-1e-170 mm, whose squares underflow to a zero slope. Every command is
+1e-170 mm, whose squares underflow to a zero slope. That makes 443
+runs per tree. Every command is
 ``python -m twinfringes.cli`` in a fresh interpreter with PYTHONPATH
 set to the tree. Exit codes and every output file are compared byte
 for byte; in a manifest the tree's work directory is first replaced by
@@ -91,7 +95,10 @@ COMMANDS = {
 
 # Run on one config per model only (see the module docstring).
 WIDE_CONFIG = "_d11p7_s0p000937"
-WIDE_COMMANDS = {"simwide": ["simulate", "--resolution", "256", "--screen-mm", "100"]}
+WIDE_COMMANDS = {
+    "simwide": ["simulate", "--resolution", "256", "--screen-mm", "100"],
+    "sim2049": ["simulate", "--resolution", "2049", "--screen-mm", "3"],
+}
 
 # Oracle runs on a long, dense a path (see the module docstring).
 LONG_PATH = "d_a_mm = 50.0\nn_a = 1.7\nsigma_theta = 0.000937\n"

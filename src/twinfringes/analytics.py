@@ -13,13 +13,11 @@ of the patterns is exact by construction.
 A square image of N pixels is centred with c_{N-1-i} = -c_i bit for
 bit, so it is fixed by both flips and by transposition. A
 ``FringeImage`` therefore stores only N and its lower-right quadrant,
-the ceil(N/2) x ceil(N/2) block of nonnegative centres; it computes the
-frame maximum from the quadrant once, and ``values`` mirrors the
-quadrant out to the full frame on each access. ``render_pattern``
-builds that quadrant, transpose-symmetric bit for bit, together with
-the radial profile that ``simulate`` writes; the PGM writer quantises
-the quadrant and writes the frame from its 16-bit samples in mirrored
-row blocks.
+the ceil(N/2) x ceil(N/2) block of nonnegative centres, and computes the
+frame maximum from it once. ``render_pattern`` builds that quadrant,
+transpose-symmetric bit for bit, together with the radial profile that
+``simulate`` writes; the PGM writer is the one place that lays the
+quadrant out as a full frame.
 """
 
 from __future__ import annotations
@@ -74,34 +72,18 @@ class RadialProfile:
             raise ValueError("visibility must lie in [0, 1]")
 
 
-def mirror_quadrant(quadrant: np.ndarray, size: int) -> np.ndarray:
-    """The (size, size) image whose lower-right quadrant is ``quadrant``.
-
-    ``quadrant`` holds rows and columns i >= size // 2; row i and column
-    j of the image are copies of rows and columns size - 1 - i and
-    size - 1 - j. The result has the quadrant's dtype.
-    """
-    half = size // 2
-    image = np.empty((size, size), dtype=quadrant.dtype)
-    image[half:, half:] = quadrant
-    image[half:, :half] = quadrant[:, ::-1][:, :half]
-    image[:half] = image[half:][::-1][:half]
-    return image
-
-
 @dataclass(frozen=True, eq=False)
 class FringeImage:
     """Rendered square counting-rate field and its maximum.
 
     The field is symmetric under both flips, so only its lower-right
     quadrant, of shape (ceil(resolution / 2), ceil(resolution / 2)), is
-    stored; ``values`` builds the full (resolution, resolution) array on
-    each access. ``normalization``, the frame maximum, is computed from
-    the quadrant, which must be nonnegative and finite.
+    stored: rows and columns i >= resolution // 2 of the frame.
+    ``normalization``, the frame maximum, is computed from the quadrant,
+    which must be nonnegative and finite.
     """
 
     resolution: int
-    pixel_pitch: float
     quadrant: np.ndarray
     normalization: float = field(init=False)
 
@@ -119,11 +101,6 @@ class FringeImage:
         if not math.isfinite(peak):
             raise ValueError(f"rate field must be finite, its maximum is {peak!r}")
         object.__setattr__(self, "normalization", peak)
-
-    @property
-    def values(self) -> np.ndarray:
-        """The full (resolution, resolution) rate field, mirrored from the quadrant."""
-        return mirror_quadrant(self.quadrant, self.resolution)
 
 
 def _envelope(rho, cfg: ExperimentConfig):
@@ -426,9 +403,9 @@ def _fringe(rho: np.ndarray, phi_0: float, cfg: ExperimentConfig):
     return rate, np.clip(visibility, 0.0, 1.0)
 
 
-# _separable_rate fills the maximal rate, render_pattern the partial
-# quadrant and write_pgm its 16-bit samples in row blocks of about this
-# many samples, so that each block and its scratch stay in cache.
+# _separable_rate fills the maximal rate and render_pattern the partial
+# quadrant in row blocks of about this many samples, so that each block
+# and its scratch stay in cache.
 _BLOCK_SAMPLES = 32768
 
 
@@ -556,4 +533,4 @@ def render_pattern(
             strip = np.interp(radius, r_prof, rates)
             quadrant[a0:a1, a0:] = strip
             quadrant[a0:, a0:a1] = strip.T
-    return FringeImage(resolution, pitch, quadrant), RadialProfile(rho, rate, visibility)
+    return FringeImage(resolution, quadrant), RadialProfile(rho, rate, visibility)

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import codecs
 import json
+import os
+import re
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -24,8 +26,9 @@ if TYPE_CHECKING:
 
 PGM_MAXVAL = 65535
 
-# write_pgm builds the mirrored frame in blocks of rows of about this
-# many samples.
+# write_pgm writes the frame in 16-bit row blocks of about this many
+# samples, and quantises the quadrant in float row blocks of a quarter
+# as many: each block takes about 256 KiB.
 _FRAME_BLOCK_SAMPLES = 1 << 17
 
 PROFILE_HEADER = "rho_m,rate_norm,visibility"
@@ -134,25 +137,24 @@ def write_pgm(image: FringeImage, path) -> None:
 
     The physical rate corresponding to the full-scale sample is recorded
     in a comment line so the image is invertible to absolute units.
-    Only the stored quadrant is scaled and rounded, in row blocks, into
-    a 16-bit quadrant. A ``FringeImage`` quadrant is nonnegative and
-    peaks at its normalization, so every scaled sample lies in
-    [0, 65535.5) and rounds into [0, 65535] without a clip. The frame
-    then goes out in blocks of rows, mirrored as ``mirror_quadrant``
-    mirrors them, from one reused buffer: the top half from the 16-bit
-    quadrant's rows in reverse order, the bottom half from its rows in
-    order. Beyond the 16-bit quadrant no array larger than about
-    2^17 samples is held.
+    This is the one place that lays the stored lower-right quadrant out
+    as the full frame. Only the quadrant is scaled and rounded, in row
+    blocks, into a 16-bit quadrant. A ``FringeImage`` quadrant is
+    nonnegative and peaks at its normalization, so every scaled sample
+    lies in [0, 65535.5) and rounds into [0, 65535] without a clip. The
+    frame then goes out in blocks of rows from one reused buffer: the
+    top half is the 16-bit quadrant's rows in reverse order and the
+    bottom half its rows in order; in each row the left half is the
+    quadrant's columns in reverse order. Beyond the 16-bit quadrant no
+    block larger than about 256 KiB is held.
     """
     import numpy as np
-
-    from .analytics import _BLOCK_SAMPLES
 
     scale = PGM_MAXVAL / image.normalization if image.normalization > 0.0 else 0.0
     quadrant = image.quadrant
     side = len(quadrant)
     samples = np.empty(quadrant.shape, dtype=">u2")
-    rows = max(1, _BLOCK_SAMPLES // side)
+    rows = max(1, _FRAME_BLOCK_SAMPLES // (4 * side))
     scaled = np.empty((min(rows, side), side))
     for r0 in range(0, side, rows):
         block = scaled[:min(rows, side - r0)]
@@ -178,21 +180,27 @@ def write_pgm(image: FringeImage, path) -> None:
 def read_pgm(path) -> tuple[np.ndarray, float]:
     """Read back a PGM written by write_pgm: (uint16 samples, rate_max).
 
-    The four header lines are read one by one and the samples straight
-    into the returned array, so nothing else the size of the file is held.
+    The four header lines must be exactly as write_pgm writes them, with
+    a size line of two positive integers W and H, and exactly 2 W H
+    bytes must follow them; both are checked, through the file's size,
+    before any array is allocated, and any other file raises ParseError
+    naming the path. The samples are read straight into the returned
+    array, so nothing else the size of the file is held.
     """
     import numpy as np
 
     with open(path, "rb") as fh:
-        parts = [fh.readline() for _ in range(4)]
-        if parts[0] != b"P5\n" or not parts[1].startswith(b"# rate_max "):
-            raise ParseError(f"{path}: not a twinfringes PGM")
-        rate_max = float(parts[1].split(b" ", 2)[2])
-        width, height = (int(tok) for tok in parts[2].split())
-        if int(parts[3]) != PGM_MAXVAL:
-            raise ParseError(f"{path}: expected maxval {PGM_MAXVAL}")
+        header = b"".join(fh.readline(64) for _ in range(4))
+        match = re.fullmatch(rb"P5\n# rate_max (\d\.\d{12}e[+-]\d+)\n([1-9]\d*) ([1-9]\d*)\n%d\n"
+                             % PGM_MAXVAL, header)
+        if not match:
+            raise ParseError(f"{path}: not a twinfringes PGM header")
+        width, height = int(match[2]), int(match[3])
+        payload = os.fstat(fh.fileno()).st_size - fh.tell()
+        if payload != 2 * width * height:
+            raise ParseError(f"{path}: {payload} sample bytes, expected 2 x {width} x {height}")
         samples = np.fromfile(fh, dtype=">u2", count=width * height)
-    return samples.reshape(height, width), rate_max
+    return samples.reshape(height, width), float(match[1])
 
 
 def write_profile_csv(profile: RadialProfile, path) -> None:

@@ -155,12 +155,14 @@ def test_criterion_5_ring_law_and_rendered_ring():
     )
 
     image, _ = render_pattern(cfg, 3e-3, 600, 0.0)
-    half_pixel = 0.5 * image.pixel_pitch
-    centers = (np.arange(600) + 0.5) * image.pixel_pitch - 1.5e-3
-    row = image.values[300]
+    pitch = 3e-3 / 600
+    half_pixel = 0.5 * pitch
+    # the stored quadrant's first row is row 300 of the frame, columns 300-599
+    centers = (np.arange(300, 600) + 0.5) * pitch - 1.5e-3
+    row = image.quadrant[0]
     # the Gaussian envelope tilts the raw intensity maximum ~8 um inward,
     # beyond the half-pixel budget; peak-find on the envelope-flattened row
-    radius = np.hypot(centers, centers[300])
+    radius = np.hypot(centers, centers[0])
     flat = row / np.exp(-2.0 * radius**2 / (cfg.f0 * cfg.sigma_b) ** 2)
     window = (centers > 1.0e-3) & (centers < 1.55e-3)
     peak = centers[window][np.argmax(flat[window])]

@@ -32,7 +32,7 @@ from twinfringes import (
     write_pgm,
 )
 from twinfringes import analytics
-from twinfringes.analytics import _fringe, mirror_quadrant
+from twinfringes.analytics import _fringe
 from twinfringes.config import source_fringe
 
 from conftest import make_config, mp_partial
@@ -350,14 +350,12 @@ def test_radial_profile_validates_arrays():
 def test_render_pattern_geometry(maximal_cfg):
     for resolution in (64, 65):
         image, _ = render_pattern(maximal_cfg, 3e-3, resolution, 0.0)
-        assert image.values.shape == (resolution, resolution)
-        assert image.pixel_pitch == pytest.approx(3e-3 / resolution)
-        assert image.normalization == image.values.max()
-        # radial pattern on a centered square grid: bit-identical under
-        # transpose and under both flips
-        assert np.array_equal(image.values, image.values.T)
-        assert np.array_equal(image.values, image.values[::-1, :])
-        assert np.array_equal(image.values, image.values[:, ::-1])
+        side = (resolution + 1) // 2
+        assert image.quadrant.shape == (side, side)
+        assert image.normalization == image.quadrant.max()
+        # radial pattern on a centered square grid: the stored quadrant
+        # is bit-identical under transpose
+        assert np.array_equal(image.quadrant, image.quadrant.T)
 
 
 # The maximal and uncorrelated images are products of x and y factors;
@@ -368,10 +366,14 @@ def test_render_pattern_geometry(maximal_cfg):
 SEPARABLE_TOL = 2e-14
 
 
+def quadrant_centers(screen, resolution):
+    """Centers c_i = (i - (N - 1) / 2) * pitch of the stored quadrant's rows, i >= N // 2."""
+    return (np.arange(resolution // 2, resolution) - 0.5 * (resolution - 1)) * (screen / resolution)
+
+
 def _exact_quadrant(cfg, screen, resolution, phi_0):
     """_fringe at the center radius of every pixel of the stored quadrant."""
-    pitch = screen / resolution
-    centers = (np.arange(resolution // 2, resolution) - 0.5 * (resolution - 1)) * pitch
+    centers = quadrant_centers(screen, resolution)
     return _fringe(np.hypot(centers[:, None], centers[None, :]), phi_0, cfg)[0]
 
 
@@ -391,25 +393,24 @@ def pixel_radii(centers):
 @pytest.mark.parametrize("model", list(CorrelationModel))
 @pytest.mark.parametrize("resolution", [64, 65, 255, 256, 1023])
 def test_render_pattern_equals_direct_per_pixel_evaluation(model, resolution):
-    # the quadrant-and-mirror image equals evaluating every pixel's own
-    # radius, with centers c_i = (i - (N - 1) / 2) * pitch: bit for bit
-    # the interpolated profile for the partial model, and the exact
-    # closed form within SEPARABLE_TOL of the peak for the other two
+    # the stored quadrant equals evaluating every one of its pixels at
+    # its own radius: bit for bit the interpolated profile for the
+    # partial model, and the exact closed form within SEPARABLE_TOL of
+    # the peak for the other two
     cfg = make_config(model, sigma_theta=9.37e-4)
     screen, phi_0 = 2.5e-3, 0.7
     image, _ = render_pattern(cfg, screen, resolution, phi_0)
-    pitch = screen / resolution
-    centers = (np.arange(resolution) - 0.5 * (resolution - 1)) * pitch
-    radii = pixel_radii(centers)
+    radii = pixel_radii(quadrant_centers(screen, resolution))
     if model is CorrelationModel.GAUSSIAN_PARTIAL:
+        pitch = screen / resolution
         r_prof = np.linspace(0.0, 0.5 * screen * math.sqrt(2.0) + pitch, 4 * resolution + 2)
         direct = np.interp(radii, r_prof, _fringe(r_prof, phi_0, cfg)[0])
-        assert np.array_equal(image.values, direct)
+        assert np.array_equal(image.quadrant, direct)
         assert image.normalization == direct.max()
     else:
         direct = _fringe(radii, phi_0, cfg)[0]
-        assert np.max(np.abs(image.values - direct)) <= SEPARABLE_TOL * direct.max()
-        assert image.normalization == image.values.max()
+        assert np.max(np.abs(image.quadrant - direct)) <= SEPARABLE_TOL * direct.max()
+        assert image.normalization == image.quadrant.max()
 
 
 @pytest.mark.parametrize("model", [CorrelationModel.MAXIMAL, CorrelationModel.UNCORRELATED],
@@ -422,7 +423,8 @@ def test_render_pattern_equals_direct_per_pixel_evaluation(model, resolution):
 def test_separable_render_is_the_exact_closed_form(tmp_path, model, d_a, screen, resolution,
                                                    sources):
     # the float quadrant is within SEPARABLE_TOL of the peak of the exact
-    # per-pixel rate, and the PGM within 1 LSB of that rate quantised.
+    # per-pixel rate, and the PGM's lower-right block within 1 LSB of
+    # that rate quantised.
     # d_a 50 mm on a 6 mm screen at 600 px, where the corner phase steps
     # 1.4 rad per pixel, is the case a 4x radial profile missed by 33 LSB
     cfg = make_config(model, d_a=d_a, **sources)
@@ -433,8 +435,8 @@ def test_separable_render_is_the_exact_closed_form(tmp_path, model, d_a, screen,
     write_pgm(image, path)
     samples, _ = read_pgm(path)
     quantised = np.rint(exact * (65535 / exact.max()))
-    full = mirror_quadrant(quantised, resolution)
-    assert np.max(np.abs(samples.astype(float) - full)) <= 1.0
+    half = resolution // 2
+    assert np.max(np.abs(samples[half:, half:].astype(float) - quantised)) <= 1.0
 
 
 @pytest.mark.parametrize("resolution", [65, 600])
@@ -499,14 +501,15 @@ def test_partial_render_peaks_near_its_quadrant(partial_cfg):
 
 def test_render_pattern_reproduces_ring_structure(maximal_cfg):
     image, _ = render_pattern(maximal_cfg, 3e-3, 128, 0.0)
-    row = image.values[64]
-    centers = (np.arange(128) + 0.5) * image.pixel_pitch - 1.5e-3
+    # the quadrant's first row is row 64 of the frame, columns 64 to 127
+    row = image.quadrant[0]
+    centers = quadrant_centers(3e-3, 128)
     # dark fringe between center and first ring: the minimum along the row
     # sits near sqrt(pi / curvature)
     dark = math.sqrt(math.pi / effective_curvature(maximal_cfg))
-    window = (centers > 0) & (centers < 1.2e-3)
+    window = centers < 1.2e-3
     r_min = centers[window][np.argmin(row[window])]
-    assert abs(r_min - dark) < image.pixel_pitch
+    assert abs(r_min - dark) < 3e-3 / 128
 
 
 def test_render_pattern_validates_arguments(maximal_cfg):
@@ -519,27 +522,27 @@ def test_render_pattern_validates_arguments(maximal_cfg):
 def test_fringe_image_invariants():
     # the image stores its (ceil(n/2), ceil(n/2)) lower-right quadrant
     with pytest.raises(ValueError, match="shape"):
-        FringeImage(4, 1e-5, np.zeros((3, 4)))
+        FringeImage(4, np.zeros((3, 4)))
     with pytest.raises(ValueError, match="shape"):
-        FringeImage(4, 1e-5, np.zeros((4, 4)))
+        FringeImage(4, np.zeros((4, 4)))
     with pytest.raises(ValueError):  # an empty frame has no maximum
-        FringeImage(0, 1e-5, np.zeros((0, 0)))
+        FringeImage(0, np.zeros((0, 0)))
     with pytest.raises(ValueError, match="nonnegative"):
-        FringeImage(4, 1e-5, np.array([[1.0, -0.1], [0.0, 0.5]]))
+        FringeImage(4, np.array([[1.0, -0.1], [0.0, 0.5]]))
     # the normalization is the frame maximum, computed, not passed in
-    assert FringeImage(3, 1e-5, np.array([[0.5, 0.25], [2.0, 0.0]])).normalization == 2.0
+    assert FringeImage(3, np.array([[0.5, 0.25], [2.0, 0.0]])).normalization == 2.0
 
 
 def test_fringe_image_sign_and_nan_checks():
     quadrant = np.ones((3, 3))
     quadrant[-1, -1] = -1e-300
     with pytest.raises(ValueError, match="nonnegative"):
-        FringeImage(5, 1e-5, quadrant)
+        FringeImage(5, quadrant)
     quadrant[-1, -1] = -0.0
-    assert np.signbit(FringeImage(5, 1e-5, quadrant).quadrant[-1, -1])
+    assert np.signbit(FringeImage(5, quadrant).quadrant[-1, -1])
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
-            FringeImage(4, 1e-5, np.array([[1.0, bad], [0.0, 0.5]]))
+            FringeImage(4, np.array([[1.0, bad], [0.0, 0.5]]))
     # a NaN does not hide a negative pixel
     with pytest.raises(ValueError, match="nonnegative"):
-        FringeImage(4, 1e-5, np.array([[np.nan, 1.0], [-0.5, 0.5]]))
+        FringeImage(4, np.array([[np.nan, 1.0], [-0.5, 0.5]]))

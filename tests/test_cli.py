@@ -17,11 +17,16 @@ from twinfringes import (
     ParaxialWarning,
     __version__,
     config_to_dict,
+    derive_constants,
+    estimate_equivalent_wavelength,
     fringe_radius,
+    infer_lambda_a,
     parse_config,
     read_pgm,
     read_profile_csv,
+    ring_law_lambda_eq,
     visibility_closed_form,
+    visibility_hwhms,
 )
 from twinfringes import analytics
 from twinfringes.cli import (
@@ -689,6 +694,97 @@ def test_invert_divides_v0_by_the_source_contrast(capsys, tmp_path, cfg_file):
     assert width(cfg_file, "0.9") == "sigma_theta_rad = 2.193613243102e-03"
     assert main(["invert", "--config", unbalanced, "--v0", "0.97"]) == 1
     assert "outside (0, 0.96]" in capsys.readouterr().err
+
+
+LENGTH_KEYS = ("lambda_a_nm", "lambda_b_nm", "lambda_p_nm", "d_a_mm", "f0_mm")
+
+
+def _doubled_lengths(text):
+    """Config text with every length doubled; 2 x is exact in binary floating point."""
+    lines = []
+    for line in text.splitlines():
+        key, _, value = line.partition(" = ")
+        lines.append(f"{key} = {2.0 * float(value)!r}" if key in LENGTH_KEYS else line)
+    return "\n".join(lines) + "\n"
+
+
+def _scaled_outputs(tmp_path, text, scale):
+    """Run simulate, visibility, oracle and invert with every length x scale, 1 or 2.
+
+    Returns each output file's bytes by command and suffix.
+    """
+    cfg = _cfg(tmp_path, text if scale == 1 else _doubled_lengths(text), f"x{scale}.cfg")
+
+    def mm(*values):
+        return ",".join(repr(scale * v) for v in values)
+
+    runs = {
+        "simulate": ["--resolution", "301", "--screen-mm", mm(3.0)],
+        "visibility": ["--rho-mm-list", mm(0.0, 0.3, 0.9, 1.276, 2.5)],
+        "oracle": ["--grid-points", "512"],
+        "invert": ["--v0", "0.5", "--rho1-mm", mm(1.276)],
+    }
+    outputs = {}
+    for command, flags in runs.items():
+        base = tmp_path / f"x{scale}_{command}"
+        assert main([command, "--config", cfg, "--out", str(base), *flags]) == 0
+        for suffix in _SUFFIXES[command]:
+            outputs[command, suffix] = base.with_name(base.name + suffix).read_bytes()
+    return outputs
+
+
+@pytest.mark.parametrize("text", [PARTIAL, MAXIMAL, UNCORRELATED],
+                         ids=["gaussian_partial", "maximal", "uncorrelated"])
+def test_doubling_every_length_leaves_every_output_unchanged(tmp_path, text):
+    # rates and visibilities depend on lengths only through their
+    # ratios, and doubling is exact, so a unit slip on any route, or in
+    # what the routes share, changes a byte here
+    text += UNBALANCED + "phi1_rad = 0.5\n"
+    one, two = (_scaled_outputs(tmp_path, text, scale) for scale in (1, 2))
+    assert one["simulate", ".pgm"] == two["simulate", ".pgm"]
+    # the CSV radii are the profile's, exactly doubled; the rest is equal
+    rho = np.linspace(0.0, 1.5e-3, 301)
+    profiles = [out["simulate", ".csv"].decode().splitlines() for out in (one, two)]
+    for lines, radii in zip(profiles, (rho, 2.0 * rho)):
+        assert [line.split(",", 1)[0] for line in lines[1:]] == [format(r, ".11e") for r in radii]
+    assert [line.split(",", 1)[1] for line in profiles[0]] == [
+        line.split(",", 1)[1] for line in profiles[1]]
+    visibility = [[line.split(",")[1] for line in out["visibility", ".csv"].decode().splitlines()]
+                  for out in (one, two)]
+    assert visibility[0] == visibility[1]
+    reports = [json.loads(out["oracle", ".json"]) for out in (one, two)]
+    radii = [report.pop("radii_m") for report in reports]
+    assert radii[1] == [2.0 * r for r in radii[0]]
+    assert reports[0] == reports[1]
+    widths = [[line for line in out["invert", ".txt"].decode().splitlines()
+               if line.startswith(("sigma_theta_rad =", "cross_check_rel ="))]
+              for out in (one, two)]
+    assert len(widths[0]) == 2 and widths[0] == widths[1]
+
+
+@pytest.mark.parametrize("text", [PARTIAL, MAXIMAL, UNCORRELATED],
+                         ids=["gaussian_partial", "maximal", "uncorrelated"])
+def test_doubling_every_length_doubles_every_length_output(tmp_path, text):
+    # the HWHM, lambda_eq, its stderr and lambda_a double exactly as
+    # floats; their 12- and 6-digit texts may round 2 x differently
+    text += UNBALANCED + "phi1_rad = 0.5\n"
+    cfgs = [parse_config(_cfg(tmp_path, body, name))
+            for body, name in ((text, "x1.cfg"), (_doubled_lengths(text), "x2.cfg"))]
+    sigmas = [2e-4, 9.37e-4, 3e-3]
+    hwhms = [visibility_hwhms(sigmas, [derive_constants(cfg, s) for s in sigmas])
+             for cfg in cfgs]
+    assert None not in hwhms[0] and hwhms[1] == [2.0 * h for h in hwhms[0]]
+    rings = [(5e-3, 1.95e-3), (10e-3, 1.38e-3), (15e-3, 1.13e-3), (20e-3, 0.98e-3)]
+    fits = [estimate_equivalent_wavelength([(s * d, s * r) for d, r in rings], cfg)
+            for s, cfg in zip((1.0, 2.0), cfgs)]
+    assert fits[0].stderr > 0.0
+    assert fits[1].lambda_eq == 2.0 * fits[0].lambda_eq
+    assert fits[1].stderr == 2.0 * fits[0].stderr
+    assert (infer_lambda_a(fits[1].lambda_eq, cfgs[1].lambda_b)
+            == 2.0 * infer_lambda_a(fits[0].lambda_eq, cfgs[0].lambda_b))
+    d, r = rings[1]
+    single = [ring_law_lambda_eq((s * r) ** 2 * (s * d), cfg) for s, cfg in zip((1.0, 2.0), cfgs)]
+    assert single[1] == 2.0 * single[0]
 
 
 def test_negative_source_magnitude_exits_usage(capsys, tmp_path):

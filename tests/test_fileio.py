@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -154,8 +155,8 @@ def test_pgm_round_trip(tmp_path):
     assert samples.max() == 65535
     assert rate_max == pytest.approx(image.normalization, rel=1e-11, abs=0)
     # quantization bound: half a granule of the 16-bit scale
-    restored = samples.astype(float) * (image.normalization / 65535.0)
-    assert np.max(np.abs(restored - image.values)) <= 0.5 * image.normalization / 65535.0
+    restored = samples[32:, 32:].astype(float) * (image.normalization / 65535.0)
+    assert np.max(np.abs(restored - image.quadrant)) <= 0.5 * image.normalization / 65535.0
 
 
 def test_pgm_big_endian_on_disk(tmp_path):
@@ -191,13 +192,28 @@ def test_profile_csv_round_trip(tmp_path, partial_cfg):
     assert back.rate.max() == pytest.approx(1.0, rel=1e-11, abs=0)
 
 
-def _reference_pgm_bytes(image):
-    """The one-line PGM writer the in-place quantisation replaced."""
-    scale = 65535 / image.normalization if image.normalization > 0.0 else 0.0
-    samples = np.rint(image.values * scale).clip(0, 65535).astype(">u2")
+def assert_pgm_is_the_quadrant(path, image):
+    """Pin every sample of the PGM that write_pgm wrote for ``image``.
+
+    The header must be write_pgm's, and read_pgm takes exactly the
+    samples it announces. The frame's lower-right block, rows and
+    columns i >= N // 2, must equal the quadrant quantised to 16 bits;
+    the frame must be exactly symmetric under both flips, which maps
+    every other sample onto that block, and under transposition when
+    the quantised quadrant is.
+    """
     size = image.resolution
     header = f"P5\n# rate_max {image.normalization:.12e}\n{size} {size}\n65535\n"
-    return header.encode("ascii") + samples.tobytes()
+    assert path.read_bytes()[:len(header)] == header.encode("ascii")
+    samples, _ = read_pgm(path)
+    scale = 65535 / image.normalization if image.normalization > 0.0 else 0.0
+    quantised = np.rint(image.quadrant * scale).clip(0, 65535).astype(">u2")
+    half = size // 2
+    assert samples.shape == (size, size)
+    assert np.array_equal(samples[half:, half:], quantised)
+    assert np.array_equal(samples, samples[::-1, :])
+    assert np.array_equal(samples, samples[:, ::-1])
+    assert np.array_equal(samples, samples.T) == np.array_equal(quantised, quantised.T)
 
 
 def _reference_profile_text(profile):
@@ -215,13 +231,13 @@ def _pgm_cases(cfgs):
     images = [render_pattern(cfg, 3e-3, n, 0.4)[0] for cfg in cfgs for n in (64, 257)]
     # several quantise and write blocks, at both parities
     images += [render_pattern(cfgs[0], 3e-3, n, 0.4)[0] for n in (2048, 2049)]
-    images.append(FringeImage(90, 1e-5, rng.random((45, 45)) * 3.7e-9))
+    images.append(FringeImage(90, rng.random((45, 45)) * 3.7e-9))
     # samples on exact half granules, where rint rounds half to even,
     # in a 363 x 363 quadrant padded with zeros
     half_granules = np.zeros(363 * 363)
     half_granules[:131071] = np.arange(0.0, 65535.5, 0.5)
-    images.append(FringeImage(725, 1e-5, half_granules.reshape(363, 363)))
-    images.append(FringeImage(64, 1e-5, np.zeros((32, 32))))
+    images.append(FringeImage(725, half_granules.reshape(363, 363)))
+    images.append(FringeImage(64, np.zeros((32, 32))))
     return images
 
 
@@ -253,11 +269,33 @@ def test_read_pgm_holds_only_its_samples(tmp_path, partial_cfg):
     assert peak <= samples.nbytes + 2**20
 
 
-def test_write_pgm_matches_reference_bytes(tmp_path, partial_cfg, maximal_cfg, uncorrelated_cfg):
+@pytest.mark.parametrize("edit", [
+    lambda blob: blob.replace(b"\n64 64\n", b"\n4096 4096\n"),
+    lambda blob: blob[:-50],
+    lambda blob: blob.replace(b"\n64 64\n", b"\n64 x\n"),
+    lambda blob: blob.replace(b"\n64 64\n", b"\n0 64\n"),
+    lambda blob: blob.replace(b"\n65535\n", b"\n255\n"),
+    lambda blob: blob + b"\0\0",
+], ids=["size_4096", "cut_short", "size_not_a_number", "size_zero", "maxval_255", "trailing"])
+def test_read_pgm_checks_header_and_length_before_allocating(tmp_path, maximal_cfg, edit):
+    path = tmp_path / "image.pgm"
+    write_pgm(render_pattern(maximal_cfg, 1e-3, 64, 0.0)[0], path)
+    path.write_bytes(edit(path.read_bytes()))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match=re.escape(str(path))):
+            read_pgm(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_write_pgm_lays_out_the_quadrant(tmp_path, partial_cfg, maximal_cfg, uncorrelated_cfg):
     path = tmp_path / "image.pgm"
     for image in _pgm_cases([partial_cfg, maximal_cfg, uncorrelated_cfg]):
         write_pgm(image, path)
-        assert path.read_bytes() == _reference_pgm_bytes(image)
+        assert_pgm_is_the_quadrant(path, image)
 
 
 def test_write_profile_csv_matches_reference_text(

@@ -83,3 +83,54 @@ def test_package_imports_only_stdlib_and_numpy(path):
     # stay out of every module, function-level imports included
     allowed = set(sys.stdlib_module_names) | {"numpy", "twinfringes"}
     assert _imported_roots(path) <= allowed
+
+
+def _package_imports(module: str) -> dict[str, set[str]]:
+    """Package module -> the names ``module`` imports from it, nested imports included.
+
+    A module imported whole (``from . import state``,
+    ``import twinfringes.state``) is listed with the name "*".
+    """
+    imports: dict[str, set[str]] = {}
+    for node in ast.walk(ast.parse((SOURCE / f"{module}.py").read_text())):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                package, _, target = alias.name.partition(".")
+                if package == "twinfringes" and target:
+                    imports.setdefault(target.split(".")[0], set()).add("*")
+        elif isinstance(node, ast.ImportFrom):
+            name = node.module or ""
+            if node.level == 0:
+                package, _, name = name.partition(".")
+                if package != "twinfringes":
+                    continue
+            if name:
+                imports.setdefault(name, set()).update(alias.name for alias in node.names)
+            else:  # from . import state; a public name counts as its module's
+                for alias in node.names:
+                    imports.setdefault(
+                        twinfringes._MODULE_OF.get(alias.name, alias.name), set()
+                    ).add("*")
+    return imports
+
+
+def test_package_import_reader_sees_every_form():
+    assert {"analytics", "oracle", "state", "config", "fileio"} <= _package_imports("cli").keys()
+    assert _package_imports("oracle") == {"state": {"SuperposedState"}}
+
+
+@pytest.mark.parametrize("module", ["state", "oracle"])
+def test_grid_route_imports_no_other_route(module):
+    # the oracle's agreement with the closed form and the quadrature is
+    # evidence only while the grid route shares none of their code: it
+    # reads the config's fields and nothing derived from them
+    imports = _package_imports(module)
+    assert not imports.keys() & {"analytics", "special", "inverse", "fileio", "cli"}
+    assert imports.get("config", set()) <= {
+        "PARAXIAL_LIMIT", "CorrelationModel", "ExperimentConfig", "ParaxialWarning",
+    }
+
+
+@pytest.mark.parametrize("module", ["analytics", "special"])
+def test_closed_form_and_quadrature_import_no_grid_route(module):
+    assert not _package_imports(module).keys() & {"state", "oracle"}

@@ -33,8 +33,8 @@ from twinfringes.analytics import _fringe
 from twinfringes.cli import run_oracle_check
 
 from conftest import make_config
-from test_analytics import SEPARABLE_TOL, pixel_radii
-from test_fileio import _reference_pgm_bytes
+from test_analytics import SEPARABLE_TOL, pixel_radii, quadrant_centers
+from test_fileio import assert_pgm_is_the_quadrant
 
 # Deterministic draws keep the tier-1 run reproducible.
 PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
@@ -154,31 +154,32 @@ RENDER_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
     st.floats(-10.0, 10.0),
     st.sampled_from(list(CorrelationModel)),
 )
-def test_octant_render_and_quadrant_pgm_match_full_frame_references(
+def test_render_quadrant_and_pgm_match_per_pixel_references(
     tmp_path_factory, resolution, screen, phi, model
 ):
-    # the partial image is bit-equal to interpolating its radial profile
-    # at every pixel's radius; the maximal and uncorrelated images are the
-    # exact closed form there, within SEPARABLE_TOL of the peak, and their
-    # PGMs within 1 LSB of that rate quantised
+    # the partial quadrant is bit-equal to interpolating its radial
+    # profile at every pixel's radius; the maximal and uncorrelated
+    # quadrants are the exact closed form there, within SEPARABLE_TOL of
+    # the peak, and their PGMs' lower-right blocks within 1 LSB of that
+    # rate quantised
     cfg = make_config(model)
     image, _ = render_pattern(cfg, screen, resolution, phi)
-    pitch = screen / resolution
-    centers = (np.arange(resolution) - 0.5 * (resolution - 1)) * pitch
-    radii = pixel_radii(centers)
+    radii = pixel_radii(quadrant_centers(screen, resolution))
     path = tmp_path_factory.mktemp("render") / "image.pgm"
     write_pgm(image, path)
-    assert path.read_bytes() == _reference_pgm_bytes(image)
+    assert_pgm_is_the_quadrant(path, image)
     if model is CorrelationModel.GAUSSIAN_PARTIAL:
+        pitch = screen / resolution
         r_prof = np.linspace(0.0, 0.5 * screen * math.sqrt(2.0) + pitch, 4 * resolution + 2)
         direct = np.interp(radii, r_prof, _fringe(r_prof, phi, cfg)[0])
-        assert np.array_equal(image.values, direct)
+        assert np.array_equal(image.quadrant, direct)
         return
     direct = _fringe(radii, phi, cfg)[0]
-    assert np.max(np.abs(image.values - direct)) <= SEPARABLE_TOL * direct.max()
+    assert np.max(np.abs(image.quadrant - direct)) <= SEPARABLE_TOL * direct.max()
     samples, _ = read_pgm(path)
     quantised = np.rint(direct * (65535 / direct.max()))
-    assert np.max(np.abs(samples.astype(float) - quantised)) <= 1.0
+    half = resolution // 2
+    assert np.max(np.abs(samples[half:, half:].astype(float) - quantised)) <= 1.0
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

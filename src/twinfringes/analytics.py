@@ -1,10 +1,12 @@
 """Closed-form counting rates, fringe geometry, visibility, rendering.
 
-The three correlation regimes each get one explicit radial rate that
-takes a scalar or an array of radii; the partially correlated one is the
-parabolic-cylinder closed form, and its visibility is that form's
-modulus. The radial quadrature of the same rate is kept only as an
-independent reference route. The maximal and uncorrelated images are
+The closed form of every correlation regime is one fringe phasor per
+radius, ``_closed_form``: the mean rate A, the complex fringe F and the
+visibility V, at a scalar or an array of radii, with the rate
+A (1 + Re F); the partially correlated F is the parabolic-cylinder
+closed form. The public rates, ``visibility_closed_form`` and the
+profiles are views of it. The radial quadrature of the partial rate is
+kept only as an independent reference route. The maximal and uncorrelated images are
 evaluated in closed form at every pixel from outer products of 1D
 factors over the pixel centres; only the partial model's image is
 interpolated from a 1D radial profile. Either way the circular symmetry
@@ -58,12 +60,9 @@ class RadialProfile:
     visibility: np.ndarray
 
     def __post_init__(self):
-        rho = np.asarray(self.rho, dtype=float)
-        rate = np.asarray(self.rate, dtype=float)
-        vis = np.asarray(self.visibility, dtype=float)
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "rate", rate)
-        object.__setattr__(self, "visibility", vis)
+        for name in ("rho", "rate", "visibility"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        rho, rate, vis = self.rho, self.rate, self.visibility
         if rho.ndim != 1 or rate.shape != rho.shape or vis.shape != rho.shape:
             raise ValueError("rho, rate and visibility must be congruent 1D arrays")
         if np.any(np.diff(rho) <= 0.0):
@@ -113,17 +112,54 @@ def _require_nonnegative(rho) -> None:
         raise ValueError("rho must be nonnegative")
 
 
+def _closed_form(rho, phi_0: float, cfg: ExperimentConfig, model: CorrelationModel):
+    """(A, F, V) of ``model`` at each radius rho >= 0: the fringe as one phasor.
+
+    The rate at scan phase phi_0 is A (1 + Re F): A is the mean rate and
+    F the complex fringe with e^{-i phi_0} applied, so |F| is the
+    fringe's local contrast and arg F its position in the scan phase, as
+    S / A is on the grid route (``oracle._phasor``). V, the visibility,
+    does not depend on phi_0. With P(rho) the envelope, (c, static) =
+    ``source_fringe(cfg)`` and phi = phi_0 + static:
+    - uncorrelated: A = P(rho), F = 0, V = 0;
+    - maximal: A = P(rho), F = c e^{i(K rho^2 - phi)}, V = c, with
+      K = ``effective_curvature(cfg)``;
+    - partial: A = (sigma^2 / 2) P(rho),
+      F = c e^{i(C rho^2 - phi)} Br(rho g) / (2 - i kappa) and
+      V = c |Br(rho g)| / gamma (derived at counting_rate_partial).
+
+    Re F is formed with the operations each model's rate has always
+    used, so the rates keep their bits. A missing sigma_theta reads as
+    0, as in ``derive_constants``, which makes the partial A zero.
+    ``rho`` is a radius or an array of radii.
+    """
+    _require_nonnegative(rho)
+    contrast, static = source_fringe(cfg)
+    envelope = _envelope(rho, cfg)
+    if model is CorrelationModel.UNCORRELATED:
+        return envelope, np.zeros_like(envelope, dtype=complex), np.zeros_like(envelope)
+    if model is CorrelationModel.MAXIMAL:
+        arg = effective_curvature(cfg) * rho * rho - (phi_0 + static)
+        fringe = contrast * np.cos(arg) + 1j * (contrast * np.sin(arg))
+        return envelope, fringe, np.full_like(envelope, contrast)
+    constants = derive_constants(cfg)
+    br = dm2_pair_scaled(rho * constants.g)
+    phase = cfg.n_a * constants.A * rho * rho - (phi_0 + static)
+    fringe = contrast * (np.exp(1j * phase) * br / complex(2.0, -constants.kappa))
+    mean = 0.5 * (cfg.sigma_theta or 0.0) ** 2 * envelope
+    return mean, fringe, contrast * np.abs(br) / constants.gamma
+
+
 def counting_rate_maxcorr(rho, phi_0: float, cfg: ExperimentConfig):
     """Perfect-correlation rate P(rho) {1 + c cos[n_a A rho^2 - phi_0 - static]}.
 
     (c, static) is ``source_fringe(cfg)``. phi_0 is referenced to the
     on-axis bright fringe of balanced, in-phase sources, so phi_0 = 0
     gives them a bright center. ``rho`` is a radius or an array of radii.
+    The maximal A (1 + Re F) of ``_closed_form``.
     """
-    _require_nonnegative(rho)
-    contrast, static = source_fringe(cfg)
-    arg = effective_curvature(cfg) * rho * rho - (phi_0 + static)
-    return _envelope(rho, cfg) * (1.0 + contrast * np.cos(arg))
+    mean, fringe, _ = _closed_form(rho, phi_0, cfg, CorrelationModel.MAXIMAL)
+    return mean * (1.0 + fringe.real)
 
 
 def fringe_radius(N: int, cfg: ExperimentConfig) -> float:
@@ -141,9 +177,11 @@ def fringe_radius(N: int, cfg: ExperimentConfig) -> float:
 
 
 def counting_rate_uncorrelated(rho, cfg: ExperimentConfig):
-    """Zero-correlation rate: the bare envelope, independent of any phase."""
-    _require_nonnegative(rho)
-    return _envelope(rho, cfg)
+    """Zero-correlation rate: the bare envelope, independent of any phase.
+
+    The uncorrelated A of ``_closed_form``, whose F is 0.
+    """
+    return _closed_form(rho, 0.0, cfg, CorrelationModel.UNCORRELATED)[0]
 
 
 def counting_rate_partial(rho, phi_0: float, cfg: ExperimentConfig):
@@ -171,32 +209,12 @@ def counting_rate_partial(rho, phi_0: float, cfg: ExperimentConfig):
     gives I(rho) = e^{iC rho^2} Br(z) / (2p) with z = q / sqrt(2p) = rho g.
     The erfc form of D_{-2} (DLMF 12.7) turns Br into Faddeeva functions.
     The visibility is c |Br(rho g)| / |p| = visibility_closed_form.
+    This is the partial A (1 + Re F) of ``_closed_form``.
     """
-    return _partial_fringe(rho, phi_0, cfg)[0]
-
-
-def _partial_br(rho, cfg: ExperimentConfig):
-    """derive_constants(cfg) and Br(rho g) at the radii rho.
-
-    The one evaluation of the scaled D_-2 pair behind both the
-    partial-model rate and its visibility.
-    """
-    constants = derive_constants(cfg)
-    return constants, dm2_pair_scaled(rho * constants.g)
-
-
-def _partial_fringe(rho, phi_0: float, cfg: ExperimentConfig):
-    """(counting_rate_partial, visibility_closed_form) at rho >= 0 from one Br(rho g)."""
-    _require_nonnegative(rho)
     if cfg.sigma_theta is None:
         raise ValueError("partial-correlation rate requires sigma_theta")
-    contrast, static = source_fringe(cfg)
-    constants, br = _partial_br(rho, cfg)
-    phase = cfg.n_a * constants.A * rho * rho - (phi_0 + static)
-    p = complex(2.0, -constants.kappa)
-    fringe = np.exp(1j * phase) * br / p
-    rate = 0.5 * cfg.sigma_theta**2 * _envelope(rho, cfg) * (1.0 + contrast * fringe.real)
-    return rate, contrast * np.abs(br) / constants.gamma
+    mean, fringe, _ = _closed_form(rho, phi_0, cfg, CorrelationModel.GAUSSIAN_PARTIAL)
+    return mean * (1.0 + fringe.real)
 
 
 def counting_rate_partial_quadrature(rho, phi_0: float, cfg: ExperimentConfig):
@@ -247,10 +265,10 @@ def visibility_closed_form(rho, cfg: ExperimentConfig):
     This is the textbook (c/gamma) e^{-sigma^2 rho^2 / chi^2}
     |D_{-2}(rho g) + D_{-2}(-rho g)|, because |e^{-z^2/4}| is exactly
     e^{sigma^2 rho^2 / chi^2} at z = rho g. Depends only on |rho|; at
-    rho = 0 it reduces bit-exactly to central_visibility.
+    rho = 0 it reduces bit-exactly to central_visibility. This is the
+    partial-model V of ``_closed_form``, whatever model ``cfg`` names.
     """
-    constants, br = _partial_br(np.abs(rho), cfg)
-    return source_fringe(cfg)[0] * np.abs(br) / constants.gamma
+    return _closed_form(np.abs(rho), 0.0, cfg, CorrelationModel.GAUSSIAN_PARTIAL)[2]
 
 
 def central_visibility(cfg: ExperimentConfig) -> float:
@@ -393,14 +411,12 @@ def visibility_hwhms(sigmas, constants) -> list[float | None]:
 
 
 def _fringe(rho: np.ndarray, phi_0: float, cfg: ExperimentConfig):
-    """Closed-form (rate, visibility) of the configured model at each radius."""
-    model = cfg.correlation_model
-    if model is CorrelationModel.MAXIMAL:
-        return counting_rate_maxcorr(rho, phi_0, cfg), np.full_like(rho, source_fringe(cfg)[0])
-    if model is CorrelationModel.UNCORRELATED:
-        return counting_rate_uncorrelated(rho, cfg), np.zeros_like(rho)
-    rate, visibility = _partial_fringe(rho, phi_0, cfg)
-    return rate, np.clip(visibility, 0.0, 1.0)
+    """Closed-form (rate, visibility) of the configured model at each radius.
+
+    The rate A (1 + Re F) and V of ``_closed_form``, V clipped into [0, 1].
+    """
+    mean, fringe, visibility = _closed_form(rho, phi_0, cfg, cfg.correlation_model)
+    return mean * (1.0 + fringe.real), np.clip(visibility, 0.0, 1.0)
 
 
 # _separable_rate fills the maximal rate and render_pattern the partial

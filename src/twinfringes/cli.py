@@ -52,17 +52,18 @@ EXIT_TOLERANCE = 2
 EXIT_IO = 3
 
 # Oracle-check tolerances per model: (max |V_grid - V_closed|, max
-# peak-relative rate discrepancy). The partial-model 0.01 bound is the
+# peak-relative rate discrepancy, max |F_grid - F_closed|), F = S / A the
+# complex fringe at phi_0 = 0. The partial-model 0.01 bounds are the
 # 512-mode Riemann-sum convergence level established by grid refinement.
 # The maximal and uncorrelated grids are exact up to rounding; each of
 # their gates is the smallest 1-2-5 value at least 10x the worst
 # discrepancy over n_a 1/1.7/2.5/3, d_a 1-50 mm (10 values) and 128-4096
-# modes on the reference optics (maximal 3.3e-16, 1.65e-14;
-# uncorrelated 1.1e-16, 2.2e-16).
+# modes on the reference optics (maximal 3.3e-16, 1.65e-14, 5.7e-14;
+# uncorrelated 1.1e-16, 2.2e-16, 1.06e-16).
 _ORACLE_TOLS = {
-    CorrelationModel.MAXIMAL: (5e-15, 2e-13),
-    CorrelationModel.UNCORRELATED: (2e-15, 5e-15),
-    CorrelationModel.GAUSSIAN_PARTIAL: (0.01, 0.01),
+    CorrelationModel.MAXIMAL: (5e-15, 2e-13, 1e-12),
+    CorrelationModel.UNCORRELATED: (2e-15, 5e-15, 2e-15),
+    CorrelationModel.GAUSSIAN_PARTIAL: (0.01, 0.01, 0.01),
 }
 
 
@@ -256,54 +257,61 @@ def run_eqwavelength(cfg: ExperimentConfig, data_path) -> str:
 def run_oracle_check(cfg: ExperimentConfig, grid_points: int, out) -> None:
     """Compare the brute-force mode-sum against the closed forms.
 
-    Samples 16 radii across the envelope, reads the exact grid
-    visibility |S| / A and the phi_0 = 0 rate A + Re S off one fringe
-    phasor per radius, and checks both against the analytic results for
-    the configured model. ``grid_points`` must be even and in [128, 65536],
-    whatever the model, or UsageError is raised. A closed form that
-    overflows on the config raises ValueError before anything is
-    written. Otherwise the JSON report is written even on failure;
-    ToleranceExceeded is raised afterwards so the discrepancies stay
-    inspectable.
+    Samples 16 radii across the envelope and reads three things off one
+    fringe phasor per radius on each route: the visibility (|S| / A on
+    the grid), the phi_0 = 0 rate (A + Re S) and the complex fringe
+    F = S / A, whose phase is the fringe's position in the scan phase;
+    the closed form gives its (A, F, V) from one ``_closed_form`` call.
+    The modulus and the rate alone cannot tell F from its conjugate; the
+    fringe discrepancy max |F_grid - F_closed| can. ``grid_points`` must
+    be even and in [128, 65536], whatever the model, or UsageError is
+    raised. A closed form that overflows on the config raises ValueError
+    before anything is written. Otherwise the JSON report is written even
+    on failure; ToleranceExceeded is raised afterwards so the
+    discrepancies stay inspectable.
     """
     if grid_points < 128 or grid_points % 2:
         raise UsageError(f"--grid-points must be an even number >= 128, got {grid_points}")
     if grid_points > 65536:
         raise UsageError(f"--grid-points must be at most 65536, got {grid_points}")
     _load_arrays()
+    rho = np.linspace(0.0, 0.5 * cfg.f0 * cfg.sigma_b, 16)
     with np.errstate(over="ignore", invalid="ignore"):
-        closed = analytics.radial_profile(cfg, 0.5 * cfg.f0 * cfg.sigma_b, 16, 0.0)
-    if not (np.isfinite(closed.rate).all() and np.isfinite(closed.visibility).all()):
+        mean, fringe, visibility = analytics._closed_form(rho, 0.0, cfg, cfg.correlation_model)
+        rate = mean * (1.0 + fringe.real)
+    if not all(np.isfinite(x).all() for x in (rate, fringe, visibility)):
         raise ValueError(
-            "the closed form overflows on this config: its rate or visibility is not finite"
+            "the closed form overflows on this config: its rate, fringe or visibility is not finite"
         )
     # the b grid's columns are exactly these radii
-    grid_state = state.assemble_state(cfg, closed.rho, grid_points)
-    vis_grid, rate_grid = oracle.visibility_scan(grid_state)
+    grid_state = state.assemble_state(cfg, rho, grid_points)
+    vis_grid, rate_grid, fringe_grid = oracle.visibility_scan(grid_state)
 
-    vis_tol, rate_tol = _ORACLE_TOLS[cfg.correlation_model]
-    vis_err = float(np.max(np.abs(vis_grid - closed.visibility)))
+    vis_tol, rate_tol, fringe_tol = _ORACLE_TOLS[cfg.correlation_model]
+    vis_err = float(np.max(np.abs(vis_grid - visibility)))
     # Rates are compared peak-normalized; a pointwise relative error is
     # undefined at the dark-fringe zeros of the maximal model.
-    rate_err = float(
-        np.max(np.abs(rate_grid / rate_grid.max() - closed.rate / closed.rate.max()))
-    )
-    passed = vis_err <= vis_tol and rate_err <= rate_tol
+    rate_err = float(np.max(np.abs(rate_grid / rate_grid.max() - rate / rate.max())))
+    fringe_err = float(np.max(np.abs(fringe_grid - fringe)))
+    passed = vis_err <= vis_tol and rate_err <= rate_tol and fringe_err <= fringe_tol
     report = {
         "model": cfg.correlation_model.value,
         "grid_points": int(grid_points),
-        "radii_m": [float(r) for r in closed.rho],
+        "radii_m": [float(r) for r in rho],
         "max_abs_visibility_discrepancy": vis_err,
         "visibility_tolerance": vis_tol,
         "max_peak_relative_rate_discrepancy": rate_err,
         "rate_tolerance": rate_tol,
+        "max_abs_fringe_discrepancy": fringe_err,
+        "fringe_tolerance": fringe_tol,
         "passed": passed,
     }
     Path(out).write_text(json.dumps(report, indent=2, allow_nan=False) + "\n", encoding="ascii")
     if not passed:
         raise ToleranceExceeded(
             f"visibility discrepancy {vis_err:.3e} (tol {vis_tol:.1e}), "
-            f"rate discrepancy {rate_err:.3e} (tol {rate_tol:.1e}); report at {out}"
+            f"rate discrepancy {rate_err:.3e} (tol {rate_tol:.1e}), "
+            f"fringe discrepancy {fringe_err:.3e} (tol {fringe_tol:.1e}); report at {out}"
         )
 
 

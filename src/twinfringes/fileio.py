@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import codecs
 import json
+import math
 import os
 import re
 from pathlib import Path
@@ -223,16 +224,33 @@ def write_profile_csv(profile: RadialProfile, path) -> None:
 
 
 def read_profile_csv(path) -> RadialProfile:
-    """Read back a profile written by write_profile_csv."""
-    import numpy as np
+    """Read back a profile written by write_profile_csv.
 
+    Every row must hold three finite numbers, with rho increasing and the
+    visibility in [0, 1], and there must be at least one row; any other
+    file raises ParseError naming the path, and the line where it can.
+    """
     from .analytics import RadialProfile
 
     lines = Path(path).read_text(encoding="ascii").splitlines()
     if not lines or lines[0] != PROFILE_HEADER:
         raise ParseError(f"{path}: missing profile header {PROFILE_HEADER!r}")
-    data = np.array([[float(tok) for tok in line.split(",")] for line in lines[1:]])
-    return RadialProfile(data[:, 0], data[:, 1], data[:, 2])
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:
+            row = [float(tok) for tok in line.split(",")]
+        except ValueError:
+            row = []
+        if len(row) != 3 or not all(map(math.isfinite, row)):
+            raise ParseError(f"{path}:{lineno}: expected three finite numbers, got {line!r}")
+        if rows and row[0] <= rows[-1][0]:
+            raise ParseError(f"{path}:{lineno}: rho must increase, got {line!r}")
+        if not 0.0 <= row[2] <= 1.0:
+            raise ParseError(f"{path}:{lineno}: visibility must lie in [0, 1], got {line!r}")
+        rows.append(row)
+    if not rows:
+        raise ParseError(f"{path}: no profile rows after the header")
+    return RadialProfile(*zip(*rows))
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:

@@ -144,11 +144,13 @@ def sweep_visibility(rate_fn: Callable[[float], object]):
 
 
 def visibility_scan(state: SuperposedState):
-    """Brute-force (visibility, rate) of every b column of the state.
+    """Brute-force (visibility, rate, fringe) of every b column of the state.
 
-    From one phasor per column: |S| / A clamped into [0, 1], and A + Re S.
+    From one phasor per column: |S| / A clamped into [0, 1], the
+    phi_0 = 0 rate A + Re S, and the complex fringe S / A, whose phase is
+    the fringe's position in the scan phase.
     """
     a, s = _phasor(state)
     if np.any(a == 0.0):
         raise ZeroRate("rate is zero at every scan phase")
-    return np.clip(np.abs(s) / a, 0.0, 1.0), a + s.real
+    return np.clip(np.abs(s) / a, 0.0, 1.0), a + s.real, s / a

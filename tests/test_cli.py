@@ -801,14 +801,40 @@ def test_negative_source_magnitude_exits_usage(capsys, tmp_path):
                          ids=lambda m: m.value)
 def test_exact_oracle_gates_sit_tenfold_above_the_worst_case(tmp_path, model):
     # the claim behind the maximal and uncorrelated gates: at least 10x
-    # above every discrepancy over n_a 1-3, d_a 1-50 mm and 128-4096 modes
+    # above every discrepancy over n_a 1-3, d_a 1-50 mm and 128-4096 modes,
+    # with the worst fringe cases of that domain's 10 d_a values (maximal
+    # n_a 3, d_a 39.1 mm; uncorrelated n_a 1.7, d_a 22.8 mm) included
     out = tmp_path / "oracle.json"
-    for n_a, d_a, points in itertools.product((1.0, 3.0), (1e-3, 50e-3), (128, 4096)):
+    d_a_values = np.linspace(1e-3, 50e-3, 10).tolist()
+    worst = [(3.0, d_a_values[7], 512), (1.7, d_a_values[4], 128)]
+    for n_a, d_a, points in [*itertools.product((1.0, 3.0), (1e-3, 50e-3), (128, 4096)), *worst]:
         run_oracle_check(make_config(model, n_a=n_a, d_a=d_a), points, out)
         report = json.loads(out.read_text())
         assert report["max_abs_visibility_discrepancy"] <= report["visibility_tolerance"] / 10
         assert (report["max_peak_relative_rate_discrepancy"]
                 <= report["rate_tolerance"] / 10)
+        assert report["max_abs_fringe_discrepancy"] <= report["fringe_tolerance"] / 10
+
+
+@pytest.mark.parametrize("text", [MAXIMAL, PARTIAL], ids=["maximal", "gaussian_partial"])
+def test_oracle_fails_a_closed_form_fringe_of_the_conjugate_phase(monkeypatch, tmp_path, text):
+    # F -> conj F leaves every visibility and every phi_0 = 0 rate as it
+    # was, so only the fringe comparison can see the mirrored phase
+    closed_form = analytics._closed_form
+
+    def conjugated(*args):
+        mean, fringe, visibility = closed_form(*args)
+        return mean, np.conj(fringe), visibility
+
+    argv = ["oracle", "--config", _cfg(tmp_path, text, "x.cfg"), "--out", str(tmp_path / "o")]
+    assert main(argv) == 0
+    clean = json.loads((tmp_path / "o.json").read_text())
+    monkeypatch.setattr(analytics, "_closed_form", conjugated)
+    assert main(argv) == 2
+    report = json.loads((tmp_path / "o.json").read_text())
+    for key in ("max_abs_visibility_discrepancy", "max_peak_relative_rate_discrepancy"):
+        assert report[key] == clean[key]
+    assert report["max_abs_fringe_discrepancy"] > 100 * report["fringe_tolerance"]
 
 
 def test_uncorrelated_oracle_at_zero_separation_exits_usage(capsys, tmp_path):

@@ -192,6 +192,25 @@ def test_profile_csv_round_trip(tmp_path, partial_cfg):
     assert back.rate.max() == pytest.approx(1.0, rel=1e-11, abs=0)
 
 
+@pytest.mark.parametrize("body, where, message", [
+    ("", "", "no profile rows after the header"),
+    ("0.0,1.0,1.0\n1e-4,0.5\n", ":3", "expected three finite numbers, got '1e-4,0.5'"),
+    ("0.0,1.0,1.0,2.0\n", ":2", "expected three finite numbers"),
+    ("0.0,one,1.0\n", ":2", "expected three finite numbers, got '0.0,one,1.0'"),
+    ("0.0,1.0,nan\n", ":2", "expected three finite numbers"),
+    ("0.0,1.0,1.0\n\n", ":3", "expected three finite numbers, got ''"),
+    ("0.0,1.0,1.0\n1e-4,0.5,0.9\n1e-4,0.4,0.8\n", ":4", "rho must increase"),
+    ("0.0,1.0,1.0\n1e-4,0.5,1.5\n", ":3", "visibility must lie in [0, 1]"),
+    ("0.0,1.0,-1e-3\n", ":2", "visibility must lie in [0, 1]"),
+])
+def test_read_profile_csv_names_the_path_and_line(tmp_path, body, where, message):
+    path = tmp_path / "profile.csv"
+    path.write_text("rho_m,rate_norm,visibility\n" + body)
+    with pytest.raises(ParseError) as excinfo:
+        read_profile_csv(path)
+    assert str(excinfo.value).startswith(f"{path}{where}: {message}")
+
+
 def assert_pgm_is_the_quadrant(path, image):
     """Pin every sample of the PGM that write_pgm wrote for ``image``.
 

@@ -227,10 +227,11 @@ def test_scan_rate_is_the_phi0_zero_rate_of_every_column(model, n_modes):
     cfg = make_config(model)
     radii = np.linspace(0.0, 0.5 * cfg.f0 * cfg.sigma_b, 16)
     state = assemble_state(cfg, radii, n_modes=n_modes)
-    vis, rate = visibility_scan(state)
+    vis, rate, fringe = visibility_scan(state)
     assert np.array_equal(rate, counting_rate_reduced(state, 0.0))
     a, s = _phasor(state)
     assert np.array_equal(vis, np.clip(np.abs(s) / a, 0.0, 1.0))
+    assert np.array_equal(fringe, s / a)
 
 
 @pytest.mark.parametrize("model", list(CorrelationModel), ids=lambda m: m.value)
@@ -257,7 +258,7 @@ def test_phasor_agrees_with_four_term_sums_and_four_phase_sweep(model, n_modes, 
 def test_one_column_state_answers_with_arrays():
     for model in CorrelationModel:
         state = assemble_state(make_config(model), RHO[4:5], n_modes=128)
-        vis, rate = visibility_scan(state)
+        vis, rate, _ = visibility_scan(state)
         assert counting_rate_reduced(state, 0.3).shape == vis.shape == rate.shape == (1,)
 
 

@@ -20,6 +20,7 @@ from twinfringes import (
     counting_rate_partial_quadrature,
     counting_rate_uncorrelated,
     derive_constants,
+    effective_curvature,
     estimate_sigma_theta,
     parse_config,
     read_pgm,
@@ -29,7 +30,7 @@ from twinfringes import (
     visibility_hwhms,
     write_pgm,
 )
-from twinfringes.analytics import _fringe
+from twinfringes.analytics import _closed_form, _fringe
 from twinfringes.cli import run_oracle_check
 
 from conftest import make_config
@@ -193,6 +194,69 @@ def test_oracle_passes_for_any_source_amplitudes_and_phases(tmp_path_factory, an
         cfg = make_config(model, alpha1_mag=math.cos(angle), alpha2_mag=math.sin(angle),
                           phi1=p1, phi2=p2, phi_b=pb)
         run_oracle_check(cfg, 512, out)
+
+
+EPS = sys.float_info.epsilon
+LENGTH_FIELDS = ("lambda_a", "lambda_b", "lambda_p", "d_a", "f0")
+
+# Worst changes of the closed-form phasor under length scaling over 3000
+# random draws of this domain (s log-uniform in [0.1, 1e3], phi_0 in
+# [-10, 10], 41 radii over 0-2 mm): the peak-relative A in units of
+# eps, and F and V in units of eps (1 + K rho_max^2 + |phi_0|), since
+# they inherit the rounding of the fringe phase. Each bound is 4x these.
+SCALING_WORST = {"mean": 1.5, "fringe": 4.5, "visibility": 1.6}
+
+
+@PROPERTY_SETTINGS
+@given(sigma_theta, d_a, n_a, st.floats(-10.0, 10.0), st.floats(0.1, 1e3))
+def test_scaling_every_length_leaves_the_phasor_unchanged(sigma, d, n, phi, s):
+    # rates and visibilities depend on lengths only through their ratios
+    rho = np.linspace(0.0, 2e-3, 41)
+    for model in CorrelationModel:
+        cfg = make_config(model, sigma_theta=sigma, d_a=d, n_a=n)
+        scaled = dataclasses.replace(cfg, **{f: s * getattr(cfg, f) for f in LENGTH_FIELDS})
+        (a1, f1, v1), (a2, f2, v2) = (_closed_form(r, phi, c, model)
+                                      for r, c in ((rho, cfg), (s * rho, scaled)))
+        phase_scale = 1.0 + effective_curvature(cfg) * rho[-1] ** 2 + abs(phi)
+        assert np.max(np.abs(a1 / a1.max() - a2 / a2.max())) <= 4 * SCALING_WORST["mean"] * EPS
+        bound = 4 * EPS * phase_scale
+        assert np.max(np.abs(f1 - f2)) <= SCALING_WORST["fringe"] * bound
+        assert np.max(np.abs(v1 - v2)) <= SCALING_WORST["visibility"] * bound
+
+
+@pytest.mark.parametrize("field, value", [
+    ("f0", 0.1), ("f0", 0.3), ("lambda_b", 700e-9), ("lambda_b", 900e-9),
+])
+def test_central_visibility_is_blind_to_f0_and_lambda_b(field, value):
+    # V(0) = 2c / gamma, and kappa = sigma^2 n_a pi d_a lambda_a / lambda_p^2
+    # holds neither f0 nor lambda_b; on the reference widths no rounding shows
+    for sigma in (5e-4, 9.37e-4, 2e-3):
+        cfg = make_config(sigma_theta=sigma)
+        moved = dataclasses.replace(cfg, **{field: value})
+        v0 = central_visibility(cfg)
+        assert central_visibility(moved) == v0
+        model = CorrelationModel.GAUSSIAN_PARTIAL
+        assert _closed_form(np.zeros(1), 0.4, moved, model)[2][0] == v0
+
+
+# Worst |V(0) change| in units of eps over 20000 random draws of this
+# domain, t log-uniform in [0.1, 10], f0 in [0.01, 1] m and lambda_b in
+# [400, 2000] nm; the bound is 4x it.
+KAPPA_WORST = 1.5
+
+
+@PROPERTY_SETTINGS
+@given(sigma_theta, d_a, n_a, st.floats(0.1, 10.0), st.floats(0.01, 1.0), st.floats(400e-9, 2e-6))
+def test_central_visibility_depends_on_kappa_alone(sigma, d, n, t, f0, lambda_b):
+    # along d_a t, sigma_theta / sqrt(t) kappa is constant; f0 and
+    # lambda_b do not enter it; the phasor's V at rho = 0 is the same law
+    v0 = central_visibility(make_config(sigma_theta=sigma, d_a=d, n_a=n))
+    for cfg in (make_config(sigma_theta=sigma / math.sqrt(t), d_a=d * t, n_a=n),
+                make_config(sigma_theta=sigma, d_a=d, n_a=n, f0=f0),
+                make_config(sigma_theta=sigma, d_a=d, n_a=n, lambda_b=lambda_b)):
+        assert abs(central_visibility(cfg) - v0) <= 4 * KAPPA_WORST * EPS
+        v_phasor = _closed_form(np.zeros(1), 0.0, cfg, CorrelationModel.GAUSSIAN_PARTIAL)[2][0]
+        assert v_phasor == central_visibility(cfg)
 
 
 # Config keys in file units: key -> (config field, scale to SI units).

@@ -48,13 +48,18 @@ a placeholder and the values of ``started_at`` and ``duration_s`` are
 masked, so its indent, key order
 and final newline are compared too. For two differing PGMs of the same
 size, the number of changed samples and the largest change in 16-bit
-LSB are printed as well.
+LSB are printed as well; for two differing JSON files, the keys whose
+values differ and the keys on one side only, with the largest change of
+a number (in lists too); for two differing CSV files of the same shape,
+the number of changed fields and the largest relative change of a
+number, |b - a| / max(|a|, |b|).
 Prints each difference and exits 1 if there is any, else exits 0.
 Standard library only.
 """
 
 import array
 import itertools
+import json
 import math
 import os
 import re
@@ -207,6 +212,61 @@ def _pgm_change(blob_a: bytes, blob_b: bytes) -> str:
     return f"; {len(changes)} samples changed, largest by {max(changes, default=0)} LSB"
 
 
+def _numbers(value) -> list[float]:
+    """The numbers of a JSON value: itself, or the items of a list of them."""
+    items = value if isinstance(value, list) else [value]
+    return [float(x) for x in items if isinstance(x, (int, float)) and not isinstance(x, bool)]
+
+
+def _json_change(blob_a: bytes, blob_b: bytes) -> str:
+    """'; keys changed: ...' for two JSON objects, else ''.
+
+    Names the top-level keys whose values differ and those on one side
+    only, and the largest absolute change of a number among the changed
+    keys, where both sides hold the same count of numbers.
+    """
+    try:
+        a, b = json.loads(blob_a), json.loads(blob_b)
+    except ValueError:
+        return ""
+    if not (isinstance(a, dict) and isinstance(b, dict)):
+        return ""
+    changed = [key for key in a if key in b and a[key] != b[key]]
+    parts = [f"keys changed: {', '.join(changed) or 'none'}"]
+    for side, keys in (("parent", a.keys() - b.keys()), ("change", b.keys() - a.keys())):
+        if keys:
+            parts.append(f"keys only in {side}: {', '.join(sorted(keys))}")
+    deltas = [
+        abs(x - y) for key in changed
+        if len(_numbers(a[key])) == len(_numbers(b[key]))
+        for x, y in zip(_numbers(a[key]), _numbers(b[key]))
+    ]
+    if deltas:
+        parts.append(f"largest numeric change {max(deltas):.3g}")
+    return "; " + "; ".join(parts)
+
+
+def _csv_change(blob_a: bytes, blob_b: bytes) -> str:
+    """'; N fields changed, largest relative change R' for two CSVs of one shape, else ''."""
+    rows_a = [line.split(b",") for line in blob_a.splitlines()]
+    rows_b = [line.split(b",") for line in blob_b.splitlines()]
+    if [len(row) for row in rows_a] != [len(row) for row in rows_b]:
+        return ""
+    pairs = [(x, y) for ra, rb in zip(rows_a, rows_b) for x, y in zip(ra, rb) if x != y]
+    worst = 0.0
+    for x, y in pairs:
+        try:
+            fx, fy = float(x), float(y)
+        except ValueError:
+            continue
+        if fx != fy:
+            worst = max(worst, abs(fy - fx) / max(abs(fx), abs(fy)))
+    return f"; {len(pairs)} fields changed, largest relative change {worst:.3g}"
+
+
+_DETAIL = {".pgm": _pgm_change, ".json": _json_change, ".csv": _csv_change}
+
+
 def compare(parent: Path, change: Path, codes: tuple[dict, dict]) -> list[str]:
     diffs = [
         f"{run}: exit code {codes[0][run]} -> {codes[1][run]}"
@@ -223,8 +283,8 @@ def compare(parent: Path, change: Path, codes: tuple[dict, dict]) -> list[str]:
             if _manifest_view(blob_a, parent) != _manifest_view(blob_b, change):
                 diffs.append(f"{name}: manifest differs")
         elif blob_a != blob_b:
-            pgm = _pgm_change(blob_a, blob_b) if name.endswith(".pgm") else ""
-            diffs.append(f"{name}: bytes differ ({len(blob_a)} vs {len(blob_b)} bytes{pgm})")
+            detail = _DETAIL.get(Path(name).suffix, lambda *_: "")(blob_a, blob_b)
+            diffs.append(f"{name}: bytes differ ({len(blob_a)} vs {len(blob_b)} bytes{detail})")
     return diffs
 
 

@@ -370,7 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="CSV of d_a_mm,rho1_mm rows")
 
     p = sub.add_parser("oracle", parents=[common], help="grid vs closed-form consistency check")
-    p.add_argument("--grid-points", type=int, default=512, help="a-side modes (even, 128-65536)")
+    p.add_argument("--grid-points", type=int, default=512, help=(
+        "a-side modes (even, 128-65536); the gaussian_partial gate (0.01) was set at 512, "
+        "and coarser grids or widths near 2e-4 miss it"))
     return parser
 
 

@@ -226,13 +226,15 @@ def write_profile_csv(profile: RadialProfile, path) -> None:
 def read_profile_csv(path) -> RadialProfile:
     """Read back a profile written by write_profile_csv.
 
-    Every row must hold three finite numbers, with rho increasing and the
-    visibility in [0, 1], and there must be at least one row; any other
-    file raises ParseError naming the path, and the line where it can.
+    The file is read as ``read_text`` reads it: UTF-8, a leading
+    byte-order mark dropped. Every row must hold three finite numbers,
+    with rho increasing and the visibility in [0, 1], and there must be
+    at least one row; any other file raises ParseError naming the path,
+    and the line where it can.
     """
     from .analytics import RadialProfile
 
-    lines = Path(path).read_text(encoding="ascii").splitlines()
+    lines = read_text(path).splitlines()
     if not lines or lines[0] != PROFILE_HEADER:
         raise ParseError(f"{path}: missing profile header {PROFILE_HEADER!r}")
     rows = []

@@ -8,9 +8,11 @@ the test body.
 """
 
 import dataclasses
+import functools
 import math
 import time
 
+import mpmath
 import numpy as np
 
 from twinfringes import (
@@ -22,7 +24,6 @@ from twinfringes import (
     dm2_pair_scaled,
     estimate_equivalent_wavelength,
     estimate_sigma_theta,
-    faddeeva,
     fringe_radius,
     render_pattern,
     sweep_visibility,
@@ -32,7 +33,7 @@ from twinfringes import (
 )
 
 from conftest import ACCEPTANCE_LINES, make_config
-from twinfringes import CorrelationModel
+from twinfringes import CorrelationModel, special
 
 SEED = 20260823
 
@@ -255,36 +256,62 @@ def test_criterion_7_monotonic_visibility_and_hwhm():
     )
 
 
-def test_criterion_8_parabolic_cylinder_recurrence():
-    # Br(z) = e^{z^2/4} [D_-2(z) + D_-2(-z)]. With the recurrence
-    # D_-2(z) + z D_-1(z) = e^{-z^2/4} and D_-1(z) = e^{z^2/4} sqrt(pi/2)
-    # erfc(z / sqrt 2) = e^{-z^2/4} sqrt(pi/2) w(iz / sqrt 2), the pair is
-    # Br(z) = 2 - z sqrt(pi/2) [w(iz / sqrt 2) - w(-iz / sqrt 2)], checked
-    # here against the package's Faddeeva function.
-    t0 = time.perf_counter()
-    sqrt_pi_over_2 = math.sqrt(math.pi / 2.0)
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+@functools.cache
+def _criterion_8_draws() -> tuple[tuple[complex, complex, complex], ...]:
+    """The 1000 draws z in |z| <= 5, each with w(u) and w(-u), u = iz / sqrt 2.
 
-    exact_at_zero = dm2_pair_scaled(0j) == 2.0
-
+    The w values come from 30-digit mpmath, w(u) = e^{-u^2} erfc(-iu),
+    so no value on the reference side passes through the package's
+    Faddeeva kernel. u is the float iz / sqrt 2, the argument
+    dm2_pair_scaled itself forms up to sign: the residual then measures
+    the layer, not how Br moves under the rounding of z / sqrt 2 (up to
+    about |z|^2 ulps of its large terms).
+    """
     rng = np.random.default_rng(SEED)
-    worst_scaled = 0.0
-    worst_abs = 0.0
-    worst_inner = 0.0
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    draws = []
+    with mpmath.workdps(30):
+        for _ in range(1000):
+            r = 5.0 * math.sqrt(rng.uniform())
+            phi = rng.uniform(0.0, 2.0 * math.pi)
+            z = r * complex(math.cos(phi), math.sin(phi))
+            u = mpmath.mpc(1j * z * inv_sqrt2)
+            w_plus, w_minus = (complex(mpmath.exp(-v * v) * mpmath.erfc(-1j * v)) for v in (u, -u))
+            draws.append((z, w_plus, w_minus))
+    return tuple(draws)
+
+
+def criterion_8_residuals(draws):
+    """Br(z) from the package against the D_-2 recurrence on mpmath's w.
+
+    Br(z) = e^{z^2/4} [D_-2(z) + D_-2(-z)]. With the recurrence
+    D_-2(z) + z D_-1(z) = e^{-z^2/4} and D_-1(z) = e^{z^2/4} sqrt(pi/2)
+    erfc(z / sqrt 2) = e^{-z^2/4} sqrt(pi/2) w(iz / sqrt 2), the pair is
+    Br(z) = 2 - z sqrt(pi/2) [w(iz / sqrt 2) - w(-iz / sqrt 2)]. Returns
+    the worst scaled residual, the worst absolute residual, the worst
+    absolute residual where |z| <= 3, and whether Br(-z) == Br(z) bit
+    for bit at every draw.
+    """
+    sqrt_pi_over_2 = math.sqrt(math.pi / 2.0)
+    worst_scaled = worst_abs = worst_inner = 0.0
     even = True
-    for _ in range(1000):
-        r = 5.0 * math.sqrt(rng.uniform())
-        phi = rng.uniform(0.0, 2.0 * math.pi)
-        z = r * complex(math.cos(phi), math.sin(phi))
+    for z, w_plus, w_minus in draws:
         br = dm2_pair_scaled(z)
         even = even and dm2_pair_scaled(-z) == br
-        u = 1j * z * inv_sqrt2
-        odd_part = z * sqrt_pi_over_2 * (faddeeva(u) - faddeeva(-u))
+        odd_part = z * sqrt_pi_over_2 * (w_plus - w_minus)
         resid = abs(br - (2.0 - odd_part))
         worst_abs = max(worst_abs, resid)
         worst_scaled = max(worst_scaled, resid / max(1.0, abs(br), abs(odd_part)))
         if abs(z) <= 3.0:
             worst_inner = max(worst_inner, resid)
+    return worst_scaled, worst_abs, worst_inner, even
+
+
+def test_criterion_8_parabolic_cylinder_recurrence():
+    draws = _criterion_8_draws()  # mpmath, before the timed calls
+    t0 = time.perf_counter()
+    exact_at_zero = dm2_pair_scaled(0j) == 2.0
+    worst_scaled, worst_abs, worst_inner, even = criterion_8_residuals(draws)
     elapsed = time.perf_counter() - t0
 
     # |w| reaches e^{z^2/2}, about e^6 at |z| = 3.5 and e^12.5 at |z| = 5,
@@ -305,5 +332,16 @@ def test_criterion_8_parabolic_cylinder_recurrence():
         f"Br(0)=2 exact, Br(-z)=Br(z) bit for bit: {even}, "
         f"scaled residual {worst_scaled:.1e} <= 1e-12, "
         f"absolute residual {worst_inner:.1e} <= 1e-12 for |z| <= 3 "
-        f"(raw worst {worst_abs:.1e}), {elapsed * 1e3:.0f} ms < 1 s",
+        f"(raw worst {worst_abs:.1e}, w from 30-digit mpmath), "
+        f"{elapsed * 1e3:.0f} ms < 1 s",
     )
+
+
+def test_criterion_8_fails_under_a_weideman_coefficient_fault(monkeypatch):
+    # one of the 40 coefficients of the Faddeeva kernel off by 1e-6
+    # relative must push the residual past its bound
+    faulty = special._WEIDEMAN_EVEN.copy()
+    faulty[2] *= 1.0 + 1e-6
+    monkeypatch.setattr(special, "_WEIDEMAN_EVEN", faulty)
+    worst_scaled, _, worst_inner, _ = criterion_8_residuals(_criterion_8_draws())
+    assert worst_scaled > 1e-12 and worst_inner > 1e-12, (worst_scaled, worst_inner)

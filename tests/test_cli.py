@@ -1,5 +1,6 @@
 """End-to-end CLI runs: exit codes, file outputs, determinism."""
 
+import dataclasses
 import itertools
 import json
 import re
@@ -28,7 +29,7 @@ from twinfringes import (
     visibility_closed_form,
     visibility_hwhms,
 )
-from twinfringes import analytics
+from twinfringes import analytics, state
 from twinfringes.cli import (
     _SUFFIXES, build_parser, main, run_invert, run_oracle_check, run_simulate,
 )
@@ -835,6 +836,56 @@ def test_oracle_fails_a_closed_form_fringe_of_the_conjugate_phase(monkeypatch, t
     for key in ("max_abs_visibility_discrepancy", "max_peak_relative_rate_discrepancy"):
         assert report[key] == clean[key]
     assert report["max_abs_fringe_discrepancy"] > 100 * report["fringe_tolerance"]
+
+
+# Each input's floor on the reference optics with 0.8/0.6 sources: a
+# length, width or magnitude scaled by 1 + eps, or a phase shifted by
+# eps rad, on one route only, trips one of oracle's gates at 512 modes by
+# at least 1.5x. The uncorrelated rate reads only f0 and sigma_b.
+ONE_INPUT_FAULTS = {
+    "maximal": {"lambda_a": 1e-6, "lambda_b": 1e-6, "d_a": 1e-6, "f0": 1e-6, "n_a": 1e-6,
+                "sigma_b": 1e-6, "alpha1_mag": 1e-6, "phi1": 1e-6},
+    "uncorrelated": {"f0": 1e-6, "sigma_b": 1e-6},
+    "gaussian_partial": {"lambda_a": 1e-2, "lambda_b": 1e-2, "lambda_p": 2e-2, "d_a": 1e-2,
+                         "f0": 1e-2, "n_a": 1e-2, "sigma_theta": 2e-2, "sigma_b": 1e-1,
+                         "alpha1_mag": 1e-1, "phi1": 2e-2},
+}
+GRID_SIDE_FAULTS = {"maximal": "d_a", "uncorrelated": "sigma_b", "gaussian_partial": "d_a"}
+
+
+@pytest.mark.parametrize("model, field, eps, route", [
+    *((model, field, eps, "closed form")
+      for model, faults in ONE_INPUT_FAULTS.items() for field, eps in faults.items()),
+    *((model, field, ONE_INPUT_FAULTS[model][field], "grid")
+      for model, field in GRID_SIDE_FAULTS.items()),
+])
+def test_oracle_fails_a_fault_in_one_input_on_one_route(monkeypatch, tmp_path, model, field, eps,
+                                                        route):
+    text = {"maximal": MAXIMAL, "uncorrelated": UNCORRELATED, "gaussian_partial": PARTIAL}[model]
+    text += "alpha1_mag = 0.8\nalpha2_mag = 0.6\n"
+    argv = ["oracle", "--config", _cfg(tmp_path, text, "x.cfg"), "--out", str(tmp_path / "o"),
+            "--grid-points", "512"]
+    assert main(argv) == 0
+
+    def faulty(cfg):
+        value = getattr(cfg, field)
+        return dataclasses.replace(
+            cfg, **{field: value + eps if field.startswith("phi") else value * (1.0 + eps)})
+
+    if route == "closed form":
+        closed_form = analytics._closed_form
+        monkeypatch.setattr(analytics, "_closed_form",
+                            lambda rho, phi_0, cfg, m: closed_form(rho, phi_0, faulty(cfg), m))
+    else:
+        assemble_state = state.assemble_state
+        monkeypatch.setattr(state, "assemble_state",
+                            lambda cfg, rho, points: assemble_state(faulty(cfg), rho, points))
+    assert main(argv) == 2
+    report = json.loads((tmp_path / "o.json").read_text())
+    margin = max(report[f"max_{name}_discrepancy"] / report[f"{gate}_tolerance"]
+                 for name, gate in (("abs_visibility", "visibility"),
+                                    ("peak_relative_rate", "rate"), ("abs_fringe", "fringe")))
+    assert margin >= 1.5
 
 
 def test_uncorrelated_oracle_at_zero_separation_exits_usage(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Config parsing, PGM/CSV round trips and the run manifest."""
 
+import codecs
 import dataclasses
 import json
 import re
@@ -209,6 +210,19 @@ def test_read_profile_csv_names_the_path_and_line(tmp_path, body, where, message
     with pytest.raises(ParseError) as excinfo:
         read_profile_csv(path)
     assert str(excinfo.value).startswith(f"{path}{where}: {message}")
+
+
+def test_read_profile_csv_reads_utf8_text(tmp_path):
+    text = "rho_m,rate_norm,visibility\n0.0,1.0,1.0\n1e-4,0.5,0.9\n"
+    plain, marked, bad = (tmp_path / name for name in ("plain.csv", "bom.csv", "bad.csv"))
+    plain.write_text(text)
+    marked.write_bytes(codecs.BOM_UTF8 + text.encode("ascii"))
+    got, want = read_profile_csv(marked), read_profile_csv(plain)
+    for field in ("rho", "rate", "visibility"):
+        assert np.array_equal(getattr(got, field), getattr(want, field))
+    bad.write_bytes(text.encode("ascii") + b"2e-4,0.4,0.8 # \xb5m\n")
+    with pytest.raises(ParseError, match=re.escape(f"{bad}:4: not UTF-8 text (byte 0xb5)")):
+        read_profile_csv(bad)
 
 
 def assert_pgm_is_the_quadrant(path, image):

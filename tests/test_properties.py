@@ -16,6 +16,7 @@ from twinfringes import (
     central_visibility,
     counting_rate_maxcorr,
     ToleranceNotReached,
+    assemble_state,
     counting_rate_partial,
     counting_rate_partial_quadrature,
     counting_rate_uncorrelated,
@@ -28,6 +29,7 @@ from twinfringes import (
     visibility_closed_form,
     visibility_hwhm,
     visibility_hwhms,
+    visibility_scan,
     write_pgm,
 )
 from twinfringes.analytics import _closed_form, _fringe
@@ -222,6 +224,38 @@ def test_scaling_every_length_leaves_the_phasor_unchanged(sigma, d, n, phi, s):
         bound = 4 * EPS * phase_scale
         assert np.max(np.abs(f1 - f2)) <= SCALING_WORST["fringe"] * bound
         assert np.max(np.abs(v1 - v2)) <= SCALING_WORST["visibility"] * bound
+
+
+# Worst changes of the quadrature and the grid under length scaling over
+# 3000 random draws of this domain (s log-uniform in [0.1, 1e3],
+# phi_0 in [-10, 10], the 16 radii of oracle, 512 modes, three models),
+# in units of eps (1 + K rho_max^2 + |phi_0|): each output carries the
+# rounding of the fringe phase, and only the quadrature takes phi_0.
+# Each bound is 4x these.
+ROUTE_SCALING_WORST = {"quadrature rate": 1.0, "grid visibility": 0.8, "grid rate": 1.2,
+                       "grid fringe": 3.9}
+
+
+@PROPERTY_SETTINGS
+@given(st.floats(5e-4, 2e-3), st.floats(1e-3, 50e-3), n_a, st.floats(-10.0, 10.0),
+       st.floats(0.1, 1e3))
+def test_scaling_every_length_leaves_the_quadrature_and_the_grid_unchanged(sigma, d, n, phi, s):
+    for model in CorrelationModel:
+        cfg = make_config(model, sigma_theta=sigma, d_a=d, n_a=n)
+        scaled = dataclasses.replace(cfg, **{f: s * getattr(cfg, f) for f in LENGTH_FIELDS})
+        rho = np.linspace(0.0, 0.5 * cfg.f0 * cfg.sigma_b, 16)
+        bound = 4 * EPS * (1.0 + effective_curvature(cfg) * rho[-1] ** 2)
+        (v1, r1, f1), (v2, r2, f2) = (visibility_scan(assemble_state(c, r, 512))
+                                      for r, c in ((rho, cfg), (s * rho, scaled)))
+        assert np.max(np.abs(v1 - v2)) <= ROUTE_SCALING_WORST["grid visibility"] * bound
+        assert (np.max(np.abs(r1 / r1.max() - r2 / r2.max()))
+                <= ROUTE_SCALING_WORST["grid rate"] * bound)
+        assert np.max(np.abs(f1 - f2)) <= ROUTE_SCALING_WORST["grid fringe"] * bound
+        if model is CorrelationModel.GAUSSIAN_PARTIAL:
+            q1, q2 = (counting_rate_partial_quadrature(r, phi, c)
+                      for r, c in ((rho, cfg), (s * rho, scaled)))
+            assert (np.max(np.abs(q1 / q1.max() - q2 / q2.max()))
+                    <= ROUTE_SCALING_WORST["quadrature rate"] * (bound + 4 * EPS * abs(phi)))
 
 
 @pytest.mark.parametrize("field, value", [

@@ -1,6 +1,7 @@
 """Special-function checks: frozen references, symmetries, mpmath spot checks."""
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -16,7 +17,7 @@ from twinfringes.special import (
 W_REF = {
     1j: 0.427583576155807 + 0j,
     0.5 + 0.5j: 0.5331567079121749 + 0.2304882313844584j,
-    2 - 1j: -0.2053255806465875 + 0.1468554850301674j,
+    2 + 1j: 0.1402395813662779 + 0.2222134401798991j,
     -3 + 0.25j: 0.01939221549012719 - 0.1988980790215782j,
     4j: 0.1369994576250614 + 0j,
     5 + 0j: 1.388794386496402e-11 + 0.1152459618309366j,
@@ -43,9 +44,11 @@ def test_faddeeva_at_origin():
     assert faddeeva(0j) == 1.0 + 0j
 
 
-def test_faddeeva_overflow_in_lower_half_plane():
-    with pytest.raises(OverflowError):
-        faddeeva(-40j)
+@pytest.mark.parametrize("z", [-40j, 1 - 1e-300j, complex(math.nan, 1.0), complex(1.0, math.nan),
+                               complex(math.inf, 1.0), complex(0.0, math.inf)])
+def test_faddeeva_rejects_z_outside_the_upper_half_plane(z):
+    with pytest.raises(ValueError, match=re.escape(f"got z = {z!r}")):
+        faddeeva(z)
 
 
 def _mp_faddeeva(z):
@@ -54,22 +57,14 @@ def _mp_faddeeva(z):
         return mpmath.exp(-z * z) * mpmath.erfc(-1j * z)
 
 
-def test_faddeeva_against_mpmath_in_both_half_planes():
-    # uniform in the disc |z| <= 30; deep in the lower half-plane the
-    # value leaves the float range, and faddeeva must say so
+def test_faddeeva_against_mpmath_in_the_upper_half_disc():
+    # uniform in the half-disc |z| <= 30, Im z >= 0
     rng = np.random.default_rng(31)
     radius = 30.0 * np.sqrt(rng.uniform(size=600))
-    angle = rng.uniform(-math.pi, math.pi, size=600)
-    overflowed = 0
+    angle = rng.uniform(0.0, math.pi, size=600)
     for z in radius * np.exp(1j * angle):
         want = complex(_mp_faddeeva(z))
-        if not (math.isfinite(want.real) and math.isfinite(want.imag)):
-            overflowed += 1
-            with pytest.raises(OverflowError):
-                faddeeva(z)
-            continue
         assert abs(faddeeva(z) - want) <= 1e-13 * abs(want), z
-    assert 0 < overflowed < 200
 
 
 def test_faddeeva_against_mpmath_far_out_in_the_first_quadrant():
@@ -85,7 +80,7 @@ def test_faddeeva_matches_scipy_wofz():
     # scipy is a test-only dependency: its wofz is a second reference
     special = pytest.importorskip("scipy.special")
     rng = np.random.default_rng(41)
-    for z in rng.uniform(-8.0, 8.0, size=(300, 2)) @ np.array([1.0, 1j]):
+    for z in rng.uniform([-8.0, 0.0], 8.0, size=(300, 2)) @ np.array([1.0, 1j]):
         want = complex(special.wofz(z))
         assert abs(faddeeva(z) - want) <= 1e-13 * abs(want), z
 

@@ -20,8 +20,10 @@ simulate at 2049 px on a 3 mm screen, a frame past 1024 px whose
 partial quadrant is split into more than 8 render strips and whose PGM
 is quantised and written in several row blocks. Three
 more configs, one per model with n_a 1.7, d_a 50 mm and sigma_theta
-9.37e-4, run only the oracle at 128, 512, 1024 and 4096 modes: their
-on-axis a-path phase, near 3.4e5 rad, is the longest here. Six more,
+9.37e-4, run the oracle at 128, 512, 1024 and 4096 modes, simulate at
+256 px with phi0 0.4, visibility with the rho list and the first sigma
+list, and invert at v0 0.9: their on-axis a-path phase, near 3.4e5 rad,
+is the longest here, and n_a scales every fringe phase. Six more,
 the d_a 11.7 mm, sigma_theta 9.37e-4 config of each model with
 phi1_rad 0.5 and with alpha1_mag 0.8, alpha2_mag 0.6, run the oracle at
 512 modes, simulate at 256 px with phi0 0.4, visibility with the rho
@@ -39,7 +41,7 @@ at 600 px and the oracle at 512 modes with d_a 1e30 mm, whose closed
 form overflows to NaN; visibility at radii 0 and 1e300 mm, whose
 fringe phase overflows; invert with a first-ring radius of 1e-200 mm,
 whose rho_1^2 d_a underflows to 0; and eqwavelength on ring radii of
-1e-170 mm, whose squares underflow to a zero slope. That makes 443
+1e-170 mm, whose squares underflow to a zero slope. That makes 455
 runs per tree. Every command is
 ``python -m twinfringes.cli`` in a fresh interpreter with PYTHONPATH
 set to the tree. Exit codes and every output file are compared byte
@@ -105,10 +107,11 @@ WIDE_COMMANDS = {
     "sim2049": ["simulate", "--resolution", "2049", "--screen-mm", "3"],
 }
 
-# Oracle runs on a long, dense a path (see the module docstring).
+# Runs on a long, dense a path (see the module docstring).
 LONG_PATH = "d_a_mm = 50.0\nn_a = 1.7\nsigma_theta = 0.000937\n"
 LONG_COMMANDS = dict(
-    {name: args for name, args in COMMANDS.items() if name.startswith("oracle")},
+    {name: args for name, args in COMMANDS.items()
+     if name.startswith("oracle") or name in ("sim256", "vrho", "vsigma", "invert")},
     oracle4096=["oracle", "--grid-points", "4096"],
 )
 

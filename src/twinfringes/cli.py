@@ -5,7 +5,8 @@ derives its output paths from one base path (``--out``); ``invert`` and
 ``eqwavelength`` print their report to stdout when ``--out`` is absent.
 Each ``run_*`` function only computes and writes its data, and
 ``_dispatch`` names the files and writes the run manifest. Exit codes:
-0 success, 1 usage or validation error (numeric flags must be finite),
+0 success, 1 usage or validation error (numeric flags must be finite
+ASCII numbers, read by ``fileio.parse_number``),
 2 oracle tolerance failure, 3 I/O error. Data files are
 byte-deterministic; the JSON manifest written next to them carries the
 only timestamp.
@@ -27,10 +28,10 @@ from .config import (
     validate_sigma_theta,
 )
 from .fileio import (
-    ParseError,
     config_to_dict,
     parse_config,
-    read_text,
+    parse_number,
+    read_rows,
     write_manifest,
     write_pgm,
     write_profile_csv,
@@ -118,10 +119,9 @@ def run_simulate(
         Destination PGM and CSV paths.
     """
     _load_arrays()
-    screen = screen_mm * 1e-3
     # an overflow leaves a non-finite frame, which FringeImage rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        image, profile = analytics.render_pattern(cfg, screen, resolution, phi_0)
+        image, profile = analytics.render_pattern(cfg, screen_mm * 1e-3, resolution, phi_0)
     write_pgm(image, out_image)
     write_profile_csv(profile, out_profile)
 
@@ -226,25 +226,12 @@ def run_eqwavelength(cfg: ExperimentConfig, data_path) -> str:
     """Regress first-ring radii over source separations to lambda_eq.
 
     ``data_path`` is a CSV with header ``d_a_mm,rho1_mm`` and one row
-    per separation; every value must be finite. The file is read with
-    ``fileio.read_text``. Returns a text report of the fitted
-    equivalent wavelength, its standard error, and the inferred
+    per separation, read with ``fileio.read_rows``: every value must be
+    finite, and no line may be blank. Returns a text report of the
+    fitted equivalent wavelength, its standard error, and the inferred
     undetected wavelength.
     """
-    lines = read_text(data_path).splitlines()
-    if not lines or lines[0].strip() != "d_a_mm,rho1_mm":
-        raise ParseError(f"{data_path}: expected header 'd_a_mm,rho1_mm'")
-    first_radii = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            d_mm, rho_mm = (float(tok) for tok in line.split(","))
-        except ValueError:
-            raise ParseError(f"{data_path}:{lineno}: expected two numbers, got {line!r}") from None
-        if not (math.isfinite(d_mm) and math.isfinite(rho_mm)):
-            raise ParseError(f"{data_path}:{lineno}: expected two finite numbers, got {line!r}")
-        first_radii.append((d_mm * 1e-3, rho_mm * 1e-3))
+    first_radii = [(d * 1e-3, rho * 1e-3) for d, rho in read_rows(data_path, "d_a_mm,rho1_mm")]
     estimate = estimate_equivalent_wavelength(first_radii, cfg)
     return (
         f"n_separations = {len(first_radii)}\n"
@@ -324,7 +311,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _finite_float(text: str) -> float:
     try:
-        value = float(text)
+        value = parse_number(text)
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
@@ -333,7 +320,14 @@ def _finite_float(text: str) -> float:
 
 
 def _float_list(text: str) -> list[float]:
-    return [_finite_float(tok) for tok in text.split(",") if tok.strip()]
+    return [_finite_float(tok) for tok in text.split(",")]
+
+
+def _int(text: str) -> int:
+    try:
+        return parse_number(text, int)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
 
 
 @functools.cache
@@ -351,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", parents=[common], help="render fringe image + profile")
     p.add_argument("--screen-mm", type=_finite_float, default=3.0, help="screen edge length (mm)")
-    p.add_argument("--resolution", type=int, default=600, help="image size in pixels (64-8192)")
+    p.add_argument("--resolution", type=_int, default=600, help="image size in pixels (64-8192)")
     p.add_argument("--phi0", type=_finite_float, default=0.0, help="scan phase (rad)")
 
     p = sub.add_parser("visibility", parents=[common], help="scan V over sigma or radius")
@@ -370,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="CSV of d_a_mm,rho1_mm rows")
 
     p = sub.add_parser("oracle", parents=[common], help="grid vs closed-form consistency check")
-    p.add_argument("--grid-points", type=int, default=512, help=(
+    p.add_argument("--grid-points", type=_int, default=512, help=(
         "a-side modes (even, 128-65536); the gaussian_partial gate (0.01) was set at 512, "
         "and coarser grids or widths near 2e-4 miss it"))
     return parser

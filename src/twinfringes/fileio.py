@@ -3,9 +3,11 @@
 The config surface is a flat key-value text file; images go out as
 16-bit binary PGM and profiles as plain CSV, both with deterministic
 bytes for identical inputs. The run manifest is a plain dict written
-as sorted JSON; it carries the only timestamp. Only the image and
-profile readers and writers import numpy, on first call; the config
-and manifest half does not.
+as sorted JSON; it carries the only timestamp. Every number read from
+outside text, a config value, a CSV field or a command-line flag, goes
+through ``parse_number``, and every CSV input through ``read_rows``.
+Only the image and profile readers and writers import numpy, on first
+call; the config and manifest half does not.
 """
 
 from __future__ import annotations
@@ -79,57 +81,87 @@ def read_text(path) -> str:
         ) from None
 
 
+def parse_number(text, kind=float):
+    """``kind(text)``, refused with ValueError unless the text is ASCII.
+
+    The one reading of a number from outside text: config values, CSV
+    fields and numeric flags. ``float`` and ``int`` alone also read
+    every Unicode decimal digit, so 1550 written in Arabic-Indic digits
+    would read as 1550; apart from that refusal this is ``kind``.
+    """
+    if not text.isascii():
+        raise ValueError(f"not an ASCII number: {text!r}")
+    return kind(text)
+
+
+def read_rows(path, header: str) -> list[list[float]]:
+    """The rows of a CSV file under ``header``, one finite number per column.
+
+    The file is read with ``read_text``; its first line, stripped, must
+    be ``header``, and every later line a row, so row i is on line
+    i + 2. Any other line, a blank one included, raises ParseError
+    naming the path and the line.
+    """
+    lines = read_text(path).splitlines()
+    if not lines or lines[0].strip() != header:
+        raise ParseError(f"{path}: expected header {header!r}")
+    width = header.count(",") + 1
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:
+            row = [parse_number(tok) for tok in line.split(",")]
+        except ValueError:
+            row = []
+        if len(row) != width or not all(map(math.isfinite, row)):
+            count = ("one", "two", "three")[width - 1]
+            raise ParseError(f"{path}:{lineno}: expected {count} finite numbers, got {line!r}")
+        rows.append(row)
+    return rows
+
+
 def parse_config(path) -> ExperimentConfig:
     """Read and validate a flat key-value config file.
 
     Lines hold ``key = value`` (the ``=`` is optional); ``#`` starts a
     comment. Unknown and duplicate keys are hard errors, as is a missing
-    required key. Values are range-checked through validate_config.
-    The file is read with ``read_text``.
+    required key. Each line is parsed, checked and converted in one
+    pass, so the first faulty line is the one named; numbers are read
+    with ``parse_number``. Values are range-checked through
+    validate_config. The file is read with ``read_text``.
     """
-    text = read_text(path)
     seen: dict[str, int] = {}
-    values: dict[str, str] = {}
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
+    fields: dict[str, object] = {}
+    for lineno, raw_line in enumerate(read_text(path).splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" in line:
-            key, _, value = line.partition("=")
-        else:
-            key, _, value = line.partition(" ")
-        key = key.strip()
-        value = value.strip()
+        key, _, value = line.partition("=" if "=" in line else " ")
+        key, value = key.strip(), value.strip()
         if not key or not value:
             raise ParseError(f"line {lineno}: expected 'key = value', got {raw_line!r}")
         if key in seen:
             raise ParseError(f"line {lineno}: duplicate key {key!r} (first set on line {seen[key]})")
-        if key != "model" and key not in _SCALAR_KEYS:
-            raise UnknownKey(f"line {lineno}: unknown key {key!r}")
         seen[key] = lineno
-        values[key] = value
-
-    missing = [k for k in _REQUIRED_KEYS if k not in values]
-    if missing:
-        raise ParseError(f"missing required keys: {', '.join(missing)}")
-
-    fields: dict[str, object] = {}
-    for key, value in values.items():
         if key == "model":
             try:
                 fields["correlation_model"] = CorrelationModel(value)
             except ValueError:
                 tokens = ", ".join(m.value for m in CorrelationModel)
                 raise ParseError(
-                    f"line {seen[key]}: model must be one of {{{tokens}}}, got {value!r}"
+                    f"line {lineno}: model must be one of {{{tokens}}}, got {value!r}"
                 ) from None
-            continue
-        name, scale = _SCALAR_KEYS[key]
-        try:
-            fields[name] = float(value) * scale
-        except ValueError:
-            raise ParseError(f"line {seen[key]}: {key} must be a number, got {value!r}") from None
+        elif key in _SCALAR_KEYS:
+            name, scale = _SCALAR_KEYS[key]
+            try:
+                fields[name] = parse_number(value) * scale
+            except ValueError:
+                raise ParseError(f"line {lineno}: {key} must be a number, got {value!r}") from None
+        else:
+            raise UnknownKey(f"line {lineno}: unknown key {key!r}")
 
+    missing = [k for k in _REQUIRED_KEYS if k not in seen]
+    if missing:
+        raise ParseError(f"missing required keys: {', '.join(missing)}")
     return validate_config(ExperimentConfig(**fields))
 
 
@@ -196,12 +228,12 @@ def read_pgm(path) -> tuple[np.ndarray, float]:
                              % PGM_MAXVAL, header)
         if not match:
             raise ParseError(f"{path}: not a twinfringes PGM header")
-        width, height = int(match[2]), int(match[3])
+        width, height = parse_number(match[2], int), parse_number(match[3], int)
         payload = os.fstat(fh.fileno()).st_size - fh.tell()
         if payload != 2 * width * height:
             raise ParseError(f"{path}: {payload} sample bytes, expected 2 x {width} x {height}")
         samples = np.fromfile(fh, dtype=">u2", count=width * height)
-    return samples.reshape(height, width), float(match[1])
+    return samples.reshape(height, width), parse_number(match[1])
 
 
 def write_profile_csv(profile: RadialProfile, path) -> None:
@@ -226,32 +258,21 @@ def write_profile_csv(profile: RadialProfile, path) -> None:
 def read_profile_csv(path) -> RadialProfile:
     """Read back a profile written by write_profile_csv.
 
-    The file is read as ``read_text`` reads it: UTF-8, a leading
-    byte-order mark dropped. Every row must hold three finite numbers,
-    with rho increasing and the visibility in [0, 1], and there must be
-    at least one row; any other file raises ParseError naming the path,
-    and the line where it can.
+    The rows are read with ``read_rows``. Each must hold three finite
+    numbers, with rho increasing and the visibility in [0, 1], and
+    there must be at least one row; any other file raises ParseError
+    naming the path, and the line where it can.
     """
     from .analytics import RadialProfile
 
-    lines = read_text(path).splitlines()
-    if not lines or lines[0] != PROFILE_HEADER:
-        raise ParseError(f"{path}: missing profile header {PROFILE_HEADER!r}")
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        try:
-            row = [float(tok) for tok in line.split(",")]
-        except ValueError:
-            row = []
-        if len(row) != 3 or not all(map(math.isfinite, row)):
-            raise ParseError(f"{path}:{lineno}: expected three finite numbers, got {line!r}")
-        if rows and row[0] <= rows[-1][0]:
-            raise ParseError(f"{path}:{lineno}: rho must increase, got {line!r}")
-        if not 0.0 <= row[2] <= 1.0:
-            raise ParseError(f"{path}:{lineno}: visibility must lie in [0, 1], got {line!r}")
-        rows.append(row)
+    rows = read_rows(path, PROFILE_HEADER)
     if not rows:
         raise ParseError(f"{path}: no profile rows after the header")
+    for lineno, (prev, row) in enumerate(zip([None, *rows], rows), start=2):
+        if prev is not None and row[0] <= prev[0]:
+            raise ParseError(f"{path}:{lineno}: rho must increase, got {row[0]!r}")
+        if not 0.0 <= row[2] <= 1.0:
+            raise ParseError(f"{path}:{lineno}: visibility must lie in [0, 1], got {row[2]!r}")
     return RadialProfile(*zip(*rows))
 
 

@@ -524,6 +524,36 @@ def test_eqwavelength_rejects_nonpositive_row(capsys, tmp_path, cfg_file, row, m
     assert not (tmp_path / "fit.manifest.json").exists()
 
 
+@pytest.mark.parametrize("body,lineno", [
+    ("5,1.95\n8,\u0661.54\n11.7,1.27\n", 3),
+    ("5,1.95\n\n8,1.54\n11.7,1.27\n", 3),
+    ("5,1.95\n8,1.54\n11.7,1.27\n \n", 5),
+], ids=["non_ascii_digit", "blank_line", "blank_last_line"])
+def test_eqwavelength_names_a_line_that_is_not_a_row(capsys, tmp_path, cfg_file, body, lineno):
+    data = tmp_path / "rings.csv"
+    data.write_text("d_a_mm,rho1_mm\n" + body, encoding="utf-8")
+    out = tmp_path / "fit"
+    code = main(["eqwavelength", "--config", cfg_file, "--data", str(data), "--out", str(out)])
+    assert code == 1
+    line = body.splitlines()[lineno - 2]
+    assert capsys.readouterr().err == (
+        f"twinfringes: error: {data}:{lineno}: expected two finite numbers, got {line!r}\n"
+    )
+    assert not (tmp_path / "fit.txt").exists()
+
+
+def test_eqwavelength_refuses_a_slope_that_underflows_to_zero(capsys, tmp_path, cfg_file):
+    # positive radii of 1e-170 mm, whose squares underflow to 0.0
+    data = tmp_path / "rings.csv"
+    data.write_text("d_a_mm,rho1_mm\n5,1e-170\n8,1e-170\n11.7,1e-170\n")
+    out = tmp_path / "fit"
+    code = main(["eqwavelength", "--config", cfg_file, "--data", str(data), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "twinfringes: error: fitted slope 0.0 is not positive\n"
+    assert not (tmp_path / "fit.txt").exists()
+    assert not (tmp_path / "fit.manifest.json").exists()
+
+
 def _rings_csv(tmp_path):
     rows = ["d_a_mm,rho1_mm"]
     for d_mm in (5.0, 11.7, 20.0):
@@ -958,6 +988,38 @@ def test_non_finite_flag_is_usage_error(capsys, tmp_path, cfg_file, argv, writte
     assert code == 1
     assert "finite" in capsys.readouterr().err
     assert not (tmp_path / written).exists()
+
+
+# Flags that Python's float and int would read (Arabic-Indic digits,
+# empty list entries) and the CLI refuses, naming the flag.
+NON_ASCII_FLAGS = {
+    "screen_mm": (["simulate", "--screen-mm", "\u0663"], "x.pgm",
+                  "--screen-mm: expected a finite number, got '\u0663'"),
+    "resolution": (["simulate", "--resolution", "\u0666\u0664"], "x.pgm",
+                   "--resolution: expected an integer, got '\u0666\u0664'"),
+    "grid_points": (["oracle", "--grid-points", "\u0665\u0661\u0662"], "x.json",
+                    "--grid-points: expected an integer, got '\u0665\u0661\u0662'"),
+    "rho_entry": (["visibility", "--rho-mm-list", "0,\u0661"], "x.csv",
+                  "--rho-mm-list: expected a finite number, got '\u0661'"),
+    "sigma_entry": (["visibility", "--sigma-list", "1e-3,\u0660"], "x.csv",
+                    "--sigma-list: expected a finite number, got '\u0660'"),
+    "v0": (["invert", "--v0", "\u0660.\u0669"], "x.txt",
+           "--v0: expected a finite number, got '\u0660.\u0669'"),
+    "empty_entry": (["visibility", "--rho-mm-list", "0,,1"], "x.csv",
+                    "--rho-mm-list: expected a finite number, got ''"),
+    "trailing_comma": (["visibility", "--sigma-list", "1e-3,"], "x.csv",
+                       "--sigma-list: expected a finite number, got ''"),
+}
+
+
+@pytest.mark.parametrize("argv,written,message", NON_ASCII_FLAGS.values(),
+                         ids=NON_ASCII_FLAGS.keys())
+def test_numeric_flag_reads_only_ascii_numbers(capsys, tmp_path, cfg_file, argv, written, message):
+    out = tmp_path / "x"
+    assert main([argv[0], "--config", cfg_file, "--out", str(out), *argv[1:]]) == 1
+    assert capsys.readouterr().err == f"twinfringes: error: argument {message}\n"
+    assert not (tmp_path / written).exists()
+    assert not (tmp_path / "x.manifest.json").exists()
 
 
 # Inputs a run must refuse with one error line, exit 1 and no data

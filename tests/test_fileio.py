@@ -28,6 +28,7 @@ from twinfringes import (
     write_pgm,
     write_profile_csv,
 )
+from twinfringes.fileio import parse_number
 from twinfringes.floattext import format_e11_rows
 
 GOOD_CONFIG = """\
@@ -128,6 +129,54 @@ def test_parse_config_runs_validation(tmp_path):
 def test_parse_config_malformed_line(tmp_path):
     with pytest.raises(ParseError, match="line 2"):
         parse_config(_write(tmp_path, "# header\njust-some-words\n"))
+
+
+# 1550 in Arabic-Indic digits: Python's float reads every Unicode decimal
+# digit, the readers do not
+ARABIC_1550 = "\u0661\u0665\u0665\u0660"
+
+
+@pytest.mark.parametrize("text, kind", [
+    ("1550", float), (" 2.36e-2 ", float), ("+1E3", float), ("1_000", float), ("inf", float),
+    (" +512 ", int), ("600", int),
+])
+def test_parse_number_reads_ascii_as_float_and_int_do(text, kind):
+    value = parse_number(text, kind)
+    assert type(value) is kind and value == kind(text)
+
+
+@pytest.mark.parametrize("text", [ARABIC_1550, "\uff11", "\u00a01", "1\u2009"])
+def test_parse_number_refuses_non_ascii_text(text):
+    float(text)  # which float alone would read
+    for kind in (float, int):
+        with pytest.raises(ValueError, match="not an ASCII number"):
+            parse_number(text, kind)
+
+
+def test_parse_config_refuses_a_non_ascii_digit(tmp_path):
+    text = GOOD_CONFIG.replace("lambda_a_nm = 1550", f"lambda_a_nm = {ARABIC_1550}")
+    with pytest.raises(ParseError) as excinfo:
+        parse_config(_write(tmp_path, text))
+    assert str(excinfo.value) == f"line 2: lambda_a_nm must be a number, got {ARABIC_1550!r}"
+
+
+def test_parse_config_names_the_first_faulty_line(tmp_path):
+    # one pass: a bad value is reported before a later unknown key and
+    # before the keys that are missing
+    text = "lambda_a_nm = 1550\nd_a_mm = wide\nfocal_mm = 150\n"
+    with pytest.raises(ParseError, match="^line 2: d_a_mm must be a number"):
+        parse_config(_write(tmp_path, text))
+    with pytest.raises(UnknownKey, match="^line 3: unknown key 'focal_mm'"):
+        parse_config(_write(tmp_path, text.replace("wide", "11.7")))
+
+
+def test_read_profile_csv_refuses_a_non_ascii_digit(tmp_path):
+    path = tmp_path / "profile.csv"
+    row = "\u0660,\u0661,\u0661"
+    path.write_text(f"rho_m,rate_norm,visibility\n0.0,1.0,1.0\n{row}\n", encoding="utf-8")
+    with pytest.raises(ParseError) as excinfo:
+        read_profile_csv(path)
+    assert str(excinfo.value) == f"{path}:3: expected three finite numbers, got {row!r}"
 
 
 def _maximal_cfg_file(tmp_path):

@@ -14,6 +14,7 @@ from twinfringes import (
     DegenerateVisibility,
     ExperimentConfig,
     InsufficientData,
+    NegativeSlope,
     central_visibility,
     estimate_equivalent_wavelength,
     estimate_sigma_theta,
@@ -253,6 +254,14 @@ def test_ring_regression_rejects_nonpositive_radius_and_separation(maximal_cfg):
 def test_ring_regression_rejects_non_finite_fit(maximal_cfg, first_radii):
     with pytest.raises(ValueError, match="ring law gives lambda_eq"):
         estimate_equivalent_wavelength(first_radii, maximal_cfg)
+
+
+def test_ring_regression_rejects_a_slope_that_underflows_to_zero(maximal_cfg):
+    # positive radii whose squares underflow: 1e-173^2 is 0.0 in float64
+    first_radii = [(d, 1e-173) for d in (5e-3, 8e-3, 11.7e-3)]
+    with pytest.raises(NegativeSlope) as excinfo:
+        estimate_equivalent_wavelength(first_radii, maximal_cfg)
+    assert str(excinfo.value) == "fitted slope 0.0 is not positive"
 
 
 @pytest.mark.parametrize("d_a", [5e-3, 11.7e-3, 20e-3])

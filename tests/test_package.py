@@ -119,6 +119,11 @@ def test_package_import_reader_sees_every_form():
     assert _package_imports("oracle") == {"state": {"SuperposedState"}}
 
 
+def test_cli_leaves_reading_text_to_fileio():
+    # files and numbers are read in fileio; the CLI only computes
+    assert not _package_imports("cli")["fileio"] & {"read_text", "ParseError"}
+
+
 @pytest.mark.parametrize("module", ["state", "oracle"])
 def test_grid_route_imports_no_other_route(module):
     # the oracle's agreement with the closed form and the quadrature is

@@ -293,6 +293,26 @@ def test_central_visibility_depends_on_kappa_alone(sigma, d, n, t, f0, lambda_b)
         assert v_phasor == central_visibility(cfg)
 
 
+def _grid_v0(cfg):
+    # rho = 0 alone: with more radii the shared line grid depends on rho_max / f0
+    return visibility_scan(assemble_state(cfg, [0.0], 512))[0][0]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.floats(2e-4, 3e-3), st.floats(1e-3, 50e-3), n_a, st.floats(0.5, 2.0),
+       st.floats(400e-9, 2e-6), st.floats(0.5, 4.0))
+def test_grid_central_visibility_obeys_the_kappa_law(sigma, d, n, f0_scale, lambda_b, t):
+    # the grid's V(0) holds neither f0 nor lambda_b, bit for bit, and
+    # along d_a t, sigma_theta / sqrt(t) moves by rounding alone (a probe
+    # of 400 draws moved it by at most 4.4e-16)
+    cfg = make_config(sigma_theta=sigma, d_a=d, n_a=n)
+    v0 = _grid_v0(cfg)
+    assert _grid_v0(dataclasses.replace(cfg, f0=f0_scale * cfg.f0)) == v0
+    assert _grid_v0(dataclasses.replace(cfg, lambda_b=lambda_b)) == v0
+    along = make_config(sigma_theta=sigma / math.sqrt(t), d_a=d * t, n_a=n)
+    assert abs(_grid_v0(along) - v0) <= 1e-15
+
+
 # Config keys in file units: key -> (config field, scale to SI units).
 FILE_KEYS = {
     "lambda_a_nm": ("lambda_a", 1e-9),

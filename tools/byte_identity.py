@@ -41,8 +41,13 @@ at 600 px and the oracle at 512 modes with d_a 1e30 mm, whose closed
 form overflows to NaN; visibility at radii 0 and 1e300 mm, whose
 fringe phase overflows; invert with a first-ring radius of 1e-200 mm,
 whose rho_1^2 d_a underflows to 0; and eqwavelength on ring radii of
-1e-170 mm, whose squares underflow to a zero slope. That makes 455
-runs per tree. Every command is
+1e-170 mm, whose squares underflow to a zero slope. Last, the reference
+partial config and the ring file are written in the other forms the
+readers accept, with a byte-order mark and CRLF line ends, a bare
+``key value`` line, spaces around ``=`` and inline comments in the
+config, and a space after each comma of the rings, and run through
+invert at v0 0.9 with a first-ring radius, eqwavelength and simulate
+at 256 px. That makes 458 runs per tree. Every command is
 ``python -m twinfringes.cli`` in a fresh interpreter with PYTHONPATH
 set to the tree. Exit codes and every output file are compared byte
 for byte; in a manifest the tree's work directory is first replaced by
@@ -78,10 +83,11 @@ OPTICS = "lambda_a_nm = 1550\nlambda_b_nm = 810\nlambda_p_nm = 532\nf0_mm = 150\
 # First bright-ring radii at several separations from the ring law
 # rho_1 = sqrt(2 lambda_eq f0^2 / d_a), lambda_eq = 423 nm, f0 = 150 mm,
 # with a fixed 1% perturbation pattern.
-RINGS = "d_a_mm,rho1_mm\n" + "".join(
+RING_ROWS = "".join(
     f"{d!r},{math.sqrt(2 * 423e-9 * 0.15**2 / (d * 1e-3)) * 1e3 * (1 + e):.9f}\n"
     for d, e in [(5.0, 0.01), (8.0, -0.004), (11.7, 0.0), (15.0, 0.007), (20.0, -0.01)]
 )
+RINGS = "d_a_mm,rho1_mm\n" + RING_ROWS
 
 COMMANDS = {
     "sim256": ["simulate", "--resolution", "256", "--phi0", "0.4"],
@@ -143,6 +149,26 @@ HOSTILE = {
     }),
 }
 
+# The reference config and the rings in the other input forms (see the
+# module docstring).
+FORMS_CONFIG = "\ufeff" + "".join(f"{line}\r\n" for line in (
+    "# reference partial config, saved with a BOM and CRLF line ends",
+    "lambda_a_nm = 1550  # undetected photon",
+    "lambda_b_nm 810",
+    "lambda_p_nm   =   532",
+    "d_a_mm=11.7",
+    "f0_mm = 150 # lens",
+    "sigma_b = 2.36e-2",
+    "sigma_theta = 0.000937",
+    "model = gaussian_partial",
+))
+FORMS_RINGS = "\ufeffd_a_mm,rho1_mm\r\n" + RING_ROWS.replace(",", ", ").replace("\n", "\r\n")
+FORMS = {"input_forms": (FORMS_CONFIG, {
+    "invert": COMMANDS["invert"],
+    "eqwl": ["eqwavelength", "--data", "FORMS_RINGS"],
+    "sim256": ["simulate", "--resolution", "256"],
+})}
+
 # The manifest values that change from run to run.
 VOLATILE = re.compile(rb'"(started_at|duration_s)": ("[^"]*"|[^,\n]*)')
 
@@ -164,20 +190,23 @@ def _configs() -> dict[str, tuple[str, dict]]:
             out[f"{model}_{name}"] = reference + extra, SOURCE_COMMANDS
         out[f"{model}_single"] = reference + SINGLE_CONFIG, SINGLE_COMMANDS
     out.update(HOSTILE)
+    out.update(FORMS)
     return out
 
 
 def run_tree(src: Path, work: Path) -> dict[str, int]:
     """Run every command against one tree; return exit codes by run name."""
     work.mkdir(parents=True)
-    data = {"RINGS": work / "rings.csv", "TINY_RINGS": work / "tiny_rings.csv"}
-    data["RINGS"].write_text(RINGS, encoding="ascii")
-    data["TINY_RINGS"].write_text(TINY_RINGS, encoding="ascii")
+    rings = {"RINGS": RINGS, "TINY_RINGS": TINY_RINGS, "FORMS_RINGS": FORMS_RINGS}
+    data = {name: work / f"{name.lower()}.csv" for name in rings}
+    for name, text in rings.items():
+        # bytes as written: no newline translation, the BOM as UTF-8
+        data[name].write_bytes(text.encode("utf-8"))
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
     codes = {}
     for cfg_name, (text, commands) in _configs().items():
         cfg = work / f"{cfg_name}.cfg"
-        cfg.write_text(text, encoding="ascii")
+        cfg.write_bytes(text.encode("utf-8"))
         for cmd_name, args in commands.items():
             run = f"{cfg_name}_{cmd_name}"
             argv = [str(data[a]) if a in data else a for a in args]

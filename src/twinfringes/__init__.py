@@ -46,7 +46,7 @@ _EXPORTS = {
         "ToleranceNotReached", "dm2_pair_scaled", "faddeeva", "integrate_radial",
     ),
     "state": (
-        "GridMismatch", "ModeGrid", "SuperposedState", "assemble_state", "build_amplitudes",
+        "GridMismatch", "SuperposedState", "assemble_state", "build_amplitudes",
         "camera_grid", "conjugate_grid", "dephasing_grid", "line_grid", "phase_a",
         "shell_line_grid",
     ),

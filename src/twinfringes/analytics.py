@@ -24,6 +24,7 @@ quadrant out as a full frame.
 
 from __future__ import annotations
 
+import collections
 import math
 from dataclasses import dataclass, field
 
@@ -51,24 +52,9 @@ class NoHalfPoint(ValueError):
     """Visibility never falls to half its central value in the search window."""
 
 
-@dataclass(frozen=True, eq=False)
-class RadialProfile:
-    """Sampled counting rate and visibility versus camera radius."""
-
-    rho: np.ndarray
-    rate: np.ndarray
-    visibility: np.ndarray
-
-    def __post_init__(self):
-        for name in ("rho", "rate", "visibility"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        rho, rate, vis = self.rho, self.rate, self.visibility
-        if rho.ndim != 1 or rate.shape != rho.shape or vis.shape != rho.shape:
-            raise ValueError("rho, rate and visibility must be congruent 1D arrays")
-        if np.any(np.diff(rho) <= 0.0):
-            raise ValueError("rho samples must be strictly increasing")
-        if np.any(vis < 0.0) or np.any(vis > 1.0):
-            raise ValueError("visibility must lie in [0, 1]")
+# Counting rate and visibility sampled at camera radii: three congruent
+# 1-D float arrays, rho [m] strictly increasing and visibility in [0, 1].
+RadialProfile = collections.namedtuple("RadialProfile", "rho rate visibility")
 
 
 @dataclass(frozen=True, eq=False)
@@ -475,6 +461,8 @@ def radial_profile(
     """Rate and visibility sampled on n_samples radii in [0, rho_max]."""
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
+    if not rho_max > 0.0:
+        raise ValueError(f"rho_max must be positive, got {rho_max!r}")
     rho = np.linspace(0.0, rho_max, n_samples)
     return RadialProfile(rho, *_fringe(rho, phi_0, cfg))
 

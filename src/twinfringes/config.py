@@ -8,11 +8,11 @@ Configs are immutable after validation and safe to share between workers.
 from __future__ import annotations
 
 import cmath
+import collections
 import enum
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -36,11 +36,8 @@ class ParaxialWarning(UserWarning):
     """Angular widths approaching the small-angle limit of the model."""
 
 
-class Violation(NamedTuple):
-    """One validation failure: a machine-readable kind plus a message."""
-
-    kind: str
-    message: str
+# One validation failure: a machine-readable kind plus a message.
+Violation = collections.namedtuple("Violation", "kind message")
 
 
 class ConfigError(ValueError):
@@ -107,25 +104,21 @@ class ExperimentConfig:
     phi_b: float = 0.0
 
 
-@dataclass(frozen=True)
-class FringeConstants:
-    """Derived quantities of the closed-form visibility model.
-
-    ``A`` is the quadratic fringe-phase coefficient per unit refractive
-    index; rates use ``n_a * A``. ``gamma``, ``chi`` and ``g`` already
-    include ``n_a`` so that the whole family stays mutually consistent
-    (for ``n_a = 1`` they reduce to the plain formulas). The fields are
-    what the closed-form rates and visibilities read; the equivalent
-    wavelength lambda_b^2 / lambda_a enters only through the ring law
-    (``analytics.fringe_radius``, ``inverse.ring_law_lambda_eq``).
-    """
-
-    A: float  # pi * d_a * lambda_a / (f0 * lambda_b)**2  [1/m^2]
-    B: float  # f0 * lambda_b / lambda_p                  [m]
-    kappa: float  # sigma_theta^2 n_a A B^2, the shell-phase curvature
-    gamma: float  # sqrt(4 + kappa^2)
-    chi: float  # gamma / (n_a A B)                       [m]
-    g: complex  # i sqrt(2) n_a A B sigma_theta / sqrt(2 - i kappa)
+# Derived quantities of the closed-form visibility model:
+#   A      pi * d_a * lambda_a / (f0 * lambda_b)**2  [1/m^2]
+#   B      f0 * lambda_b / lambda_p                  [m]
+#   kappa  sigma_theta^2 n_a A B^2, the shell-phase curvature
+#   gamma  sqrt(4 + kappa^2)
+#   chi    gamma / (n_a A B)                         [m]
+#   g      i sqrt(2) n_a A B sigma_theta / sqrt(2 - i kappa), complex
+# A is the quadratic fringe-phase coefficient per unit refractive index;
+# rates use n_a * A. gamma, chi and g already include n_a so that the
+# whole family stays mutually consistent (for n_a = 1 they reduce to the
+# plain formulas). The fields are what the closed-form rates and
+# visibilities read; the equivalent wavelength lambda_b^2 / lambda_a
+# enters only through the ring law (analytics.fringe_radius,
+# inverse.ring_law_lambda_eq).
+FringeConstants = collections.namedtuple("FringeConstants", "A B kappa gamma chi g")
 
 
 def effective_curvature(cfg: ExperimentConfig) -> float:

@@ -18,14 +18,8 @@ import math
 import os
 import re
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .config import CorrelationModel, ExperimentConfig, validate_config
-
-if TYPE_CHECKING:
-    import numpy as np
-
-    from .analytics import FringeImage, RadialProfile
 
 PGM_MAXVAL = 65535
 
@@ -261,8 +255,11 @@ def read_profile_csv(path) -> RadialProfile:
     The rows are read with ``read_rows``. Each must hold three finite
     numbers, with rho increasing and the visibility in [0, 1], and
     there must be at least one row; any other file raises ParseError
-    naming the path, and the line where it can.
+    naming the path, and the line where it can. The columns come back
+    as 1-D float arrays.
     """
+    import numpy as np
+
     from .analytics import RadialProfile
 
     rows = read_rows(path, PROFILE_HEADER)
@@ -273,7 +270,7 @@ def read_profile_csv(path) -> RadialProfile:
             raise ParseError(f"{path}:{lineno}: rho must increase, got {row[0]!r}")
         if not 0.0 <= row[2] <= 1.0:
             raise ParseError(f"{path}:{lineno}: visibility must lie in [0, 1], got {row[2]!r}")
-    return RadialProfile(*zip(*rows))
+    return RadialProfile(*np.array(rows, dtype=float).T)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:

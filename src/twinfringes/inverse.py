@@ -9,8 +9,8 @@ coincidence data enters anywhere.
 
 from __future__ import annotations
 
+import collections
 import math
-from dataclasses import dataclass
 
 from .config import ExperimentConfig, derive_constants, shell_gamma, source_fringe
 
@@ -27,12 +27,8 @@ class NegativeSlope(ValueError):
     """Ring-radius fit produced a nonpositive slope; data are inconsistent."""
 
 
-@dataclass(frozen=True)
-class WavelengthEstimate:
-    """Equivalent wavelength with the standard error of the fitted slope."""
-
-    lambda_eq: float
-    stderr: float
+# Equivalent wavelength [m] with the standard error of the fitted slope [m].
+WavelengthEstimate = collections.namedtuple("WavelengthEstimate", "lambda_eq stderr")
 
 
 def estimate_sigma_theta(v0: float, cfg: ExperimentConfig) -> float:

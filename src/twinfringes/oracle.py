@@ -19,7 +19,6 @@ as array passes of error-free extraction (Rump, Ogita and Oishi,
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -111,7 +110,7 @@ def counting_rate_reduced(state: SuperposedState, phi_0: float) -> np.ndarray:
     return a + (s.real * math.cos(phi_0) + s.imag * math.sin(phi_0))
 
 
-def sweep_visibility(rate_fn: Callable[[float], object]):
+def sweep_visibility(rate_fn):
     """Exact fringe visibility of a rate that is one sinusoid in phi_0.
 
     Every rate here has the form A + Re(S e^{-i phi_0}), whose visibility

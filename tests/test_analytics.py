@@ -13,7 +13,6 @@ from twinfringes import (
     CorrelationModel,
     FringeImage,
     NoHalfPoint,
-    RadialProfile,
     ZeroDistance,
     central_visibility,
     counting_rate_maxcorr,
@@ -338,13 +337,11 @@ def test_radial_profile_needs_two_samples(partial_cfg):
         radial_profile(partial_cfg, 1e-3, 1, 0.0)
 
 
-def test_radial_profile_validates_arrays():
-    with pytest.raises(ValueError, match="increasing"):
-        RadialProfile(np.array([0.0, 0.0]), np.zeros(2), np.zeros(2))
-    with pytest.raises(ValueError, match="congruent"):
-        RadialProfile(np.array([0.0, 1.0]), np.zeros(3), np.zeros(2))
-    with pytest.raises(ValueError, match="visibility"):
-        RadialProfile(np.array([0.0, 1.0]), np.zeros(2), np.array([0.0, 1.5]))
+def test_radial_profile_needs_a_positive_radius(partial_cfg):
+    # the radii must increase, so the span cannot be empty
+    for rho_max in (0.0, -1e-3, float("nan")):
+        with pytest.raises(ValueError, match="rho_max must be positive"):
+            radial_profile(partial_cfg, rho_max, 8, 0.0)
 
 
 def test_render_pattern_geometry(maximal_cfg):

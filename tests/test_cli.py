@@ -1229,7 +1229,7 @@ def test_scalar_commands_load_no_numpy(import_graph):
 
 def test_no_cli_command_loads_numpy_ma(import_graph):
     # np.unique imports numpy.ma on its first call, which every cold
-    # oracle paid for while ModeGrid used it to check distinct angles
+    # oracle paid for while the grid check used it for distinct angles
     for label, code, modules in import_graph:
         assert code == 0, label
         assert "numpy.ma" not in modules["numpy"], label

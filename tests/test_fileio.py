@@ -242,6 +242,19 @@ def test_profile_csv_round_trip(tmp_path, partial_cfg):
     assert back.rate.max() == pytest.approx(1.0, rel=1e-11, abs=0)
 
 
+@pytest.mark.parametrize("n", [1, 16])
+def test_read_profile_csv_returns_the_written_columns(tmp_path, partial_cfg, n):
+    # 1-D float arrays, a one-row file included, holding the written values
+    profile = RadialProfile(*(column[:n] for column in radial_profile(partial_cfg, 1.5e-3, 16, 0.0)))
+    path = tmp_path / "profile.csv"
+    write_profile_csv(profile, path)
+    rows = [[float(field) for field in line.split(",")] for line in path.read_text().splitlines()[1:]]
+    back = read_profile_csv(path)
+    for column, written in zip(back, zip(*rows)):
+        assert column.dtype == np.float64 and column.shape == (n,)
+        assert column.tolist() == list(written)
+
+
 @pytest.mark.parametrize("body, where, message", [
     ("", "", "no profile rows after the header"),
     ("0.0,1.0,1.0\n1e-4,0.5\n", ":3", "expected three finite numbers, got '1e-4,0.5'"),

@@ -65,7 +65,7 @@ def test_map_kb_to_theta_a(partial_cfg):
     # the partner angle of a b photon at camera radius rho is the a-side
     # image of the camera grid under the anti-correlated momentum map
     def theta_a(rho):
-        return -conjugate_grid(camera_grid([rho], partial_cfg), partial_cfg).angles[0]
+        return -conjugate_grid(camera_grid([rho], partial_cfg), partial_cfg)[0]
 
     assert theta_a(1.276e-3) == pytest.approx(THETA_A_REF, rel=1e-11, abs=0)
     assert theta_a(0.0) == 0.0
@@ -76,7 +76,7 @@ def test_map_kb_to_theta_a(partial_cfg):
 def test_map_is_identity_for_equal_wavelengths():
     cfg = make_config(CorrelationModel.MAXIMAL, lambda_a=810e-9)
     grid = conjugate_grid(camera_grid([1e-3], cfg), cfg)
-    assert grid.angles[0] == pytest.approx(-1e-3 / cfg.f0, rel=1e-14, abs=0)
+    assert grid[0] == pytest.approx(-1e-3 / cfg.f0, rel=1e-14, abs=0)
 
 
 def test_full_rate_matches_reduced_for_balanced_sources(partial_cfg):

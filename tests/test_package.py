@@ -3,6 +3,8 @@
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -83,6 +85,26 @@ def test_package_imports_only_stdlib_and_numpy(path):
     # stay out of every module, function-level imports included
     allowed = set(sys.stdlib_module_names) | {"numpy", "twinfringes"}
     assert _imported_roots(path) <= allowed
+
+
+@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda p: p.name)
+def test_records_are_plain_data(path):
+    # records are namedtuples: no module imports typing, and only the
+    # config and the rendered image are still dataclasses
+    roots = _imported_roots(path)
+    assert "typing" not in roots
+    assert ("dataclasses" in roots) == (path.stem in {"config", "analytics"})
+
+
+def test_cli_import_leaves_typing_unloaded():
+    # -S keeps site out: some installs load typing from a .pth hook
+    code = "import sys, twinfringes.cli; print('typing' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(SOURCE.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def _package_imports(module: str) -> dict[str, set[str]]:

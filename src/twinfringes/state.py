@@ -1,14 +1,16 @@
 """Discretized biphoton states over signed transverse-mode lines.
 
-A mode grid is a 1-D float array of the signed transverse angles of one
-photon's modes along a single line through the optical axis; its place
-in ``build_amplitudes`` says which photon it is, and that is where both
-grids are checked. The superposed state stores the real amplitude table
-C over a pair of grids together with the phase of every a mode relative
-to the on-axis mode, from which :mod:`twinfringes.oracle` sums the
-counting rates. Only phase differences along the a path reach a fringe,
-so the absolute path phase 2 pi n_a d_a / lambda_a is never formed. This
-module is the ground truth the closed-form analytics are tested against.
+A b grid is a 1-D float array of the signed transverse angles of the
+camera's modes, one column of the state per angle. An a grid is either
+one such line, which every column shares, or a 2-D array whose column j
+holds the a angles of b column j. A grid's place in ``build_amplitudes``
+says which photon it is, and that is where both grids are checked. The
+superposed state stores the real amplitude table C, one column per b
+mode, together with the phase of every a mode relative to the on-axis
+mode, from which :mod:`twinfringes.oracle` sums the counting rates. Only
+phase differences along the a path reach a fringe, so the absolute path
+phase 2 pi n_a d_a / lambda_a is never formed. This module is the ground
+truth the closed-form analytics are tested against.
 """
 
 from __future__ import annotations
@@ -22,35 +24,40 @@ import numpy as np
 from .config import PARAXIAL_LIMIT, CorrelationModel, ExperimentConfig, ParaxialWarning
 
 
-class GridMismatch(ValueError):
-    """Maximal-correlation table requested on non-conjugate grids."""
-
-
 # The biphoton state that both sources emit coherently, as built by
 # build_amplitudes, its one constructor. amplitudes is the real table
-# C[k_a, k_b] over grid_a x grid_b, normalized so that sum C^2 = 1.
-# phase_a holds the phase of every mode of grid_a: the a-path phase
-# beyond the on-axis one, (pi n_a d_a / lambda_a) theta^2, less the
-# static phase phi_b + phi2 - phi1. The scanned phase phi_0 is measured
-# against it, so phi_0 = 0 is the on-axis bright fringe of in-phase
-# sources. The originating config supplies the source magnitudes and the
-# camera geometry.
+# C[k_a, k_b], whose column k_b holds the a modes paired with b mode k_b,
+# normalized so that sum C^2 = 1. phase_a holds the phase of every a
+# mode, in a shape that broadcasts against amplitudes: (n_a, 1) for a
+# line that every column shares, (n_a, n_b) for one a grid per column.
+# That phase is the a-path phase beyond the on-axis one,
+# (pi n_a d_a / lambda_a) theta^2, less the static phase
+# phi_b + phi2 - phi1. The scanned phase phi_0 is measured against it, so
+# phi_0 = 0 is the on-axis bright fringe of in-phase sources. The
+# originating config supplies the source magnitudes and the camera
+# geometry.
 SuperposedState = collections.namedtuple("SuperposedState", "amplitudes phase_a config")
 
 
-def _checked_angles(angles) -> np.ndarray:
-    """A grid's angles as a float array: 1-D, non-empty, distinct, |angle| < PARAXIAL_LIMIT."""
+def _checked_angles(angles, columns=None) -> np.ndarray:
+    """A grid's angles as a float array: non-empty, distinct down each
+    column, |angle| < PARAXIAL_LIMIT.
+
+    A grid is 1-D. An a grid, given the b grid's size as ``columns``,
+    may also be 2-D with that many columns, and comes back 2-D: a line
+    that every column shares as one column, which broadcasts.
+    """
     angles = np.asarray(angles, dtype=float)
-    if angles.ndim != 1 or angles.size == 0:
-        raise ValueError("angles must be a non-empty 1D array")
+    if angles.ndim == 0 or angles.size == 0 or angles.shape[1:] not in ((), (columns,)):
+        raise ValueError("angles must be a non-empty 1D array (grid_a may be 2D, one column per b mode)")
     # a sorted copy, not np.unique, which loads numpy.ma on its first
     # call; NaNs sort last, and two of them repeat, as in np.unique
-    ordered = np.sort(angles)
-    if np.any(ordered[1:] == ordered[:-1]) or np.isnan(ordered[-2:]).sum() == 2:
+    ordered = np.sort(angles, axis=0)
+    if np.any(ordered[1:] == ordered[:-1]) or np.any(np.isnan(ordered[-2:]).sum(axis=0) == 2):
         raise ValueError("angles must be distinct")
     if not np.all(np.abs(angles) < PARAXIAL_LIMIT):
         raise ValueError(f"angles must lie in (-{PARAXIAL_LIMIT}, {PARAXIAL_LIMIT})")
-    return angles
+    return angles if columns is None else angles.reshape(len(angles), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -69,8 +76,9 @@ def conjugate_grid(grid_b: np.ndarray, cfg: ExperimentConfig) -> np.ndarray:
     """The a-side image of a b grid under the anti-correlated momentum map.
 
     Transverse momenta cancel pairwise: k_a theta_a = -k_b theta_b, so
-    mode j of this grid is the partner of column j of ``grid_b``. The
-    maximal model accepts no other a grid.
+    mode j of this grid is the partner of column j of ``grid_b``. As one
+    row, ``conjugate_grid(grid_b, cfg)[None, :]``, it is the maximal
+    model's a grid: each column holds its one partner.
     """
     return -(cfg.lambda_a / cfg.lambda_b) * grid_b
 
@@ -145,8 +153,11 @@ def dephasing_grid(cfg: ExperimentConfig, n_modes: int) -> np.ndarray:
 def build_amplitudes(grid_a: np.ndarray, grid_b: np.ndarray, cfg: ExperimentConfig) -> SuperposedState:
     """Construct the normalized state for the config's correlation model.
 
-    Maximal: diagonal, since mode j of ``conjugate_grid(grid_b)`` cancels
-    the momentum of b column j; any other grid_a raises GridMismatch.
+    ``grid_a`` is a 1-D line that every b column shares, or a 2-D
+    (n_a, n_b) grid whose column j holds the a angles of b column j; the
+    table has one column per b mode either way. Maximal: grid_a is one
+    row, each column's one partner, ``conjugate_grid(grid_b, cfg)[None, :]``,
+    and a column's weight is its b envelope alone.
     Uncorrelated: product of a uniform a marginal and the Gaussian b
     envelope. Gaussian partial: the pump-shell conditional, with the
     radial delta resolved analytically; each node carries the ring
@@ -155,19 +166,17 @@ def build_amplitudes(grid_a: np.ndarray, grid_b: np.ndarray, cfg: ExperimentConf
     every a mode, relative to the on-axis mode, is attached as well.
     Both grids are checked here, as ``_checked_angles`` says.
     """
-    grid_a, grid_b = _checked_angles(grid_a), _checked_angles(grid_b)
+    grid_b = _checked_angles(grid_b)
+    grid_a = _checked_angles(grid_a, grid_b.size)
     model = cfg.correlation_model
     p_b = np.exp(-2.0 * grid_b**2 / cfg.sigma_b**2)
 
     if model is CorrelationModel.MAXIMAL:
-        if not np.array_equal(grid_a, conjugate_grid(grid_b, cfg)):
-            raise GridMismatch(
-                "grid_a is not the anti-correlated image of grid_b; "
-                "build it with conjugate_grid()"
-            )
-        weights = np.diag(p_b)
+        if len(grid_a) != 1:
+            raise ValueError(f"maximal grid_a must have shape (1, {grid_b.size}), one partner per column")
+        weights = p_b[None, :]
     elif model is CorrelationModel.UNCORRELATED:
-        u_a = np.full(grid_a.size, 1.0 / grid_a.size)
+        u_a = np.full(len(grid_a), 1.0 / len(grid_a))
         weights = np.outer(u_a, p_b)
     else:
         if cfg.sigma_theta is None or cfg.lambda_p is None:
@@ -175,7 +184,7 @@ def build_amplitudes(grid_a: np.ndarray, grid_b: np.ndarray, cfg: ExperimentConf
         k0p = 2.0 * math.pi / cfg.lambda_p
         x_a = (2.0 * math.pi / cfg.lambda_a) * grid_a
         x_b = (2.0 * math.pi / cfg.lambda_b) * grid_b
-        theta_prime = (x_a[:, None] + x_b[None, :]) / k0p
+        theta_prime = (x_a + x_b[None, :]) / k0p
         weights = (
             p_b[None, :]
             * np.abs(theta_prime)
@@ -217,13 +226,15 @@ def assemble_state(cfg: ExperimentConfig, rho_values, n_modes: int) -> Superpose
 
     Convenience wrapper that picks the a-side grid suited to the
     configured correlation model: the anti-correlated image of the
-    camera grid (maximal), the exact-cancellation grid (uncorrelated),
-    or a signed line wide enough for the pump shell (gaussian partial).
+    camera grid as one row, each column's partner (maximal), the
+    exact-cancellation grid (uncorrelated), or a signed line wide enough
+    for the pump shell (gaussian partial); the last two are shared by
+    every column.
     """
     grid_b = camera_grid(rho_values, cfg)
     model = cfg.correlation_model
     if model is CorrelationModel.MAXIMAL:
-        grid_a = conjugate_grid(grid_b, cfg)
+        grid_a = conjugate_grid(grid_b, cfg)[None, :]
     elif model is CorrelationModel.UNCORRELATED:
         grid_a = dephasing_grid(cfg, n_modes)
     else:

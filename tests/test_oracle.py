@@ -1,6 +1,9 @@
 """Brute-force counting rates and the exact fringe phasor of every column."""
 
+import itertools
 import math
+import types
+import warnings
 
 import numpy as np
 import pytest
@@ -10,16 +13,20 @@ from hypothesis import strategies as st
 from twinfringes import (
     CorrelationModel,
     ParaxialWarning,
+    SuperposedState,
     ZeroRate,
     assemble_state,
     camera_grid,
     conjugate_grid,
     counting_rate_reduced,
+    derive_constants,
     phase_a,
     sweep_visibility,
     visibility_closed_form,
     visibility_scan,
 )
+from twinfringes import oracle
+from twinfringes.config import PARAXIAL_LIMIT
 from twinfringes.oracle import _phasor, _row_sums
 
 from conftest import make_config
@@ -61,6 +68,16 @@ def test_phase_a_warns_outside_paraxial_window(partial_cfg):
         phase_a(0.15, partial_cfg)
 
 
+def test_phase_a_warns_from_exactly_the_paraxial_limit(partial_cfg):
+    # the window is open: its edge warns, the float below it does not
+    for theta in (PARAXIAL_LIMIT, -PARAXIAL_LIMIT):
+        with pytest.warns(ParaxialWarning):
+            phase_a(theta, partial_cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        phase_a(np.nextafter(PARAXIAL_LIMIT, 0.0), partial_cfg)
+
+
 def test_map_kb_to_theta_a(partial_cfg):
     # the partner angle of a b photon at camera radius rho is the a-side
     # image of the camera grid under the anti-correlated momentum map
@@ -79,6 +96,12 @@ def test_map_is_identity_for_equal_wavelengths():
     assert grid[0] == pytest.approx(-1e-3 / cfg.f0, rel=1e-14, abs=0)
 
 
+def _column(state, k_b):
+    """Column k_b's weights C^2 and a phases, the phases as the table broadcasts them."""
+    phases = np.broadcast_to(state.phase_a, state.amplitudes.shape)[:, k_b]
+    return state.amplitudes[:, k_b] ** 2, phases
+
+
 def test_full_rate_matches_reduced_for_balanced_sources(partial_cfg):
     # |a1|^2 + |a2|^2 = 1 and 2 |a1||a2| = 1 at the balanced point, so the
     # general-amplitude rate collapses onto the equal-emission formula
@@ -86,8 +109,8 @@ def test_full_rate_matches_reduced_for_balanced_sources(partial_cfg):
     for phi_0 in (0.0, 1.3, 4.0):
         rates = counting_rate_reduced(state, phi_0)
         for k_b in (0, 7, 15):
-            weights = state.amplitudes[:, k_b] ** 2
-            balanced = math.fsum(weights * (1.0 + np.cos(state.phase_a - phi_0)))
+            weights, phases = _column(state, k_b)
+            balanced = math.fsum(weights * (1.0 + np.cos(phases - phi_0)))
             assert rates[k_b] == pytest.approx(balanced, rel=1e-12, abs=0)
 
 
@@ -119,8 +142,8 @@ def test_reduced_rate_is_nonnegative_and_periodic(partial_cfg):
 def test_maximal_rate_is_pure_cosine(maximal_cfg):
     state = assemble_state(maximal_cfg, RHO, n_modes=16)
     k_b = 3
-    weight = np.sum(state.amplitudes[:, k_b] ** 2)
-    delta = state.phase_a[state.amplitudes[:, k_b] > 0][0]
+    # one a mode a column: the partner's weight and phase
+    (weight,), (delta,) = _column(state, k_b)
     for phi_0 in (0.0, 0.8, 2.9):
         got = counting_rate_reduced(state, phi_0)[k_b]
         assert got == pytest.approx(weight * (1.0 + math.cos(delta - phi_0)), rel=1e-12, abs=1e-18)
@@ -181,9 +204,8 @@ def _reference_phasor(state, k_b):
     """One column's (A, Re S, Im S) from its own three scalar sums."""
     a1 = state.config.alpha1_mag
     a2 = state.config.alpha2_mag
-    weights = state.amplitudes[:, k_b] ** 2
-    w, c, s = (math.fsum(weights * part) for part in
-               (1.0, np.cos(state.phase_a), np.sin(state.phase_a)))
+    weights, phases = _column(state, k_b)
+    w, c, s = (math.fsum(weights * part) for part in (1.0, np.cos(phases), np.sin(phases)))
     k = 2.0 * a1 * a2
     return (a1 * a1 + a2 * a2) * w, k * c, k * s
 
@@ -192,8 +214,8 @@ def _four_term_rate(state, k_b, phi_0):
     """One column's rate summed term by term at one scan phase."""
     a1 = state.config.alpha1_mag
     a2 = state.config.alpha2_mag
-    weights = state.amplitudes[:, k_b] ** 2
-    arg = state.phase_a - phi_0
+    weights, phases = _column(state, k_b)
+    arg = phases - phi_0
     return math.fsum(weights * ((a1 * a1 + a2 * a2) + 2.0 * a1 * a2 * np.cos(arg)))
 
 
@@ -347,3 +369,74 @@ def test_row_sums_domain_ends_below_sigma_overflow(n):
         outside[1, -1] = value
         with pytest.raises(ValueError, match="finite entries below"):
             _row_sums(outside)
+
+
+def _fsum_counter(monkeypatch, fsum):
+    """Route oracle's math.fsum through ``fsum``; return the list of its calls."""
+    calls = []
+
+    def counted(values):
+        calls.append(None)
+        return fsum(values)
+
+    monkeypatch.setattr(oracle, "math", types.SimpleNamespace(**dict(vars(math), fsum=counted)))
+    return calls
+
+
+@pytest.mark.parametrize("n, passes", [(1024, 51), (65536, 60)])
+def test_row_sums_take_every_pass_of_the_bound_on_the_worst_row(monkeypatch, n, passes):
+    # +-2^e pairs whose exponents span the domain, plus 2^-1074: the
+    # largest entry sits at the top of the domain and the remainder loses
+    # the fewest bits a pass, so the row settles on the last pass of the
+    # bound ceil(2045 / (52 - M)) + 1
+    top = _domain_exponent(n) - 1
+    exponents = np.unique(np.linspace(-1074, top, (n - 1) // 2).round())
+    row = np.zeros(n)
+    row[:exponents.size] = np.ldexp(1.0, exponents.astype(int))
+    row[exponents.size:2 * exponents.size] = -row[:exponents.size]
+    row[-1] = 5e-324
+    calls = _fsum_counter(monkeypatch, math.fsum)
+    assert _row_sums(row[None, :]).tobytes() == _fsum_rows(row[None, :]).tobytes()
+    # two fsum calls a pass for the one row
+    assert len(calls) == 2 * passes
+
+
+def test_row_sums_raise_instead_of_looping_when_a_row_never_settles(monkeypatch):
+    # the two sides of the settling test never agree
+    counter = itertools.count()
+    calls = _fsum_counter(monkeypatch, lambda values: float(next(counter)))
+    with pytest.raises(RuntimeError, match="did not settle"):
+        _row_sums(np.ones((2, 8)))
+    # two calls a pass for each of the two rows, for ceil(2045 / 48) + 1 passes
+    assert len(calls) == 2 * 2 * 44
+
+
+@pytest.mark.parametrize("sigma", (2e-4, 9.37e-4, 3e-3))
+def test_two_dimensional_shell_grid_sums_to_its_closed_form(sigma):
+    # A test-only route over the whole plane of theta' rather than one
+    # line: per column, a 64 x 64 midpoint grid on [-6 sigma, 6 sigma]^2
+    # with weight exp(-2 |theta'|^2 / sigma^2) p_b, whose a photon leaves
+    # at (k0' theta' - k_b theta_b x) / k_a. Each column holds its own a
+    # angles, and S / A must be
+    # F_2D = c e^{i(C rho^2 - phi)} (2 / p) exp(-C^2 b^2 rho^2 / p), p = 2 - i kappa.
+    cfg = make_config(sigma_theta=sigma, alpha1_mag=0.8, alpha2_mag=0.6, phi1=0.3, phi_b=0.2)
+    radii = np.linspace(0.0, 0.5 * cfg.f0 * cfg.sigma_b, 16)
+    k_a, k_b, k0p = (2.0 * math.pi / lam for lam in (cfg.lambda_a, cfg.lambda_b, cfg.lambda_p))
+    nodes = (np.arange(64) + 0.5) * (12.0 * sigma / 64) - 6.0 * sigma
+    tx, ty = (t.ravel()[:, None] for t in np.meshgrid(nodes, nodes))
+    theta_b = radii / cfg.f0
+    theta_a = np.hypot(k0p * tx - k_b * theta_b, k0p * ty) / k_a
+    weights = np.exp(-2.0 * (tx**2 + ty**2) / sigma**2) * np.exp(-2.0 * theta_b**2 / cfg.sigma_b**2)
+    static = cfg.phi_b + cfg.phi2 - cfg.phi1
+    state = SuperposedState(np.sqrt(weights / weights.sum()), phase_a(theta_a, cfg) - static, cfg)
+    assert state.phase_a.shape == state.amplitudes.shape == (64 * 64, 16)
+    a, s = _phasor(state)
+
+    constants = derive_constants(cfg)
+    curvature, b = cfg.n_a * constants.A, constants.B * sigma
+    p = complex(2.0, -constants.kappa)
+    a1, a2 = cfg.alpha1_mag, cfg.alpha2_mag
+    contrast = 2.0 * a1 * a2 / (a1 * a1 + a2 * a2)
+    closed = (contrast * np.exp(1j * (curvature * radii**2 - static)) * (2.0 / p)
+              * np.exp(-(curvature * b * radii) ** 2 / p))
+    assert np.max(np.abs(s / a - closed)) <= 1e-13

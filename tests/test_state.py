@@ -8,14 +8,15 @@ import pytest
 
 from twinfringes import (
     CorrelationModel,
-    GridMismatch,
     assemble_state,
     build_amplitudes,
     camera_grid,
     conjugate_grid,
     dephasing_grid,
     line_grid,
+    phase_a,
     shell_line_grid,
+    visibility_scan,
 )
 from twinfringes.state import _checked_angles
 
@@ -24,20 +25,29 @@ from conftest import make_config
 RHO = np.linspace(0.0, 1.5e-3, 24)
 
 
+BAD_ANGLES = [
+    [],                          # empty
+    [0.002, 0.001, 0.002],       # repeated angle
+    [-0.001, float("nan")],      # not a number
+    [0.001, 0.2],                # beyond paraxial window
+    [-0.1, 0.001],               # at the paraxial limit, negative side
+    [0.1, 0.001],                # at the paraxial limit, positive side
+]
+
+
 @pytest.mark.parametrize(
-    "angles",
+    "role, angles",
     [
-        [[0.001]],                   # not 1D
-        [],                          # empty
-        [0.002, 0.001, 0.002],       # repeated angle
-        [-0.001, float("nan")],      # not a number
-        [0.001, 0.2],                # beyond paraxial window
-        [-0.1, 0.001],               # beyond paraxial window, negative side
-    ],
+        ("grid_b", [[0.001]]),                       # not 1D
+        ("grid_a", [[[0.001]]]),                     # 3D
+        ("grid_a", [[0.001, -0.001, 0.002]]),        # 2D, one column more than grid_b
+        ("grid_a", [[0.001, 0.002], [0.001, 0.003]]),  # 2D, repeated down a column
+    ]
+    + [(role, angles) for role in ("grid_a", "grid_b") for angles in BAD_ANGLES],
 )
-@pytest.mark.parametrize("role", ["grid_a", "grid_b"])
 def test_mode_grid_rejects_bad_inputs(angles, role, uncorrelated_cfg):
-    # build_amplitudes checks both grids, whichever photon a grid is for
+    # build_amplitudes checks both grids, whichever photon a grid is for;
+    # an a grid may be a line or hold one column per b mode
     good = np.array([0.001, -0.001])
     grids = {"grid_a": good, "grid_b": good, role: np.asarray(angles)}
     with pytest.raises(ValueError, match="^angles must"):
@@ -159,8 +169,9 @@ def test_dephasing_grid_phases_cancel():
     # the reference path and the longest one, where the path phase is 3.4e5 rad
     for overrides in ({}, {"n_a": 1.7, "d_a": 50e-3}):
         cfg = make_config(CorrelationModel.UNCORRELATED, **overrides)
-        phases = assemble_state(cfg, RHO, n).phase_a
-        # the state's phases are rotated N-th roots of unity
+        phases = assemble_state(cfg, RHO, n).phase_a[:, 0]
+        # the state's phases, one column that every b column shares, are
+        # rotated N-th roots of unity
         assert np.allclose(phases, roots, rtol=1e-14, atol=0.0)
         assert abs(np.sum(np.exp(1j * phases))) < 1e-11
 
@@ -186,26 +197,24 @@ def test_tables_are_normalized(partial_cfg, maximal_cfg, uncorrelated_cfg):
 
 
 def test_maximal_table_is_one_to_one(maximal_cfg):
+    # one row: column j holds its one partner, mode j of the conjugate grid
     grid_b = camera_grid(RHO, maximal_cfg)
-    grid_a = conjugate_grid(grid_b, maximal_cfg)
+    grid_a = conjugate_grid(grid_b, maximal_cfg)[None, :]
     state = build_amplitudes(grid_a, grid_b, maximal_cfg)
-    occupancy = np.count_nonzero(state.amplitudes**2, axis=0)
-    assert np.array_equal(occupancy, np.ones(grid_b.size, dtype=int))
-    # mode j of the conjugate grid is the partner of column j
-    assert np.count_nonzero(np.diag(state.amplitudes)) == grid_b.size
+    assert state.amplitudes.shape == state.phase_a.shape == (1, grid_b.size)
+    assert np.all(state.amplitudes > 0.0)
+    assert np.array_equal(state.phase_a, phase_a(grid_a, maximal_cfg))
 
 
-def test_maximal_table_rejects_foreign_grid(maximal_cfg):
-    # the conjugate grid fixes each partner by position, so the same
-    # modes reordered, one angle one ulp off, or an extra mode fail too
+def test_maximal_table_refuses_a_shared_line_or_a_wide_row(maximal_cfg):
+    # the table's shape is the pairing: a line that every column shares
+    # gives a column more than one partner, and a row needs one per column
     grid_b = camera_grid(RHO[1:], maximal_cfg)
     angles = conjugate_grid(grid_b, maximal_cfg)
-    nudged = angles.copy()
-    nudged[3] = np.nextafter(nudged[3], 0.0)
-    for stranger in (line_grid(1e-4, n_modes=8), angles[::-1], nudged,
-                     np.append(angles, 1e-3)):
-        with pytest.raises(GridMismatch):
-            build_amplitudes(stranger, grid_b, maximal_cfg)
+    with pytest.raises(ValueError, match=r"maximal grid_a must have shape \(1, 23\)"):
+        build_amplitudes(angles, grid_b, maximal_cfg)
+    with pytest.raises(ValueError, match="^angles must"):
+        build_amplitudes(np.append(angles, -1e-3)[None, :], grid_b, maximal_cfg)
 
 
 def test_uncorrelated_table_is_a_product(uncorrelated_cfg):
@@ -255,10 +264,11 @@ def test_empty_support_is_an_error(partial_cfg):
 def test_superpose_attaches_phases_and_amplitudes(partial_cfg):
     sup, grid_a, _ = _partial_state(partial_cfg)
     assert sup.config is partial_cfg
-    assert sup.phase_a.shape == grid_a.shape
+    # a shared line is one column, which every b column broadcasts against
+    assert sup.phase_a.shape == (grid_a.size, 1)
     # measured from the on-axis phase 2 pi n_a d_a / lambda_a, which cancels
     on_axis = 2.0 * math.pi * partial_cfg.n_a * partial_cfg.d_a / partial_cfg.lambda_a
-    assert np.allclose(sup.phase_a, 0.5 * on_axis * grid_a**2, rtol=1e-15, atol=0.0)
+    assert np.allclose(sup.phase_a[:, 0], 0.5 * on_axis * grid_a**2, rtol=1e-15, atol=0.0)
 
 
 def test_superpose_carries_source_phases(partial_cfg):
@@ -270,7 +280,7 @@ def test_superpose_carries_source_phases(partial_cfg):
 
 
 def test_assemble_state_selects_model_grid(partial_cfg, maximal_cfg, uncorrelated_cfg):
-    conjugate = conjugate_grid(camera_grid(RHO, maximal_cfg), maximal_cfg)
+    conjugate = conjugate_grid(camera_grid(RHO, maximal_cfg), maximal_cfg)[None, :]
     assert np.all(conjugate <= 0.0)
     dephasing = dephasing_grid(uncorrelated_cfg, 32)
     assert dephasing.shape == (32,) and np.all(dephasing > 0.0)
@@ -280,7 +290,24 @@ def test_assemble_state_selects_model_grid(partial_cfg, maximal_cfg, uncorrelate
                         (partial_cfg, shell)):
         sup = assemble_state(cfg, RHO, n_modes=32)
         expect = build_amplitudes(grid_a, camera_grid(RHO, cfg), cfg)
-        assert sup.amplitudes.shape == (grid_a.size, RHO.size)
+        assert sup.amplitudes.shape == (len(grid_a), RHO.size)
         assert np.array_equal(sup.amplitudes, expect.amplitudes)
         assert np.array_equal(sup.phase_a, expect.phase_a)
         assert sup.config is cfg
+
+
+@pytest.mark.parametrize("model", [CorrelationModel.GAUSSIAN_PARTIAL, CorrelationModel.UNCORRELATED],
+                         ids=lambda m: m.value)
+def test_a_grid_per_column_equals_the_shared_line_it_repeats(model):
+    # the line written out once per column gives the same table, the same
+    # phases as broadcast and the same fringes, bit for bit
+    cfg = make_config(model)
+    line = assemble_state(cfg, RHO, 64)
+    grid_a = (shell_line_grid(cfg, float(np.max(RHO)), 64)
+              if model is CorrelationModel.GAUSSIAN_PARTIAL else dephasing_grid(cfg, 64))
+    columns = build_amplitudes(np.tile(grid_a[:, None], (1, RHO.size)), camera_grid(RHO, cfg), cfg)
+    assert columns.phase_a.shape == columns.amplitudes.shape == (64, RHO.size)
+    assert np.array_equal(columns.amplitudes, line.amplitudes)
+    assert np.array_equal(columns.phase_a, np.broadcast_to(line.phase_a, (64, RHO.size)))
+    for got, want in zip(visibility_scan(columns), visibility_scan(line)):
+        assert got.tobytes() == want.tobytes()

@@ -33,7 +33,11 @@ the same config of each model with a single emitting source
 (alpha1_mag 1, alpha2_mag 0), run the oracle at 512 modes, simulate at
 256 px with phi0 0.4 and visibility with the rho list and both sigma
 lists: the fringe term is 0 in every route, and so is every
-visibility. Eight hostile runs on the reference partial config should
+visibility. Three more, the same config of each model on f0 53 mm and
+sigma_b 0.006, run the oracle at 512 modes: the b envelope p_b depends
+only on f0 and sigma_b, so these are the only runs on a second
+envelope, and a change in how the envelope is summed can show in them.
+Eight hostile runs on the reference partial config should
 each exit 1 and write no data file: the oracle at 512 modes with
 sigma_theta 1e-7, whose shell no grid mode sees; simulate at 10^11 px
 and the oracle at 10^11 modes, which no machine can allocate; simulate
@@ -47,7 +51,7 @@ readers accept, with a byte-order mark and CRLF line ends, a bare
 ``key value`` line, spaces around ``=`` and inline comments in the
 config, and a space after each comma of the rings, and run through
 invert at v0 0.9 with a first-ring radius, eqwavelength and simulate
-at 256 px. That makes 458 runs per tree. Every command is
+at 256 px. That makes 461 runs per tree. Every command is
 ``python -m twinfringes.cli`` in a fresh interpreter with PYTHONPATH
 set to the tree. Exit codes and every output file are compared byte
 for byte; in a manifest the tree's work directory is first replaced by
@@ -131,6 +135,10 @@ SINGLE_COMMANDS = {
     name: COMMANDS[name] for name in ("oracle", "sim256", "vrho", "vsigma", "vsigma_mixed")
 }
 
+# Runs on a second b envelope (see the module docstring).
+ENVELOPE_OPTICS = OPTICS.replace("f0_mm = 150", "f0_mm = 53").replace("2.36e-2", "0.006")
+ENVELOPE_COMMANDS = {"oracle": COMMANDS["oracle"]}
+
 # Hostile runs on the reference partial config (see the module docstring).
 REFERENCE = OPTICS + "d_a_mm = 11.7\nsigma_theta = 0.000937\nmodel = gaussian_partial\n"
 TINY_RINGS = "d_a_mm,rho1_mm\n5,1e-170\n8,1e-170\n11.7,1e-170\n"
@@ -189,6 +197,9 @@ def _configs() -> dict[str, tuple[str, dict]]:
         for name, extra in SOURCE_CONFIGS.items():
             out[f"{model}_{name}"] = reference + extra, SOURCE_COMMANDS
         out[f"{model}_single"] = reference + SINGLE_CONFIG, SINGLE_COMMANDS
+        out[f"{model}_f53_sb0p006"] = (
+            reference.replace(OPTICS, ENVELOPE_OPTICS), ENVELOPE_COMMANDS
+        )
     out.update(HOSTILE)
     out.update(FORMS)
     return out

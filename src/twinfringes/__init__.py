@@ -48,7 +48,7 @@ _EXPORTS = {
     "state": (
         "SuperposedState", "assemble_state", "build_amplitudes",
         "camera_grid", "conjugate_grid", "dephasing_grid", "line_grid", "phase_a",
-        "shell_line_grid",
+        "shell_grid",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -50,12 +50,15 @@ def _checked_angles(angles, columns=None) -> np.ndarray:
     angles = np.asarray(angles, dtype=float)
     if angles.ndim == 0 or angles.size == 0 or angles.shape[1:] not in ((), (columns,)):
         raise ValueError("angles must be a non-empty 1D array (grid_a may be 2D, one column per b mode)")
-    # a sorted copy, not np.unique, which loads numpy.ma on its first
-    # call; NaNs sort last, and two of them repeat, as in np.unique
-    ordered = np.sort(angles, axis=0)
-    if np.any(ordered[1:] == ordered[:-1]) or np.any(np.isnan(ordered[-2:]).sum(axis=0) == 2):
+    # each column as a sorted row of a contiguous copy (the fastest
+    # sort), not np.unique, which loads numpy.ma on its first call; NaNs
+    # sort last, and two of them repeat, as in np.unique; a row's two
+    # ends bound its |angle|, and a NaN end fails the bound
+    ordered = angles.T.copy()
+    ordered.sort()
+    if (ordered[..., 1:] == ordered[..., :-1]).any() or np.isnan(ordered[..., -2:-1]).any():
         raise ValueError("angles must be distinct")
-    if not np.all(np.abs(angles) < PARAXIAL_LIMIT):
+    if not (np.abs(ordered[..., ::max(len(angles) - 1, 1)]) < PARAXIAL_LIMIT).all():
         raise ValueError(f"angles must lie in (-{PARAXIAL_LIMIT}, {PARAXIAL_LIMIT})")
     return angles if columns is None else angles.reshape(len(angles), -1)
 
@@ -98,34 +101,33 @@ def line_grid(t_max: float, n_modes: int) -> np.ndarray:
     return np.column_stack((theta, -theta)).ravel()
 
 
-def shell_line_grid(cfg: ExperimentConfig, rho_max: float, n_modes: int) -> np.ndarray:
-    """Line grid wide enough to hold the correlation shell for every camera
-    radius up to ``rho_max``.
+def shell_grid(grid_b: np.ndarray, cfg: ExperimentConfig, n_modes: int) -> np.ndarray:
+    """One a grid per camera column, each holding its column's correlation shell.
 
-    The shell conditioned on a b mode at theta_b is centered at
-    -(k_b / k_a) theta_b with angular half-width 6 sigma_theta k0' / k_a,
-    so the symmetric extent below covers all columns at once.
+    The shell conditioned on a b mode at theta_b is centred on its
+    partner -(lambda_a / lambda_b) theta_b with angular half-width
+    6 sigma_theta k0' / k_a = 6 sigma_theta lambda_a / lambda_p. Column j
+    of the (n_modes, n_b) grid is partner j (``conjugate_grid``) plus a
+    ``line_grid`` over that half-width, so every column's shell gets all
+    n_modes nodes: the maximal model's row, widened by the shell.
     """
     if cfg.sigma_theta is None or cfg.lambda_p is None:
-        raise ValueError("shell_line_grid needs sigma_theta and lambda_p")
-    k_a = 2.0 * math.pi / cfg.lambda_a
-    k_b = 2.0 * math.pi / cfg.lambda_b
-    k0p = 2.0 * math.pi / cfg.lambda_p
-    t_max = (6.0 * cfg.sigma_theta * k0p + k_b * rho_max / cfg.f0) / k_a
-    # line_grid's outermost node, with its bits: where build_amplitudes
-    # would reject the grid, say which inputs put it there; at rho_max = 0
-    # the width alone sets the reach
-    half = n_modes // 2
-    outermost = (half - 0.5) * (t_max / half) if half else 0.0
-    if outermost >= PARAXIAL_LIMIT:
+        raise ValueError("shell_grid needs sigma_theta and lambda_p")
+    shell = line_grid(6.0 * cfg.sigma_theta * cfg.lambda_a / cfg.lambda_p, n_modes)
+    grid_a = conjugate_grid(grid_b, cfg)[None, :] + shell[:, None]
+    # where build_amplitudes would reject the grid, say which inputs put
+    # it there; on the axis alone the width sets the reach
+    reach = float(np.max(np.abs(grid_a), initial=0.0))
+    if reach >= PARAXIAL_LIMIT:
+        rho_max = float(np.max(grid_b)) * cfg.f0
         culprits = f"sigma_theta = {cfg.sigma_theta!r} " + (
             f"and rho_max = {rho_max * 1e3:g} mm are" if rho_max else "is"
         )
         raise ValueError(
-            f"the shell grid reaches {outermost:.3g} rad, past the paraxial "
+            f"the shell grid reaches {reach:.3g} rad, past the paraxial "
             f"limit {PARAXIAL_LIMIT} rad: {culprits} too large for the partial-model oracle"
         )
-    return line_grid(t_max, n_modes)
+    return grid_a
 
 
 def dephasing_grid(cfg: ExperimentConfig, n_modes: int) -> np.ndarray:
@@ -226,10 +228,9 @@ def assemble_state(cfg: ExperimentConfig, rho_values, n_modes: int) -> Superpose
 
     Convenience wrapper that picks the a-side grid suited to the
     configured correlation model: the anti-correlated image of the
-    camera grid as one row, each column's partner (maximal), the
-    exact-cancellation grid (uncorrelated), or a signed line wide enough
-    for the pump shell (gaussian partial); the last two are shared by
-    every column.
+    camera grid as one row, each column's partner (maximal), the same
+    partners each widened by its pump shell (gaussian partial), or the
+    exact-cancellation line that every column shares (uncorrelated).
     """
     grid_b = camera_grid(rho_values, cfg)
     model = cfg.correlation_model
@@ -238,5 +239,5 @@ def assemble_state(cfg: ExperimentConfig, rho_values, n_modes: int) -> Superpose
     elif model is CorrelationModel.UNCORRELATED:
         grid_a = dephasing_grid(cfg, n_modes)
     else:
-        grid_a = shell_line_grid(cfg, float(np.max(rho_values)), n_modes)
+        grid_a = shell_grid(grid_b, cfg, n_modes)
     return build_amplitudes(grid_a, grid_b, cfg)

@@ -112,12 +112,13 @@ def test_criterion_3_three_way_consistency():
         for a, b in ((v_grid, v_quad), (v_grid, v_closed), (v_quad, v_closed))
     )
     elapsed = time.perf_counter() - t0
-    ok = worst < 0.01 and elapsed < 30.0
+    # 10x the measured worst, 7.64e-5 (grid vs closed form, 512 modes)
+    ok = worst < 8e-4 and elapsed < 30.0
     _report(
         3,
         "grid oracle vs quadrature vs closed-form visibility, 20 radii in [0, 1.5 mm]",
         ok,
-        f"max pairwise discrepancy {worst:.2e} < 0.01, {elapsed:.2f} s < 30 s",
+        f"max pairwise discrepancy {worst:.2e} < 8e-4, {elapsed:.2f} s < 30 s",
     )
 
 

@@ -26,6 +26,7 @@ from twinfringes import (
     visibility_scan,
 )
 from twinfringes import oracle
+from twinfringes.analytics import _closed_form
 from twinfringes.config import PARAXIAL_LIMIT
 from twinfringes.oracle import _phasor, _row_sums
 
@@ -185,8 +186,8 @@ def test_visibility_scan_monotone_in_shell_width():
 
 
 def test_partial_oracle_converges_in_grid_size(partial_cfg):
-    # the grid error oscillates in rho and is not monotone in N, so the
-    # least-squares order over the whole refinement is what is asserted
+    # each column's shell is a midpoint rule whose error falls 4.00-4.02x
+    # per doubling from 128 modes on (1.5e-3 at 128, 1.45e-6 at 4096)
     radii = np.linspace(0.0, 0.5 * partial_cfg.f0 * partial_cfg.sigma_b, 16)
     closed = np.array([visibility_closed_form(float(r), partial_cfg) for r in radii])
     sizes = (128, 256, 512, 1024, 2048, 4096)
@@ -196,8 +197,36 @@ def test_partial_oracle_converges_in_grid_size(partial_cfg):
         grid = visibility_scan(state)[0]
         errors.append(float(np.max(np.abs(grid - closed))))
     order = -np.polyfit(np.log(sizes), np.log(errors), 1)[0]
-    assert order >= 1.5
+    assert abs(order - 2.0) <= 0.1
     assert errors[-1] <= 2e-5
+
+
+def test_partial_rate_tends_to_the_maximal_rate_as_the_shell_narrows():
+    # as sigma_theta -> 0 the partial rate / (sigma_theta^2 / 2) tends to
+    # the maximal rate as O(sigma_theta^2), about 7.8e5 sigma_theta^2
+    # peak-relative over 0-2 mm on the reference optics. The grid, whose
+    # rates share an arbitrary scale, is compared peak-normalized, and
+    # every column's shell gets all 512 modes down to 1e-7
+    radii = np.linspace(0.0, 2e-3, 41)
+    sigmas = np.array([1e-4, 1e-5, 1e-6, 1e-7])
+
+    def closed(cfg):
+        mean, fringe, _ = _closed_form(radii, 0.0, cfg, cfg.correlation_model)
+        rate = mean * (1.0 + fringe.real)
+        return rate / (0.5 * cfg.sigma_theta**2 if cfg.sigma_theta else 1.0)
+
+    def grid(cfg):
+        rate = visibility_scan(assemble_state(cfg, radii, 512))[1]
+        return rate / rate.max()
+
+    gaps = {}
+    for route in (closed, grid):
+        limit = route(make_config(CorrelationModel.MAXIMAL))
+        gaps[route] = np.array([np.max(np.abs(route(make_config(sigma_theta=s)) - limit))
+                                for s in sigmas]) / limit.max()
+        order = np.polyfit(np.log(sigmas), np.log(gaps[route]), 1)[0]
+        assert abs(order - 2.0) <= 0.1
+    assert np.allclose(gaps[grid], gaps[closed], rtol=1e-3, atol=0.0)
 
 
 def _reference_phasor(state, k_b):

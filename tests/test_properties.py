@@ -294,7 +294,8 @@ def test_central_visibility_depends_on_kappa_alone(sigma, d, n, t, f0, lambda_b)
 
 
 def _grid_v0(cfg):
-    # rho = 0 alone: with more radii the shared line grid depends on rho_max / f0
+    # rho = 0 alone: the table is normalized over every column, so other
+    # radii, whose angles hold f0 and lambda_b, would reach V(0) by rounding
     return visibility_scan(assemble_state(cfg, [0.0], 512))[0][0]
 
 

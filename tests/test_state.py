@@ -15,7 +15,7 @@ from twinfringes import (
     dephasing_grid,
     line_grid,
     phase_a,
-    shell_line_grid,
+    shell_grid,
     visibility_scan,
 )
 from twinfringes.state import _checked_angles
@@ -52,6 +52,22 @@ def test_mode_grid_rejects_bad_inputs(angles, role, uncorrelated_cfg):
     grids = {"grid_a": good, "grid_b": good, role: np.asarray(angles)}
     with pytest.raises(ValueError, match="^angles must"):
         build_amplitudes(grids["grid_a"], grids["grid_b"], uncorrelated_cfg)
+
+
+@pytest.mark.parametrize("angles, columns, message", [
+    ([], None, "a non-empty 1D array"),
+    ([0.002, 0.001, 0.002], None, "distinct"),
+    ([float("nan"), 0.001, float("nan")], None, "distinct"),        # two NaNs repeat
+    ([0.001, float("nan")], None, "lie in"),                        # one NaN is out of range
+    ([[float("nan"), 0.001]], 2, "lie in"),                         # one-entry columns
+    ([[float("nan"), 0.001], [float("nan"), 0.002]], 2, "distinct"),
+    ([-0.2, 0.001], None, "lie in"),                                # the lowest end
+    ([[0.001, 0.001], [0.002, -0.1]], 2, "lie in"),                 # a column's largest |angle|
+])
+def test_angle_check_names_the_first_fault(angles, columns, message):
+    # the four messages, and which one a grid with two faults gets
+    with pytest.raises(ValueError, match=f"^angles must (be )?{message}"):
+        _checked_angles(angles, columns)
 
 
 def test_mode_grid_flattening_is_theta_major():
@@ -101,56 +117,62 @@ def test_line_grid_rejects_odd_or_tiny():
         line_grid(1e-3, n_modes=2)
 
 
-def test_shell_line_grid_covers_every_column(partial_cfg):
-    rho_max = 1.5e-3
-    grid = shell_line_grid(partial_cfg, rho_max, n_modes=64)
-    k_a = 2.0 * math.pi / partial_cfg.lambda_a
-    k_b = 2.0 * math.pi / partial_cfg.lambda_b
-    k0p = 2.0 * math.pi / partial_cfg.lambda_p
-    center = (k_b * rho_max / partial_cfg.f0) / k_a
-    width = 6.0 * partial_cfg.sigma_theta * k0p / k_a
-    assert np.max(grid) >= center + 0.9 * width
-    assert np.min(grid) == -np.max(grid)
+def _shell(cfg, rho, n_modes):
+    # the grid shell_grid documents: each column's partner plus one line
+    # over the shell's half-width 6 sigma_theta lambda_a / lambda_p
+    line = line_grid(6.0 * cfg.sigma_theta * cfg.lambda_a / cfg.lambda_p, n_modes)
+    return conjugate_grid(camera_grid(rho, cfg), cfg)[None, :] + line[:, None]
 
 
-def test_shell_line_grid_needs_partial_parameters():
+def test_shell_grid_centres_each_column_on_its_partner(partial_cfg):
+    grid_b = camera_grid(RHO, partial_cfg)
+    grid = shell_grid(grid_b, partial_cfg, n_modes=64)
+    assert grid.shape == (64, RHO.size)
+    assert np.array_equal(grid, _shell(partial_cfg, RHO, 64))
+    # every column holds all the nodes of its shell, theta' within 6 sigma
+    cfg = partial_cfg
+    theta_prime = (grid / cfg.lambda_a + grid_b / cfg.lambda_b) * cfg.lambda_p / cfg.sigma_theta
+    assert np.all(np.abs(theta_prime) < 6.0)
+    assert np.all(np.max(theta_prime, axis=0) > 5.9) and np.all(np.min(theta_prime, axis=0) < -5.9)
+
+
+def test_shell_grid_needs_partial_parameters():
     cfg = make_config(CorrelationModel.MAXIMAL)
-    with pytest.raises(ValueError):
-        shell_line_grid(cfg, 1e-3, 64)
+    with pytest.raises(ValueError, match="shell_grid needs sigma_theta and lambda_p"):
+        shell_grid(camera_grid(RHO, cfg), cfg, 64)
 
 
 @pytest.mark.parametrize("n_modes", [4, 512, 1024])
-def test_shell_line_grid_refuses_exactly_where_the_mode_grid_would(n_modes):
-    # widths within 100 ulp of the edge: shell_line_grid names the width
-    # wherever build_amplitudes would reject line_grid's angles, and nowhere else
-    cfg, rho_max = make_config(), 1.5e-3
-    k_a, k_b, k0p = (2.0 * math.pi / lam for lam in (cfg.lambda_a, cfg.lambda_b, cfg.lambda_p))
+def test_shell_grid_refuses_exactly_where_the_mode_grid_would(n_modes):
+    # widths within 100 ulp of the edge: shell_grid names the width
+    # wherever build_amplitudes would reject its angles, and nowhere else
+    cfg, rho = make_config(), [0.0, 0.75e-3, 1.5e-3]
     half = n_modes // 2
-    edge = (0.1 * half / (half - 0.5) * k_a - k_b * rho_max / cfg.f0) / (6.0 * k0p)
-    sigma = edge
+    partner = cfg.lambda_a / cfg.lambda_b * 1.5e-3 / cfg.f0
+    sigma = (0.1 - partner) * half / (half - 0.5) * cfg.lambda_p / (6.0 * cfg.lambda_a)
     for _ in range(100):
         sigma = np.nextafter(sigma, 0.0)
     outcomes = set()
     for _ in range(200):
         sigma = float(np.nextafter(sigma, 1.0))
-        t_max = (6.0 * sigma * k0p + k_b * rho_max / cfg.f0) / k_a
+        wide = dataclasses.replace(cfg, sigma_theta=sigma)
+        expect = _shell(wide, rho, n_modes)
         try:
-            _checked_angles(line_grid(t_max, n_modes))
+            _checked_angles(expect, len(rho))
             rejected = False
         except ValueError:
             rejected = True
-        wide = dataclasses.replace(cfg, sigma_theta=sigma)
         if rejected:
             with pytest.raises(ValueError, match=f"sigma_theta = {sigma!r} and rho_max = 1.5 mm"):
-                shell_line_grid(wide, rho_max, n_modes)
+                shell_grid(camera_grid(rho, wide), wide, n_modes)
         else:
-            assert shell_line_grid(wide, rho_max, n_modes).shape == (n_modes,)
+            assert np.array_equal(shell_grid(camera_grid(rho, wide), wide, n_modes), expect)
         outcomes.add(rejected)
     assert outcomes == {False, True}
 
 
-def test_shell_line_grid_at_the_axis_names_only_the_width():
-    # at rho_max = 0 the width alone sets the shell grid's reach
+def test_shell_grid_at_the_axis_names_only_the_width():
+    # on the axis alone the width sets the shell grid's reach
     cfg = make_config(sigma_theta=5.8e-3)
     message = (
         "the shell grid reaches 0.101 rad, past the paraxial limit 0.1 rad: "
@@ -184,7 +206,7 @@ def test_dephasing_grid_needs_separation():
 
 def _partial_state(cfg, rho=RHO, n_modes=128):
     grid_b = camera_grid(rho, cfg)
-    grid_a = shell_line_grid(cfg, float(np.max(rho)), n_modes)
+    grid_a = shell_grid(grid_b, cfg, n_modes)
     return build_amplitudes(grid_a, grid_b, cfg), grid_a, grid_b
 
 
@@ -236,7 +258,7 @@ def test_partial_conditional_follows_ring_gaussian(partial_cfg):
     j = grid_b.size - 1
     k_a = 2.0 * math.pi / partial_cfg.lambda_a
     k_b = 2.0 * math.pi / partial_cfg.lambda_b
-    x_shift = k_a * grid_a + k_b * grid_b[j]
+    x_shift = k_a * grid_a[:, j] + k_b * grid_b[j]
     theta_prime = x_shift / k0p
     expect = np.abs(theta_prime) * np.exp(-2.0 * theta_prime**2 / sigma**2)
     expect /= expect.sum()
@@ -246,7 +268,7 @@ def test_partial_conditional_follows_ring_gaussian(partial_cfg):
 
 def test_partial_model_requires_shell_parameters(partial_cfg):
     grid_b = camera_grid(RHO, partial_cfg)
-    grid_a = shell_line_grid(partial_cfg, 1.5e-3, 32)
+    grid_a = shell_grid(grid_b, partial_cfg, 32)
     cfg = dataclasses.replace(partial_cfg, sigma_theta=None)  # skips validate_config
     with pytest.raises(ValueError, match="sigma_theta"):
         build_amplitudes(grid_a, grid_b, cfg)
@@ -264,11 +286,11 @@ def test_empty_support_is_an_error(partial_cfg):
 def test_superpose_attaches_phases_and_amplitudes(partial_cfg):
     sup, grid_a, _ = _partial_state(partial_cfg)
     assert sup.config is partial_cfg
-    # a shared line is one column, which every b column broadcasts against
-    assert sup.phase_a.shape == (grid_a.size, 1)
+    # one phase per node of every column's own shell
+    assert sup.phase_a.shape == grid_a.shape == (128, RHO.size)
     # measured from the on-axis phase 2 pi n_a d_a / lambda_a, which cancels
     on_axis = 2.0 * math.pi * partial_cfg.n_a * partial_cfg.d_a / partial_cfg.lambda_a
-    assert np.allclose(sup.phase_a[:, 0], 0.5 * on_axis * grid_a**2, rtol=1e-15, atol=0.0)
+    assert np.allclose(sup.phase_a, 0.5 * on_axis * grid_a**2, rtol=1e-15, atol=0.0)
 
 
 def test_superpose_carries_source_phases(partial_cfg):
@@ -284,8 +306,10 @@ def test_assemble_state_selects_model_grid(partial_cfg, maximal_cfg, uncorrelate
     assert np.all(conjugate <= 0.0)
     dephasing = dephasing_grid(uncorrelated_cfg, 32)
     assert dephasing.shape == (32,) and np.all(dephasing > 0.0)
-    shell = shell_line_grid(partial_cfg, float(np.max(RHO)), 32)
-    assert shell.shape == (32,) and np.array_equal(shell[1::2], -shell[0::2])
+    shell = shell_grid(camera_grid(RHO, partial_cfg), partial_cfg, 32)
+    # the maximal model's partners, each widened by its shell
+    assert shell.shape == (32, RHO.size)
+    assert np.allclose(shell[1::2] - conjugate, conjugate - shell[0::2], rtol=0.0, atol=1e-16)
     for cfg, grid_a in ((maximal_cfg, conjugate), (uncorrelated_cfg, dephasing),
                         (partial_cfg, shell)):
         sup = assemble_state(cfg, RHO, n_modes=32)
@@ -300,12 +324,14 @@ def test_assemble_state_selects_model_grid(partial_cfg, maximal_cfg, uncorrelate
                          ids=lambda m: m.value)
 def test_a_grid_per_column_equals_the_shared_line_it_repeats(model):
     # the line written out once per column gives the same table, the same
-    # phases as broadcast and the same fringes, bit for bit
+    # phases as broadcast and the same fringes, bit for bit; the partial
+    # line is wide enough for every column's shell
     cfg = make_config(model)
-    line = assemble_state(cfg, RHO, 64)
-    grid_a = (shell_line_grid(cfg, float(np.max(RHO)), 64)
+    grid_b = camera_grid(RHO, cfg)
+    grid_a = (line_grid(np.max(-_shell(cfg, RHO, 64)), 64)
               if model is CorrelationModel.GAUSSIAN_PARTIAL else dephasing_grid(cfg, 64))
-    columns = build_amplitudes(np.tile(grid_a[:, None], (1, RHO.size)), camera_grid(RHO, cfg), cfg)
+    line = build_amplitudes(grid_a, grid_b, cfg)
+    columns = build_amplitudes(np.tile(grid_a[:, None], (1, RHO.size)), grid_b, cfg)
     assert columns.phase_a.shape == columns.amplitudes.shape == (64, RHO.size)
     assert np.array_equal(columns.amplitudes, line.amplitudes)
     assert np.array_equal(columns.phase_a, np.broadcast_to(line.phase_a, (64, RHO.size)))

@@ -37,9 +37,11 @@ visibility. Three more, the same config of each model on f0 53 mm and
 sigma_b 0.006, run the oracle at 512 modes: the b envelope p_b depends
 only on f0 and sigma_b, so these are the only runs on a second
 envelope, and a change in how the envelope is summed can show in them.
-Eight hostile runs on the reference partial config should
-each exit 1 and write no data file: the oracle at 512 modes with
-sigma_theta 1e-7, whose shell no grid mode sees; simulate at 10^11 px
+The reference partial config at three narrow widths, sigma_theta 1e-7,
+1e-5 and 2e-4, runs the oracle at 128, 512 and 1024 modes: a grid whose
+columns share one line wide enough for every radius resolves such a
+shell poorly or not at all. Seven hostile runs on the reference partial
+config should each exit 1 and write no data file: simulate at 10^11 px
 and the oracle at 10^11 modes, which no machine can allocate; simulate
 at 600 px and the oracle at 512 modes with d_a 1e30 mm, whose closed
 form overflows to NaN; visibility at radii 0 and 1e300 mm, whose
@@ -51,7 +53,7 @@ readers accept, with a byte-order mark and CRLF line ends, a bare
 ``key value`` line, spaces around ``=`` and inline comments in the
 config, and a space after each comma of the rings, and run through
 invert at v0 0.9 with a first-ring radius, eqwavelength and simulate
-at 256 px. That makes 461 runs per tree. Every command is
+at 256 px. That makes 469 runs per tree. Every command is
 ``python -m twinfringes.cli`` in a fresh interpreter with PYTHONPATH
 set to the tree. Exit codes and every output file are compared byte
 for byte; in a manifest the tree's work directory is first replaced by
@@ -139,11 +141,18 @@ SINGLE_COMMANDS = {
 ENVELOPE_OPTICS = OPTICS.replace("f0_mm = 150", "f0_mm = 53").replace("2.36e-2", "0.006")
 ENVELOPE_COMMANDS = {"oracle": COMMANDS["oracle"]}
 
-# Hostile runs on the reference partial config (see the module docstring).
+# The reference partial config at narrow widths, and hostile runs on it
+# (see the module docstring).
 REFERENCE = OPTICS + "d_a_mm = 11.7\nsigma_theta = 0.000937\nmodel = gaussian_partial\n"
+NARROW = {
+    f"gaussian_partial_d11p7_s{sigma}": (
+        REFERENCE.replace("0.000937", sigma),
+        {name: args for name, args in COMMANDS.items() if name.startswith("oracle")},
+    )
+    for sigma in ("1e-7", "1e-5", "2e-4")
+}
 TINY_RINGS = "d_a_mm,rho1_mm\n5,1e-170\n8,1e-170\n11.7,1e-170\n"
 HOSTILE = {
-    "hostile_narrow": (REFERENCE.replace("0.000937", "1e-7"), {"oracle": COMMANDS["oracle"]}),
     "hostile_far": (
         REFERENCE.replace("d_a_mm = 11.7", "d_a_mm = 1e30"),
         {name: COMMANDS[name] for name in ("sim600", "oracle")},
@@ -200,6 +209,7 @@ def _configs() -> dict[str, tuple[str, dict]]:
         out[f"{model}_f53_sb0p006"] = (
             reference.replace(OPTICS, ENVELOPE_OPTICS), ENVELOPE_COMMANDS
         )
+    out.update(NARROW)
     out.update(HOSTILE)
     out.update(FORMS)
     return out
